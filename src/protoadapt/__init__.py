@@ -21,7 +21,6 @@ from .autodiff import (
     Tape,
     adam_step,
     backward,
-    cross_entropy_loss,
     forward_classify,
     forward_embed,
     init_model,
@@ -47,11 +46,10 @@ from .gmm import (
     build_support_sets,
     estimate_gmm,
     generate_pseudo_dataset,
-    gmm_log_density,
     load_gmm,
     save_gmm,
 )
-from .linalg import cholesky, matmul, sample_gaussian, sample_unit_sphere
+from .linalg import cholesky, sample_gaussian, sample_unit_sphere
 from .rng import Rng
 from .swd import (
     SlicedConfig,

@@ -17,6 +17,7 @@ from .autodiff import AdamState, SegModel, adam_step, backward, Tape
 from .errors import DivergenceError
 from .gmm import (
     PrototypicalGMM,
+    PseudoDataset,
     build_support_sets,
     estimate_gmm,
     generate_pseudo_dataset,
@@ -39,12 +40,11 @@ class ExperimentConfig:
     lr: float = 1e-4
     adapt_lr: float | None = None  # None -> same as lr
     seed: int = 0
-    encoder_hidden: tuple = (64, 32)
+    encoder_hidden: tuple[int, ...] = (64, 32)
     embed_dim: int | None = None  # None -> K
     neighborhood: bool = True
     freeze_classifier: bool = False
     max_draw_factor: int = 20
-    dataset: str = ""  # path or preset reference, echoed into reports
 
 
 @dataclass
@@ -77,10 +77,6 @@ class BoundDiagnostics:
 @dataclass
 class AdaptationReport:
     steps: list = field(default_factory=list)  # (step, ce, swd, total)
-    pre_iou: np.ndarray | None = None
-    pre_miou: float = float("nan")
-    post_iou: np.ndarray | None = None
-    post_miou: float = float("nan")
     diagnostics: BoundDiagnostics = field(default_factory=BoundDiagnostics)
     wall_clock: float = 0.0
     kept_fraction: float = float("nan")
@@ -93,34 +89,25 @@ def _flat_labels(labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels).reshape(-1).astype(np.int64)
 
 
-def train_source(
-    config: ExperimentConfig,
-    images: np.ndarray,
-    labels: np.ndarray,
-    model: SegModel | None = None,
-    rng: Rng | None = None,
-):
+def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarray):
     """Cross-entropy training on the labeled source split.
 
     Returns (model, per-step loss list). Losses must stay finite; a NaN
     aborts with the offending step index.
     """
-    if rng is None:
-        rng = Rng(config.seed)
+    rng = Rng(config.seed)
     images = np.asarray(images, dtype=np.float32)
     n = images.shape[0]
     if n < 1:
         raise ValueError("source dataset is empty")
-    if model is None:
-        K = int(np.max(labels)) + 1
-        model = ad.init_model(
-            images.shape[-1],
-            K,
-            embed_dim=config.embed_dim,
-            encoder_hidden=config.encoder_hidden,
-            rng=rng,
-            neighborhood=config.neighborhood,
-        )
+    model = ad.init_model(
+        images.shape[-1],
+        int(np.max(labels)) + 1,
+        embed_dim=config.embed_dim,
+        encoder_hidden=config.encoder_hidden,
+        rng=rng,
+        neighborhood=config.neighborhood,
+    )
     params = model.parameters()
     state = AdamState()
     losses = []
@@ -235,20 +222,13 @@ def wasserstein_estimates(
     return exact, float(sliced)
 
 
-def estimate_stage(
-    model: SegModel,
-    images: np.ndarray,
-    labels: np.ndarray,
-    config: ExperimentConfig,
-    rng: Rng | None = None,
-):
+def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, config: ExperimentConfig):
     """Fit the prototypical mixture on confident source pixels.
 
     Returns (gmm, EstimateInfo); the info carries the source-side distance
     diagnostic so adaptation never needs source data again.
     """
-    if rng is None:
-        rng = Rng(config.seed ^ 0xE57)
+    rng = Rng(config.seed ^ 0xE57)
     emb = pixel_embeddings(model, images)
     probs_fn = ad.classifier_probs_fn(model)
     probs = _chunked_probs(probs_fn, emb)
@@ -281,11 +261,7 @@ def _chunked_probs(probs_fn, emb: np.ndarray, chunk: int = 65536) -> np.ndarray:
 
 
 def adapt_source_free(
-    model: SegModel,
-    gmm: PrototypicalGMM,
-    target_images: np.ndarray,
-    config: ExperimentConfig,
-    rng: Rng | None = None,
+    model: SegModel, gmm: PrototypicalGMM, target_images: np.ndarray, config: ExperimentConfig
 ):
     """Minimize pseudo-label cross-entropy + lambda * squared SWD between
     target pixel embeddings and pseudo samples. Updates encoder, decoder
@@ -295,8 +271,7 @@ def adapt_source_free(
     untouched. Report diagnostics carry only the target-side distances,
     the caller merges estimation-time fields.
     """
-    if rng is None:
-        rng = Rng(config.seed ^ 0xADAB7)
+    rng = Rng(config.seed ^ 0xADAB7)
     target_images = np.asarray(target_images, dtype=np.float32)
     n = target_images.shape[0]
     report = AdaptationReport()
@@ -340,12 +315,9 @@ def adapt_source_free(
         swd_value, swd_grad = sliced_wasserstein_grad(
             emb_sub.data, pseudo.Z, swd_cfg, rng
         )
-        swd_node = ad.vcustom(
-            tape,
-            swd_value,
-            (emb_sub,),
-            lambda g, sg=swd_grad: (g * sg,),
-        )
+        # A float64 0-d array, not a Python float, so that the float32 CE
+        # plus this term is promoted to a float64 total.
+        swd_node = tape.op(np.asarray(swd_value), (emb_sub,), lambda g, sg=swd_grad: (g * sg,))
         total = ad.vsum2(tape, ce, ad.vscale(tape, swd_node, config.lambda_))
 
         ce_v, swd_v, total_v = float(ce.data), float(swd_node.data), float(total.data)
@@ -382,7 +354,6 @@ def _clone_model(model: SegModel) -> SegModel:
         model.embed_dim,
         model.in_channels,
         model.neighborhood,
-        model.activation,
     )
 
 
@@ -391,23 +362,43 @@ def _clone_model(model: SegModel) -> SegModel:
 
 def compute_bound_diagnostics(
     gmm: PrototypicalGMM,
+    model: SegModel,
     target_pre_embeddings: np.ndarray,
     target_post_embeddings: np.ndarray,
     config: ExperimentConfig,
+    rng: Rng,
     estimate_info: EstimateInfo | None = None,
-    pseudo_points: np.ndarray | None = None,
-    rng: Rng | None = None,
     e_target_pre: float = float("nan"),
     e_target_post: float = float("nan"),
-) -> BoundDiagnostics:
-    """Populate every observable bound term.
+) -> tuple[BoundDiagnostics, PseudoDataset]:
+    """Populate every observable bound term; returns (diagnostics, pseudo set).
 
-    `pseudo_points` defaults to fresh filtered draws at tau_filter=0 being
-    unavailable here, so callers normally pass the pseudo sample cloud they
-    already generated.
+    The target-side terms measure the target embeddings before and after
+    adaptation against one pseudo cloud: min(4096, target pixels) draws
+    from `gmm`, kept where the classifier of `model`, the adapted model, is
+    confident above tau_filter. With one cloud for both terms, their difference
+    comes only from the moved target embeddings. The adapted classifier
+    filters the cloud, not the pre-adaptation one that filtered the
+    adaptation batches, so that w_tp values stay comparable with reports
+    already written; switching would move all of them. Each embedding set
+    is subsampled to at most 8192 rows first.
+
+    Draws from `rng` in this order: the pseudo cloud, the pre subsample,
+    the post subsample, the pre estimates, the post estimates. Callers
+    that keep drawing from `rng` afterwards rely on that order.
     """
-    if rng is None:
-        rng = Rng(config.seed ^ 0xD1A6)
+    pseudo = generate_pseudo_dataset(
+        gmm,
+        ad.classifier_probs_fn(model),
+        min(4096, target_pre_embeddings.shape[0]),
+        config.tau_filter,
+        rng,
+        config.max_draw_factor,
+    )
+    pre, post = (
+        emb[rng.subsample(emb.shape[0], min(8192, emb.shape[0]))]
+        for emb in (target_pre_embeddings, target_post_embeddings)
+    )
     diag = BoundDiagnostics()
     diag.one_minus_tau = 1.0 - config.tau_filter
     if estimate_info is not None:
@@ -415,19 +406,17 @@ def compute_bound_diagnostics(
         diag.w_sp_sliced = estimate_info.w_sp_sliced
         diag.e_source = estimate_info.e_source
         diag.N = estimate_info.n_pixels
-    if pseudo_points is None:
-        raise ValueError("pseudo_points required for target-side distances")
-    diag.N_p = pseudo_points.shape[0]
-    diag.M = target_pre_embeddings.shape[0]
+    diag.N_p = pseudo.Z.shape[0]
+    diag.M = pre.shape[0]
     diag.w_tp_pre_exact, diag.w_tp_pre_sliced = wasserstein_estimates(
-        target_pre_embeddings, pseudo_points, rng, num_projections=config.num_projections
+        pre, pseudo.Z, rng, num_projections=config.num_projections
     )
     diag.w_tp_post_exact, diag.w_tp_post_sliced = wasserstein_estimates(
-        target_post_embeddings, pseudo_points, rng, num_projections=config.num_projections
+        post, pseudo.Z, rng, num_projections=config.num_projections
     )
     diag.e_target_pre = e_target_pre
     diag.e_target_post = e_target_post
-    return diag
+    return diag, pseudo
 
 
 # ---------------------------------------------------------------- pipeline
@@ -454,8 +443,7 @@ def run_experiment(
     eval_labels,
 ) -> ExperimentResult:
     """Full pipeline on in-memory splits: train, estimate, adapt, evaluate."""
-    rng = Rng(config.seed)
-    model, _ = train_source(config, source_images, source_labels, rng=rng)
+    model, _ = train_source(config, source_images, source_labels)
     gmm, info = estimate_stage(model, source_images, source_labels, config)
 
     pre_iou, pre_miou = evaluate_miou(model, eval_images, eval_labels)
@@ -468,29 +456,15 @@ def run_experiment(
     e_post = pixel_error(model, eval_images, eval_labels)
     target_post = pixel_embeddings(model, np.asarray(target_images, np.float32))
 
-    diag_rng = Rng(config.seed ^ 0xD1A6)
-    pseudo = generate_pseudo_dataset(
+    report.diagnostics, _ = compute_bound_diagnostics(
         gmm,
-        ad.classifier_probs_fn(model),
-        min(4096, target_pre.shape[0]),
-        config.tau_filter,
-        diag_rng,
-        config.max_draw_factor,
-    )
-    cap = 8192
-    sub_pre = target_pre[diag_rng.subsample(target_pre.shape[0], min(cap, target_pre.shape[0]))]
-    sub_post = target_post[diag_rng.subsample(target_post.shape[0], min(cap, target_post.shape[0]))]
-    report.diagnostics = compute_bound_diagnostics(
-        gmm,
-        sub_pre,
-        sub_post,
+        model,
+        target_pre,
+        target_post,
         config,
+        Rng(config.seed ^ 0xD1A6),
         estimate_info=info,
-        pseudo_points=pseudo.Z,
-        rng=diag_rng,
         e_target_pre=e_pre,
         e_target_post=e_post,
     )
-    report.pre_iou, report.pre_miou = pre_iou, pre_miou
-    report.post_iou, report.post_miou = post_iou, post_miou
     return ExperimentResult(model, gmm, report, pre_miou, post_miou, pre_iou, post_iou, info)

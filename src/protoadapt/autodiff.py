@@ -7,11 +7,11 @@ leaves carry: float32 in production, float64 when gradient-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, TapeError
+from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from .fileformats import (
     MDL1_MAGIC,
     _read_exact,
@@ -172,11 +172,6 @@ def vsum2(tape: Tape, a: Value, b: Value) -> Value:
     return tape.op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def vcustom(tape: Tape, data, parents, backward_fn) -> Value:
-    """Escape hatch for ops with externally supplied gradients."""
-    return tape.op(np.asarray(data), tuple(parents), backward_fn)
-
-
 # ---------------------------------------------------------------- model
 
 
@@ -196,7 +191,6 @@ class SegModel:
     embed_dim: int
     in_channels: int
     neighborhood: bool = False
-    activation: str = "relu"
 
     def parameters(self) -> list:
         out = []
@@ -312,16 +306,6 @@ def classifier_probs_fn(model: SegModel):
     return fn
 
 
-def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean pixelwise -log p[label] over a probability tensor [..., K]."""
-    p = np.asarray(probs, dtype=np.float64).reshape(-1, np.asarray(probs).shape[-1])
-    lab = np.asarray(labels).reshape(-1).astype(np.int64)
-    if np.any(lab < 0) or np.any(lab >= p.shape[1]):
-        raise IndexError("label index out of range")
-    picked = np.maximum(p[np.arange(p.shape[0]), lab], PROB_CLAMP)
-    return float(-np.log(picked).mean())
-
-
 # ---------------------------------------------------------------- optimizer
 
 
@@ -391,8 +375,6 @@ def save_model(path, model: SegModel) -> None:
 
 
 def load_model(path) -> SegModel:
-    from .errors import FileFormatError
-
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MDL1_MAGIC:
             raise FileFormatError("bad model magic")

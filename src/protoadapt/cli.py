@@ -15,7 +15,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields, replace
+import typing
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,41 +43,45 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- config
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"lambda"}
-_INT_KEYS = {
-    "num_projections",
-    "source_steps",
-    "adapt_steps",
-    "batch_source",
-    "batch_target",
-    "pseudo_batch",
-    "seed",
-    "max_draw_factor",
-    "embed_dim",
-}
-_FLOAT_KEYS = {"tau_fit", "tau_filter", "lambda", "lambda_", "lr", "adapt_lr"}
-_BOOL_KEYS = {"neighborhood", "freeze_classifier"}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes")
-    if key == "encoder_hidden":
-        return tuple(int(x) for x in value.split(",") if x)
-    return value
+def _parse_scalar(kind, key: str, raw: str):
+    try:
+        return _BOOL_VALUES[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise CliError(f"invalid value for {key}: {raw!r}") from None
+
+
+def _parse_values(types: dict, raw_values: dict, what: str) -> dict:
+    """Coerce key=value strings to the annotated field types in `types`.
+
+    `types` maps keys to annotations as `typing.get_type_hints` returns
+    them: scalars, `X | None` (parsed as X) and `tuple[X, ...]` (comma
+    separated). Unknown keys and values that fail to parse raise CliError
+    naming the key.
+    """
+    values = {}
+    for key, raw in raw_values.items():
+        if key not in types:
+            raise CliError(f"unknown {what} key: {key}")
+        kind = types[key]
+        args = [a for a in typing.get_args(kind) if a is not type(None)]
+        if typing.get_origin(kind) is tuple:
+            values[key] = tuple(_parse_scalar(args[0], key, x) for x in raw.split(",") if x)
+        else:
+            values[key] = _parse_scalar(args[0] if args else kind, key, raw)
+    return values
+
+
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    values = {}
-    if path:
-        for key, raw in read_keyvalue(path).items():
-            if key not in _CONFIG_KEYS:
-                raise CliError(f"unknown config key: {key}")
-            values["lambda_" if key == "lambda" else key] = _coerce(key, raw)
+    raw = read_keyvalue(path) if path else {}
+    values = _parse_values({**_CONFIG_TYPES, "lambda": float}, raw, "config")
+    if "lambda" in values:
+        values["lambda_"] = values.pop("lambda")
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
@@ -111,41 +116,20 @@ def _load_labeled(path: str):
 
 
 def cmd_gen_data(args) -> int:
-    spec_values = read_keyvalue(args.spec) if args.spec else {}
-    known = {
-        "kind",
-        "K",
-        "n_images",
-        "n_eval",
-        "height",
-        "width",
-        "channels",
-        "mean_shift",
-        "rotation",
-        "channel_gain",
-        "noise_sigma",
-        "seed",
-        "preset",
-    }
-    for key in spec_values:
-        if key not in known:
-            raise CliError(f"unknown spec key: {key}")
-    n_eval = int(spec_values.pop("n_eval", 500))
-    if spec_values.pop("preset", "") == "standard" or args.preset == "standard":
-        spec = ds.standard_shift_spec(seed=int(spec_values.get("seed", 0)))
+    shift_types = typing.get_type_hints(ds.Shift)
+    spec_types = typing.get_type_hints(ds.DomainSpec)
+    del spec_types["shift"]
+    values = _parse_values(
+        {**spec_types, **shift_types, "n_eval": int, "preset": str},
+        read_keyvalue(args.spec) if args.spec else {},
+        "spec",
+    )
+    n_eval = values.pop("n_eval", 500)
+    if values.pop("preset", "") == "standard" or args.preset == "standard":
+        spec = ds.standard_shift_spec(seed=values.get("seed", 0))
     else:
-        shift = ds.Shift(
-            mean_shift=float(spec_values.pop("mean_shift", 0.0)),
-            rotation=float(spec_values.pop("rotation", 0.0)),
-            channel_gain=tuple(
-                float(x) for x in spec_values.pop("channel_gain", "1,1,1").split(",")
-            ),
-            noise_sigma=float(spec_values.pop("noise_sigma", 0.0)),
-        )
-        kwargs = {}
-        for key, raw in spec_values.items():
-            kwargs[key] = raw if key == "kind" else int(raw)
-        spec = ds.DomainSpec(shift=shift, **kwargs)
+        shift = ds.Shift(**{k: values.pop(k) for k in shift_types if k in values})
+        spec = ds.DomainSpec(shift=shift, **values)
 
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
         raise CliError(f"output directory {args.out} is not empty (use --force)")
@@ -233,13 +217,12 @@ def cmd_adapt(args) -> int:
     gmm = load_gmm(args.gmm)
     images, _, _ = ds.load_split(target_dir)
     target_pre = adapt_mod.pixel_embeddings(model, images)
-    pre_model = adapt_mod._clone_model(model)
 
-    model, report = adapt_mod.adapt_source_free(model, gmm, images, config)
-    target_post = adapt_mod.pixel_embeddings(model, images)
+    adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
+    target_post = adapt_mod.pixel_embeddings(adapted, images)
 
     os.makedirs(args.out, exist_ok=True)
-    ad.save_model(os.path.join(args.out, "adapted.mdl1"), model)
+    ad.save_model(os.path.join(args.out, "adapted.mdl1"), adapted)
     with open(os.path.join(args.out, "report.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "ce", "swd", "total"])
@@ -256,19 +239,8 @@ def cmd_adapt(args) -> int:
         np.array([]),
     )
     diag_rng = Rng(config.seed ^ 0xD1A6)
-    pseudo = generate_pseudo_dataset(
-        gmm,
-        ad.classifier_probs_fn(model),
-        min(4096, target_pre.shape[0]),
-        config.tau_filter,
-        diag_rng,
-        config.max_draw_factor,
-    )
-    cap = 8192
-    sub_pre = target_pre[diag_rng.subsample(target_pre.shape[0], min(cap, target_pre.shape[0]))]
-    sub_post = target_post[diag_rng.subsample(target_post.shape[0], min(cap, target_post.shape[0]))]
-    diag = adapt_mod.compute_bound_diagnostics(
-        gmm, sub_pre, sub_post, config, estimate_info=info, pseudo_points=pseudo.Z, rng=diag_rng
+    diag, pseudo = adapt_mod.compute_bound_diagnostics(
+        gmm, adapted, target_pre, target_post, config, diag_rng, estimate_info=info
     )
     diag_map = diag.as_dict()
     diag_map["kept_fraction"] = report.kept_fraction
@@ -276,27 +248,14 @@ def cmd_adapt(args) -> int:
     write_keyvalue(os.path.join(args.out, "diagnostics.txt"), diag_map)
 
     # Fig.-3-style embedding exports (labels for target are unknown: -1).
-    pred_pre = ad.forward_classify(pre_model, target_pre).argmax(axis=-1)
-    pred_post = ad.forward_classify(model, target_post).argmax(axis=-1)
+    # The pseudo cloud was labelled by the adapted classifier, so its
+    # labels are also its predictions.
     emb_cap = diag_rng.subsample(target_pre.shape[0], min(4096, target_pre.shape[0]))
-    save_embeddings(
-        os.path.join(args.out, "gmm_samples.emb1"),
-        pseudo.Z,
-        pseudo.Y,
-        ad.classifier_probs_fn(model)(pseudo.Z).argmax(axis=1),
-    )
-    save_embeddings(
-        os.path.join(args.out, "target_pre.emb1"),
-        target_pre[emb_cap],
-        -np.ones(len(emb_cap)),
-        pred_pre[emb_cap],
-    )
-    save_embeddings(
-        os.path.join(args.out, "target_post.emb1"),
-        target_post[emb_cap],
-        -np.ones(len(emb_cap)),
-        pred_post[emb_cap],
-    )
+    save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
+    for name, m, emb in (("target_pre", model, target_pre), ("target_post", adapted, target_post)):
+        pred = ad.forward_classify(m, emb).argmax(axis=-1)
+        path = os.path.join(args.out, f"{name}.emb1")
+        save_embeddings(path, emb[emb_cap], -np.ones(len(emb_cap)), pred[emb_cap])
     echo_config(config, args.out)
     print(
         f"adapted: {args.out} steps={len(report.steps)} "
@@ -365,12 +324,8 @@ def cmd_export_embeddings(args) -> int:
             gmm, ad.classifier_probs_fn(model), 4096, 0.0, rng
         )
         written.append(os.path.join(args.out, "gmm_samples.emb1"))
-        save_embeddings(
-            written[-1],
-            pseudo.Z,
-            pseudo.Y,
-            ad.classifier_probs_fn(model)(pseudo.Z).argmax(axis=1),
-        )
+        # Labels come from this model's classifier, so they are its predictions.
+        save_embeddings(written[-1], pseudo.Z, pseudo.Y, pseudo.Y)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -384,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="protoadapt",
         description="Source-free adaptation via prototypical GMMs and sliced Wasserstein alignment",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (1 = bitwise reproducible)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads; only 1 is accepted")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write source/target/eval splits")
@@ -449,6 +404,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads != 1:
+            raise CliError(f"--threads {args.threads} is not supported; only 1 is accepted")
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FileFormatError
 from .fileformats import load_tensor, read_keyvalue, save_tensor, write_keyvalue
 from .rng import Rng
 
@@ -66,7 +65,7 @@ CLASS_COLORS = np.array(
 class Shift:
     mean_shift: float = 0.0
     rotation: float = 0.0
-    channel_gain: tuple = (1.0, 1.0, 1.0)
+    channel_gain: tuple[float, ...] = (1.0, 1.0, 1.0)
     noise_sigma: float = 0.0
 
     def is_zero(self) -> bool:

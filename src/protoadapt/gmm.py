@@ -9,7 +9,7 @@ confident about its own prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,13 +80,11 @@ def build_support_sets(embeddings, labels, probs, tau: float) -> SupportSets:
     return SupportSets(indices, counts)
 
 
-def estimate_gmm(
-    embeddings, support: SupportSets, tau_fit: float = 0.0, unbiased: bool = False
-) -> PrototypicalGMM:
+def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> PrototypicalGMM:
     """Closed-form per-class weights, means, covariances from support sets.
 
-    Covariance uses the 1/|S_j| normalization by default (`unbiased` flips
-    to 1/(|S_j|-1)); every class needs at least d+1 support points.
+    Covariance uses the 1/|S_j| normalization; every class needs at least
+    d+1 support points.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     d = emb.shape[1]
@@ -110,8 +108,7 @@ def estimate_gmm(
         pts = emb[support.indices[j]]
         mean = pts.mean(axis=0)
         centered = pts - mean
-        denom = pts.shape[0] - 1 if unbiased else pts.shape[0]
-        cov = (centered.T @ centered) / denom
+        cov = (centered.T @ centered) / pts.shape[0]
         jit = default_jitter(cov)
         if jit <= 0.0:  # fully degenerate support (all points identical)
             jit = 1e-6
@@ -120,25 +117,6 @@ def estimate_gmm(
         sigma[j] = cov
         chol[j] = cholesky(cov, 0.0, class_index=j)
     return PrototypicalGMM(K, alpha, mu, sigma, chol, float(tau_fit))
-
-
-def gmm_log_density(gmm: PrototypicalGMM, z) -> float:
-    """log p(z) of the mixture via per-component log-densities + logsumexp."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    d = gmm.dim
-    if z.shape[0] != d:
-        raise DimensionError(f"z has dim {z.shape[0]}, mixture has dim {d}")
-    log_terms = np.empty(gmm.K)
-    for j in range(gmm.K):
-        L = gmm.chol[j].astype(np.float64)
-        diff = z - gmm.mu[j].astype(np.float64)
-        sol = np.linalg.solve(L, diff)
-        logdet = 2.0 * np.log(np.diag(L)).sum()
-        quad = float(sol @ sol)
-        log_norm = -0.5 * (d * np.log(2.0 * np.pi) + logdet)
-        log_terms[j] = np.log(max(float(gmm.alpha[j]), 1e-300)) + log_norm - 0.5 * quad
-    m = log_terms.max()
-    return float(m + np.log(np.exp(log_terms - m).sum()))
 
 
 def generate_pseudo_dataset(

@@ -1,8 +1,8 @@
-"""Dense float32 tensor helpers: matmul, Cholesky, Gaussian sampling.
+"""Dense float32 tensor helpers: Cholesky, Gaussian and unit-sphere sampling.
 
-Tensors are plain numpy float32 arrays (row-major). Reductions accumulate
-in float64 and round back to float32 so storage stays small without the
-usual single-precision drift in long sums.
+Tensors are plain numpy float32 arrays (row-major). Arithmetic runs in
+float64 and rounds back to float32 so storage stays small without the
+usual single-precision drift.
 """
 
 from __future__ import annotations
@@ -11,27 +11,6 @@ import numpy as np
 
 from .errors import DimensionError, FactorizationError
 from .rng import Rng
-
-
-def as_tensor(a, shape=None) -> np.ndarray:
-    """Checked tensor constructor: float32, finite, optional shape check."""
-    t = np.asarray(a, dtype=np.float32)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite values")
-    if shape is not None and t.shape != tuple(shape):
-        raise DimensionError(f"expected shape {tuple(shape)}, got {t.shape}")
-    return t
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, rounded to float32."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
 def default_jitter(sigma: np.ndarray) -> float:

@@ -44,9 +44,6 @@ class Rng:
         """Uniform integers in [low, high)."""
         return self._gen.integers(low, high, size=size)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
     def subsample(self, n: int, k: int) -> np.ndarray:
         """k distinct indices out of n, uniform without replacement."""
         if k > n:

@@ -22,14 +22,10 @@ from .rng import Rng
 @dataclass
 class SlicedConfig:
     num_projections: int = 100
-    rng_seed: int = 0
-    equalization: str = "subsample"  # or "quantile-interp"
 
     def __post_init__(self):
         if self.num_projections < 1:
             raise ValueError("num_projections must be >= 1")
-        if self.equalization not in ("subsample", "quantile-interp"):
-            raise ValueError(f"unknown equalization {self.equalization!r}")
 
 
 def wasserstein1d_sq(a, b) -> float:
@@ -44,31 +40,18 @@ def wasserstein1d_sq(a, b) -> float:
     return float(np.mean(diff * diff))
 
 
-def _equalize(x: np.ndarray, y: np.ndarray, strategy: str, rng: Rng):
-    """Make both sample sets the same size for rank pairing."""
+def _equalize(x: np.ndarray, y: np.ndarray, rng: Rng):
+    """Subsample the larger set to the smaller set's size for rank pairing.
+
+    Returns (x', y', rows of x kept).
+    """
     m, n = x.shape[0], y.shape[0]
-    if m == n:
-        return x, y, np.arange(m), np.arange(n)
-    if strategy == "subsample":
-        if m > n:
-            idx = np.sort(rng.subsample(m, n))
-            return x[idx], y, idx, np.arange(n)
-        idx = np.sort(rng.subsample(n, m))
-        return x, y[idx], np.arange(m), idx
-    # quantile-interp: resample the larger set at the smaller set's quantiles,
-    # applied per projection below (marker return).
-    return x, y, np.arange(m), np.arange(n)
-
-
-def _projected_cost_quantile(px: np.ndarray, py: np.ndarray) -> float:
-    """1-D cost with the larger sample interpolated to the smaller count."""
-    m, n = px.shape[0], py.shape[0]
-    k = min(m, n)
-    q = (np.arange(k) + 0.5) / k
-    xs = np.quantile(np.sort(px), q) if m != k else np.sort(px)
-    ys = np.quantile(np.sort(py), q) if n != k else np.sort(py)
-    d = xs - ys
-    return float(np.mean(d * d))
+    if m > n:
+        idx = np.sort(rng.subsample(m, n))
+        return x[idx], y, idx
+    if m < n:
+        y = y[np.sort(rng.subsample(n, m))]
+    return x, y, np.arange(m)
 
 
 def sliced_wasserstein_sq(
@@ -81,7 +64,8 @@ def sliced_wasserstein_sq(
     """Monte-Carlo squared SWD between point sets x[m,d] and y[n,d].
 
     `directions` overrides the random projections (frozen-projection mode);
-    otherwise they are drawn from `rng` (or a fresh Rng(cfg.rng_seed)).
+    otherwise they are drawn from `rng` (or a fresh Rng(0)). Unequal
+    counts are equalized by subsampling the larger set.
     """
     value, _ = _sliced_impl(x, y, cfg, rng, directions, want_grad=False)
     return value
@@ -111,21 +95,13 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
         raise DimensionError("empty point set")
     d = x.shape[1]
     if rng is None:
-        rng = Rng(cfg.rng_seed)
+        rng = Rng(0)
     if directions is None:
         directions = sample_unit_sphere(d, cfg.num_projections, rng)
     dirs = np.asarray(directions, dtype=np.float64)
     L = dirs.shape[0]
 
-    if cfg.equalization == "quantile-interp" and x.shape[0] != y.shape[0]:
-        if want_grad:
-            raise DimensionError("gradient requires equal counts or subsample mode")
-        proj_x = x @ dirs.T
-        proj_y = y @ dirs.T
-        total = sum(_projected_cost_quantile(proj_x[:, l], proj_y[:, l]) for l in range(L))
-        return total / L, None
-
-    xe, ye, x_idx, _ = _equalize(x, y, "subsample", rng)
+    xe, ye, x_idx = _equalize(x, y, rng)
     m = xe.shape[0]
     proj_x = xe @ dirs.T  # [m, L]
     proj_y = ye @ dirs.T

@@ -12,7 +12,6 @@ from protoadapt.autodiff import (
     backward,
     classify_flat,
     classifier_probs_fn,
-    cross_entropy_loss,
     embed_flat,
     forward_classify,
     forward_embed,
@@ -70,7 +69,6 @@ class TestForwardOps:
         t = Tape()
         loss = vcross_entropy(t, t.leaf(probs.astype(np.float32)), lab)
         assert float(loss.data) == pytest.approx(manual, abs=1e-5)
-        assert cross_entropy_loss(probs, lab) == pytest.approx(manual, abs=1e-12)
 
 
 class TestBackward:

@@ -5,8 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from protoadapt.cli import main
+from protoadapt import autodiff as ad
+from protoadapt.adaptation import compute_bound_diagnostics, pixel_embeddings
+from protoadapt.cli import load_config, main
+from protoadapt.datasets import load_split
 from protoadapt.fileformats import load_embeddings, read_keyvalue
+from protoadapt.gmm import load_gmm
+from protoadapt.rng import Rng
 
 
 SPEC = """\
@@ -143,6 +148,31 @@ class TestTrain:
         assert code == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["neighborhood=flase", "seed=abc", "encoder_hidden=32,x"])
+    def test_bad_config_value_names_key(self, workspace, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"source_steps=10\n{line}\n")
+        code = main(
+            [
+                "train",
+                "--config",
+                str(bad),
+                "--data",
+                str(workspace / "data" / "source"),
+                "--out",
+                str(tmp_path / "m.mdl1"),
+            ]
+        )
+        assert code == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "m.mdl1").exists()
+
+    def test_threads_other_than_one_rejected(self, workspace, tmp_path, capsys):
+        argv = ["train", "--data", str(workspace / "data" / "source"), "--out", str(tmp_path / "m.mdl1")]
+        assert main(["--threads", "4", *argv]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "m.mdl1").exists()
+
     def test_missing_data_dir(self, workspace, tmp_path):
         code = main(
             [
@@ -233,7 +263,30 @@ class TestAdapt:
         for name in ("gmm_samples.emb1", "target_pre.emb1", "target_post.emb1"):
             data = load_embeddings(out / name)  # [n, d+2]: embedding|label|pred
             assert data.ndim == 2 and data.shape[0] > 0 and data.shape[1] >= 3
+        # pseudo samples are labelled by the classifier that predicts them
+        samples = load_embeddings(out / "gmm_samples.emb1")
+        np.testing.assert_array_equal(samples[:, -2], samples[:, -1])
         assert (out / "resolved_config.txt").exists()
+
+    def test_diagnostics_match_library_call(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        assert run_adapt(workspace, out) == 0
+        config = load_config(str(workspace / "config.txt"), {})
+        images, _, _ = load_split(str(workspace / "data" / "target_train"))
+        model = ad.load_model(workspace / "model.mdl1")
+        adapted = ad.load_model(out / "adapted.mdl1")
+        diag, pseudo = compute_bound_diagnostics(
+            load_gmm(workspace / "model.gmm1"),
+            adapted,
+            pixel_embeddings(model, images),
+            pixel_embeddings(adapted, images),
+            config,
+            Rng(config.seed ^ 0xD1A6),
+        )
+        written = read_keyvalue(out / "diagnostics.txt")
+        for key in ("w_tp_pre_exact", "w_tp_pre_sliced", "w_tp_post_exact", "w_tp_post_sliced"):
+            assert float(written[key]) == getattr(diag, key)
+        assert int(written["N_p"]) == pseudo.Z.shape[0]
 
     def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys):
         code = run_adapt(workspace, tmp_path / "x", target=workspace / "data" / "source")

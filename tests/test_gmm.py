@@ -1,4 +1,4 @@
-"""Class-conditional mixture: support sets, closed-form fit, density, sampling."""
+"""Class-conditional mixture: support sets, closed-form fit, sampling."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,10 @@ from protoadapt.gmm import (
     build_support_sets,
     estimate_gmm,
     generate_pseudo_dataset,
-    gmm_log_density,
     load_gmm,
     save_gmm,
 )
-from protoadapt.linalg import cholesky, default_jitter
+from protoadapt.linalg import cholesky
 from protoadapt.rng import Rng
 
 
@@ -121,24 +120,6 @@ class TestEstimate:
         gmm = self.fit(emb, lab, 4)
         assert abs(gmm.alpha.sum() - 1.0) <= 1e-6
 
-    def test_unbiased_flag(self):
-        rng = np.random.default_rng(5)
-        emb = rng.normal(size=(20, 2))
-        lab = np.zeros(20, dtype=int)
-        b = self.fit(emb, lab, 1)
-        u = self.fit(emb, lab, 1, unbiased=True)
-        pts = emb.astype(np.float64)
-        c = pts - pts.mean(axis=0)
-        cov_b = (c.T @ c) / 20
-        cov_u = (c.T @ c) / 19
-        # each variant adds its own scale-proportional diagonal jitter
-        np.testing.assert_allclose(
-            b.sigma[0], cov_b + default_jitter(cov_b) * np.eye(2), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            u.sigma[0], cov_u + default_jitter(cov_u) * np.eye(2), atol=1e-12
-        )
-
     def test_degenerate_identical_points(self):
         emb = np.tile([1.0, 2.0], (10, 1))
         gmm = self.fit(emb, np.zeros(10, dtype=int), 1)
@@ -156,52 +137,6 @@ class TestEstimate:
         emb = np.random.default_rng(7).normal(size=(10, 2))
         gmm = self.fit(emb, np.zeros(10, dtype=int), 1, tau=0.0)
         assert gmm.tau_fit == 0.0
-
-
-class TestLogDensity:
-    def test_standard_normal_at_origin(self):
-        d = 2
-        gmm = PrototypicalGMM(
-            1,
-            np.array([1.0]),
-            np.zeros((1, d)),
-            np.eye(d)[None],
-            np.eye(d)[None],
-            0.0,
-        )
-        assert gmm_log_density(gmm, np.zeros(d)) == pytest.approx(
-            -np.log(2 * np.pi), abs=1e-12
-        )
-
-    def test_two_component_direct_oracle(self):
-        rng = np.random.default_rng(8)
-        d, K = 3, 2
-        mu = rng.normal(size=(K, d))
-        sigma = np.empty((K, d, d))
-        chol = np.empty((K, d, d))
-        for j in range(K):
-            a = rng.normal(size=(d, d))
-            sigma[j] = a @ a.T + d * np.eye(d)
-            # full-precision factors so the comparison is exact, not f32-bound
-            chol[j] = np.linalg.cholesky(sigma[j])
-        alpha = np.array([0.3, 0.7])
-        gmm = PrototypicalGMM(K, alpha, mu, sigma, chol, 0.0)
-        for _ in range(20):
-            z = rng.normal(size=d)
-            dens = 0.0
-            for j in range(K):
-                diff = z - mu[j]
-                quad = diff @ np.linalg.inv(sigma[j]) @ diff
-                norm = ((2 * np.pi) ** d * np.linalg.det(sigma[j])) ** -0.5
-                dens += alpha[j] * norm * np.exp(-0.5 * quad)
-            assert gmm_log_density(gmm, z) == pytest.approx(np.log(dens), abs=1e-9)
-
-    def test_dim_mismatch(self):
-        gmm = PrototypicalGMM(
-            1, np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None], np.eye(2)[None], 0.0
-        )
-        with pytest.raises(DimensionError):
-            gmm_log_density(gmm, np.zeros(3))
 
 
 def two_blob_gmm(sep=8.0):

@@ -1,68 +1,11 @@
-"""Tensor helpers: matmul, Cholesky, Gaussian / unit-sphere sampling."""
+"""Tensor helpers: Cholesky, Gaussian / unit-sphere sampling."""
 
 import numpy as np
 import pytest
 
 from protoadapt.errors import DimensionError, FactorizationError
-from protoadapt.linalg import (
-    as_tensor,
-    cholesky,
-    default_jitter,
-    matmul,
-    sample_gaussian,
-    sample_unit_sphere,
-)
+from protoadapt.linalg import cholesky, default_jitter, sample_gaussian, sample_unit_sphere
 from protoadapt.rng import Rng
-
-
-class TestAsTensor:
-    def test_float32_output(self):
-        t = as_tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert t.dtype == np.float32
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_tensor([1.0, float("nan")])
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            as_tensor([1.0, float("inf")])
-
-    def test_shape_check(self):
-        with pytest.raises(DimensionError):
-            as_tensor([1.0, 2.0], shape=(3,))
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(6, dtype=np.float32).reshape(2, 3)
-        np.testing.assert_array_equal(matmul(np.eye(2, dtype=np.float32), a), a)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_allclose(out, [[3.0], [7.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        # independent naive oracle
-        oracle = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                s = 0.0
-                for k in range(7):
-                    s += a[i, k] * b[k, j]
-                oracle[i, j] = s
-        np.testing.assert_allclose(matmul(a, b), oracle, atol=1e-6)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rank_check(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 class TestCholesky:

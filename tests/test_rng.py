@@ -36,11 +36,6 @@ def test_integers_range():
     assert set(np.unique(x)) == {2, 3, 4, 5, 6}
 
 
-def test_permutation_is_permutation():
-    p = Rng(3).permutation(50)
-    assert sorted(p.tolist()) == list(range(50))
-
-
 def test_subsample_no_replacement():
     s = Rng(8).subsample(100, 30)
     assert len(s) == 30
