@@ -88,14 +88,19 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def echo_config(config: ExperimentConfig, out_dir: str, extra: dict | None = None) -> None:
+def echo_config(config: ExperimentConfig, out_dir: str) -> None:
+    """Write resolved_config.txt so that `--config` reads it back as `config`.
+
+    Fields left at None (their default) are omitted: a config file has no
+    spelling for None.
+    """
     os.makedirs(out_dir, exist_ok=True)
     payload = {
-        ("lambda" if k == "lambda_" else k): v for k, v in config.__dict__.items()
+        ("lambda" if k == "lambda_" else k): v
+        for k, v in config.__dict__.items()
+        if v is not None
     }
     payload["encoder_hidden"] = ",".join(str(x) for x in config.encoder_hidden)
-    if extra:
-        payload.update(extra)
     write_keyvalue(os.path.join(out_dir, "resolved_config.txt"), payload)
 
 
@@ -253,9 +258,9 @@ def cmd_adapt(args) -> int:
     emb_cap = diag_rng.subsample(target_pre.shape[0], min(4096, target_pre.shape[0]))
     save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
     for name, m, emb in (("target_pre", model, target_pre), ("target_post", adapted, target_post)):
-        pred = ad.forward_classify(m, emb).argmax(axis=-1)
-        path = os.path.join(args.out, f"{name}.emb1")
-        save_embeddings(path, emb[emb_cap], -np.ones(len(emb_cap)), pred[emb_cap])
+        rows = emb[emb_cap]
+        pred = ad.forward_classify(m, rows).argmax(axis=-1)
+        save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -np.ones(len(rows)), pred)
     echo_config(config, args.out)
     print(
         f"adapted: {args.out} steps={len(report.steps)} "

@@ -5,6 +5,14 @@ All distances here are SQUARED transport costs. The 1-D transport is exact
 averages that cost over random unit projections. A small exact matcher on
 the original space serves as the trustworthy (high variance) reference for
 diagnostics and tests.
+
+The sliced estimator works on all projections at once: the projections
+are an [L, m] array with one contiguous row per direction, sorted row-wise
+by numpy's default sort, and only a row with equal neighbours is sorted
+again stably. The sum over ranks and the gradient's accumulation keep the
+order of the per-projection loop (stable column argsort, np.add.at per
+direction), so value and gradient equal that loop's bit for bit
+(tests/test_swd.py keeps the loop as an oracle).
 """
 
 from __future__ import annotations
@@ -81,12 +89,16 @@ def sliced_wasserstein_grad(
     """(value, d value / d x); y is the fixed side.
 
     The sorting permutations are treated as locally constant, so each
-    matched pair contributes 2*(<g,x_p> - <g,y_t>)*g to its x row.
+    matched pair contributes 2*(<g,x_p> - <g,y_t>)*g to its x row; the
+    contributions reach each row in projection order. When x has more rows
+    than y, the rows that equalization drops get an exact zero gradient.
     """
     return _sliced_impl(x, y, cfg, rng, directions, want_grad=True)
 
 
 def _sliced_impl(x, y, cfg, rng, directions, want_grad):
+    """Shared body of the value and gradient: draws the directions, then
+    equalizes, from `rng`; projections are [L, m] rows (see _sort_rows)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
@@ -103,24 +115,54 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
 
     xe, ye, x_idx = _equalize(x, y, rng)
     m = xe.shape[0]
-    proj_x = xe @ dirs.T  # [m, L]
-    proj_y = ye @ dirs.T
-    order_x = np.argsort(proj_x, axis=0, kind="stable")
-    order_y = np.argsort(proj_y, axis=0, kind="stable")
-    sorted_x = np.take_along_axis(proj_x, order_x, axis=0)
-    sorted_y = np.take_along_axis(proj_y, order_y, axis=0)
-    diff = sorted_x - sorted_y
-    costs = np.mean(diff * diff, axis=0)  # per projection
-    value = float(np.mean(costs))
+    # The [m, L] matmul keeps the projections' bits; the transposed copy
+    # makes each projection a contiguous row.
+    proj_x = np.ascontiguousarray((xe @ dirs.T).T)
+    proj_y = np.ascontiguousarray((ye @ dirs.T).T)
+    sorted_y, _ = _sort_rows(proj_y, want_order=False)
+    diff, order_x = _sort_rows(proj_x, want_order=want_grad)
+    diff -= sorted_y  # [L, m] rank-paired gaps
+    # Sequential sum over ranks per projection, as on an [m, L] array: a
+    # mean along the contiguous axis would sum pairwise and move the bits.
+    sq = diff.T.copy()
+    sq *= sq
+    value = float(np.mean(np.mean(sq, axis=0)))
     if not want_grad:
         return value, None
 
-    grad = np.zeros_like(x)
-    scale = 2.0 / (L * m)
+    # by_row[l, i] is the scaled gap of x row i under projection l; it
+    # reuses proj_x's buffer, which the sort no longer needs.
+    diff *= 2.0 / (L * m)
+    by_row = proj_x
+    np.put_along_axis(by_row, order_x, diff, axis=1)
+    # One add per projection, in projection order, from 0.0: the same adds
+    # as a per-projection scatter, so the gradient keeps its bits (a matmul
+    # or a sum over a stacked axis would reorder them).
+    grad_t = np.zeros((d, m))
     for l in range(L):
-        contrib = scale * diff[:, l]
-        np.add.at(grad, x_idx[order_x[:, l]], contrib[:, None] * dirs[l][None, :])
-    return value, grad.astype(np.float64)
+        grad_t += dirs[l][:, None] * by_row[l][None, :]
+    grad = np.zeros_like(x)
+    grad[x_idx] = grad_t.T
+    return value, grad
+
+
+def _sort_rows(p: np.ndarray, want_order: bool):
+    """Sort each row of p; return (sorted rows, argsort order or None).
+
+    The default sort is fast but may order equal values either way. With
+    no equal neighbours the sorting permutation is unique, so it is the
+    stable one; when a row has ties (which also catches -0.0 == 0.0),
+    sort again stably so that ties keep their input order.
+    """
+    if want_order:
+        order = np.argsort(p, axis=1)
+        s = np.take_along_axis(p, order, axis=1)
+    else:
+        order, s = None, np.sort(p, axis=1)
+    if not np.any(s[:, 1:] == s[:, :-1]):
+        return s, order
+    order = np.argsort(p, axis=1, kind="stable")
+    return np.take_along_axis(p, order, axis=1), order
 
 
 def exact_wasserstein_sq_small(x: np.ndarray, y: np.ndarray) -> float:

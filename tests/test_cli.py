@@ -131,6 +131,17 @@ class TestTrain:
         assert resolved["lambda"] == "0.5"
         assert resolved["encoder_hidden"] == "32,16"
 
+    def test_resolved_config_round_trips(self, workspace, tmp_path):
+        # a default run leaves adapt_lr and embed_dim at None
+        first = tmp_path / "first"
+        argv = ["train", "--data", str(workspace / "data" / "source"), "--steps", "2"]
+        assert main(argv + ["--out", str(first / "m.mdl1")]) == 0
+        resolved = first / "resolved_config.txt"
+        again = tmp_path / "again"
+        assert main(argv + ["--config", str(resolved), "--out", str(again / "m.mdl1")]) == 0
+        assert load_config(str(resolved), {}) == load_config(None, {"source_steps": 2})
+        assert (again / "resolved_config.txt").read_bytes() == resolved.read_bytes()
+
     def test_unknown_config_key(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("source_steps=10\nnot_a_key=1\n")
@@ -266,6 +277,12 @@ class TestAdapt:
         # pseudo samples are labelled by the classifier that predicts them
         samples = load_embeddings(out / "gmm_samples.emb1")
         np.testing.assert_array_equal(samples[:, -2], samples[:, -1])
+        # target rows carry the prediction of the model that embedded them
+        for name, ckpt in (("target_pre", workspace / "model.mdl1"), ("target_post", out / "adapted.mdl1")):
+            data = load_embeddings(out / f"{name}.emb1")
+            pred = ad.forward_classify(ad.load_model(ckpt), data[:, :-2]).argmax(axis=-1)
+            np.testing.assert_array_equal(data[:, -1], pred)
+            np.testing.assert_array_equal(data[:, -2], -1.0)
         assert (out / "resolved_config.txt").exists()
 
     def test_diagnostics_match_library_call(self, workspace, tmp_path):

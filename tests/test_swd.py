@@ -17,6 +17,42 @@ from protoadapt.swd import (
 )
 
 
+def _loop_reference(x, y, cfg, rng, directions):
+    """Per-projection loop: stable column argsort and np.add.at per direction.
+
+    Draws directions (unless given), then equalizes, from `rng` in the same
+    order as the library, so the batched estimator must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if directions is None:
+        directions = sample_unit_sphere(x.shape[1], cfg.num_projections, rng)
+    dirs = np.asarray(directions, dtype=np.float64)
+    L = dirs.shape[0]
+    m, n = x.shape[0], y.shape[0]
+    x_idx = np.arange(m)
+    if m > n:
+        x_idx = np.sort(rng.subsample(m, n))
+    elif m < n:
+        y = y[np.sort(rng.subsample(n, m))]
+    xe = x[x_idx]
+    k = xe.shape[0]
+    proj_x = xe @ dirs.T
+    proj_y = y @ dirs.T
+    order_x = np.argsort(proj_x, axis=0, kind="stable")
+    order_y = np.argsort(proj_y, axis=0, kind="stable")
+    diff = np.take_along_axis(proj_x, order_x, axis=0) - np.take_along_axis(
+        proj_y, order_y, axis=0
+    )
+    value = float(np.mean(np.mean(diff * diff, axis=0)))
+    grad = np.zeros_like(x)
+    scale = 2.0 / (L * k)
+    for l in range(L):
+        contrib = scale * diff[:, l]
+        np.add.at(grad, x_idx[order_x[:, l]], contrib[:, None] * dirs[l][None, :])
+    return value, grad
+
+
 def brute_force_assignment_sq(x: np.ndarray, y: np.ndarray) -> float:
     """Minimum mean squared-distance matching by factorial enumeration."""
     m = x.shape[0]
@@ -227,3 +263,69 @@ class TestSlicedGrad:
             x = x - 0.5 * g
         v1 = sliced_wasserstein_sq(x, y, cfg, Rng(17))
         assert v1 < v0 / 3
+
+
+class TestBitwiseOracle:
+    """The batched estimator against _loop_reference: equal bits, not close."""
+
+    @staticmethod
+    def _check(x, y, cfg, seed=0, directions=None):
+        ref_value, ref_grad = _loop_reference(x, y, cfg, Rng(seed), directions)
+        value, grad = sliced_wasserstein_grad(x, y, cfg, Rng(seed), directions)
+        assert value == ref_value
+        assert sliced_wasserstein_sq(x, y, cfg, Rng(seed), directions) == ref_value
+        assert grad.dtype == np.float64 and grad.shape == np.shape(x)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+        return grad
+
+    @pytest.mark.parametrize("m", [1, 10, 384, 1024])
+    def test_equal_counts(self, m):
+        rng = np.random.default_rng(20 + m)
+        cfg = SlicedConfig(num_projections=100)
+        for seed in range(3):
+            self._check(rng.normal(size=(m, 5)), rng.normal(size=(m, 5)), cfg, seed)
+
+    def test_more_x_rows_than_y(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(384, 5))
+        y = rng.normal(size=(300, 5)) + 1.0
+        grad = self._check(x, y, SlicedConfig(num_projections=100), seed=4)
+        rng4 = Rng(4)
+        sample_unit_sphere(5, 100, rng4)  # directions come first
+        dropped = np.setdiff1d(np.arange(384), rng4.subsample(384, 300))
+        assert dropped.size == 84
+        assert np.all(grad[dropped] == 0.0) and not np.any(np.signbit(grad[dropped]))
+        assert np.count_nonzero(np.any(grad != 0.0, axis=1)) == 300
+
+    def test_fewer_x_rows_than_y(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(380, 5))
+        y = rng.normal(size=(384, 5)) - 0.5
+        self._check(x, y, SlicedConfig(num_projections=100), seed=5)
+
+    def test_float32_input(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(256, 5)).astype(np.float32)
+        y = rng.normal(size=(256, 5)).astype(np.float32)
+        self._check(x, y, SlicedConfig(num_projections=100), seed=6)
+
+    def test_frozen_directions(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(200, 4))
+        y = rng.normal(size=(150, 4))
+        dirs = sample_unit_sphere(4, 37, Rng(9))
+        self._check(x, y, SlicedConfig(num_projections=37), seed=7, directions=dirs)
+
+    def test_duplicated_rows_force_ties(self):
+        # Repeated x rows project to equal values on every direction, and a
+        # repeated +0/-0 pair ties too: only the stable order matches.
+        rng = np.random.default_rng(25)
+        base = rng.normal(size=(64, 5))
+        x = np.concatenate([base, base[::-1], base[:16]])
+        x[:2] = 0.0
+        x[2] = -0.0
+        y = np.concatenate([rng.normal(size=(72, 5))] * 2)
+        for seed in range(3):
+            grad = self._check(x, y, SlicedConfig(num_projections=100), seed)
+            assert not np.array_equal(grad[0], grad[1])
