@@ -29,6 +29,7 @@ from .autodiff import (
 )
 from .datasets import DomainSpec, Shift, gen_blobs, gen_grid_seg, standard_shift_spec
 from .errors import (
+    ConfigError,
     DimensionError,
     DivergenceError,
     EstimationError,

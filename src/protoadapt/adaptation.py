@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, SegModel, adam_step, backward, Tape
-from .errors import DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError
 from .gmm import (
     PrototypicalGMM,
     PseudoDataset,
@@ -45,6 +45,23 @@ class ExperimentConfig:
     neighborhood: bool = True
     freeze_classifier: bool = False
     max_draw_factor: int = 20
+
+    def __post_init__(self):
+        """Reject out-of-range values at construction, before any work."""
+        for key, low in (
+            ("source_steps", 0),
+            ("adapt_steps", 0),
+            ("batch_source", 1),
+            ("batch_target", 1),
+            ("pseudo_batch", 1),
+            ("num_projections", 1),
+            ("max_draw_factor", 1),
+        ):
+            if getattr(self, key) < low:
+                raise ConfigError(f"config {key} must be >= {low}, got {getattr(self, key)}")
+        for key in ("tau_fit", "tau_filter"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"config {key} must be in [0, 1), got {getattr(self, key)}")
 
 
 @dataclass
@@ -112,11 +129,11 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
     state = AdamState()
     losses = []
     flat_labels = np.asarray(labels).reshape(n, -1)
+    padded = ad.pad_images(images, model.neighborhood)
     for step in range(config.source_steps):
         idx = rng.integers(0, n, config.batch_source)
-        batch = images[idx]
         batch_labels = flat_labels[idx].reshape(-1)
-        feats = ad.pixel_features(batch, model.neighborhood)
+        feats = ad.feature_rows(padded[idx], model.neighborhood)
         tape = Tape()
         emb = ad.embed_flat(model, feats, tape)
         probs = ad.classify_flat(model, emb, tape)
@@ -271,6 +288,11 @@ def adapt_source_free(
     untouched. Report diagnostics carry only the target-side distances,
     the caller merges estimation-time fields.
     """
+    if gmm.K != model.K or gmm.dim != model.embed_dim:
+        raise DimensionError(
+            f"mixture K={gmm.K}, dim={gmm.dim} does not match "
+            f"model K={model.K}, embed_dim={model.embed_dim}"
+        )
     rng = Rng(config.seed ^ 0xADAB7)
     target_images = np.asarray(target_images, dtype=np.float32)
     n = target_images.shape[0]
@@ -289,10 +311,11 @@ def adapt_source_free(
     state = AdamState()
     swd_cfg = SlicedConfig(num_projections=config.num_projections)
     kept = []
+    padded = ad.pad_images(target_images, model.neighborhood)
 
     for step in range(config.adapt_steps):
         idx = rng.integers(0, n, config.batch_target)
-        feats = ad.pixel_features(target_images[idx], model.neighborhood)
+        feats = ad.feature_rows(padded[idx], model.neighborhood)
         tape = Tape()
         emb = ad.embed_flat(model, feats, tape)
 

@@ -3,6 +3,15 @@
 The tape records every op of one forward pass in creation order; backward
 walks the list once in reverse. Arrays flow through in whatever dtype the
 leaves carry: float32 in production, float64 when gradient-checking.
+
+Which nodes receive a gradient: every op node on a path to the loss, and
+every parameter leaf (`Tape.watch`), whose gradient `backward` returns.
+A leaf that is not a parameter, such as the feature rows or the pseudo
+samples fed to `vdense`, ends with `grad is None`: nothing reads it, so
+`vdense` does not compute it. The general ops (`vmatmul`, `vadd`, ...)
+still send a gradient to every parent. Gradients are never changed in
+place: the first one a node receives is stored by reference and later
+ones are added out of place.
 """
 
 from __future__ import annotations
@@ -68,10 +77,7 @@ class Tape:
 
 
 def _accumulate(node: Value, grad: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = grad.copy()
-    else:
-        node.grad += grad
+    node.grad = grad if node.grad is None else node.grad + grad
 
 
 def backward(tape: Tape, loss: Value, loss_grad: float = 1.0) -> dict:
@@ -128,6 +134,33 @@ def vadd(tape: Tape, a: Value, b: Value) -> Value:
 def vrelu(tape: Tape, a: Value) -> Value:
     mask = a.data > 0
     return tape.op(a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
+    """One dense layer, `x @ w + b` then ReLU if `relu`, as a single node.
+
+    Forward and backward do the same arithmetic in the same order as
+    `vrelu(vadd(vmatmul(x, w), b))`, so values and gradients are bitwise
+    equal to that chain. The input gradient is skipped when `x` is a leaf
+    that is not a parameter.
+    """
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionError(f"matmul: {x.data.shape} x {w.data.shape}")
+    out = x.data @ w.data + b.data
+    mask = None
+    if relu:
+        # A multiply, not np.maximum, so that -0.0 pre-activations stay -0.0.
+        mask = out > 0
+        out = out * mask
+    want_x = bool(x.parents) or x.param is not None
+
+    def bwd(g):
+        if mask is not None:
+            g = g * mask
+        gx = g @ w.data.T if want_x else None
+        return gx, x.data.T @ g, g.sum(axis=0)
+
+    return tape.op(out, (x, w, b), bwd)
 
 
 def vsoftmax(tape: Tape, a: Value) -> Value:
@@ -235,15 +268,21 @@ def init_model(
     return SegModel(encoder, decoder, classifier, K, embed_dim, in_channels, neighborhood)
 
 
-def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
-    """[B,H,W,C] images -> [B*H*W, F] per-pixel feature rows."""
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim != 4:
-        raise DimensionError(f"expected [B,H,W,C] images, got {images.shape}")
-    b, h, w, c = images.shape
+def pad_images(images: np.ndarray, neighborhood: bool) -> np.ndarray:
+    """Edge-pad [B,H,W,C] float32 images by one pixel for `feature_rows`
+    (no-op without `neighborhood`). Training pads a split once and cuts
+    each batch from the padded array."""
     if not neighborhood:
-        return images.reshape(b * h * w, c)
-    padded = np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
+        return images
+    return np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
+
+
+def feature_rows(padded: np.ndarray, neighborhood: bool) -> np.ndarray:
+    """`pad_images` output [B,H(+2),W(+2),C] -> [B*H*W, F] feature rows."""
+    b, h, w, c = padded.shape
+    if not neighborhood:
+        return padded.reshape(b * h * w, c)
+    h, w = h - 2, w - 2
     patches = [
         padded[:, dy : dy + h, dx : dx + w, :]
         for dy in range(3)
@@ -252,11 +291,18 @@ def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
     return np.concatenate(patches, axis=-1).reshape(b * h * w, 9 * c)
 
 
+def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
+    """[B,H,W,C] images -> [B*H*W, F] per-pixel feature rows."""
+    images = np.asarray(images, dtype=np.float32)
+    if images.ndim != 4:
+        raise DimensionError(f"expected [B,H,W,C] images, got {images.shape}")
+    return feature_rows(pad_images(images, neighborhood), neighborhood)
+
+
 def _dense_stack(tape: Tape, x: Value, layers, dtype, relu_last: bool) -> Value:
     for i, (w, b) in enumerate(layers):
-        x = vadd(tape, vmatmul(tape, x, tape.watch(w, dtype)), tape.watch(b, dtype))
-        if relu_last or i < len(layers) - 1:
-            x = vrelu(tape, x)
+        relu = relu_last or i < len(layers) - 1
+        x = vdense(tape, x, tape.watch(w, dtype), tape.watch(b, dtype), relu)
     return x
 
 
@@ -310,44 +356,61 @@ def classifier_probs_fn(model: SegModel):
 
 
 class AdamState:
-    """First/second moment buffers keyed by Parameter identity."""
+    """Moment buffers for one fixed parameter list, kept as flat float64
+    vectors in `params` order (built on the first step)."""
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.params = None
+        self.m = None
+        self.v = None
 
 
 def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
-    """One Adam update in place; rejects non-finite gradients."""
-    for p in params:
-        g = grads.get(p)
-        if g is not None and not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient; update rejected")
+    """One Adam update of `params`; rejects non-finite gradients.
+
+    The update runs in float64 on one vector that holds every parameter
+    (a missing gradient counts as zero), and each parameter is rounded
+    back to float32. A rejected step leaves parameters and state as they
+    were. `state` belongs to the first parameter list it was used with.
+    """
+    if state.params is not None and (
+        len(params) != len(state.params) or any(p is not q for p, q in zip(params, state.params))
+    ):
+        raise ValueError("adam_step: parameter list differs from the one this state was built for")
+    sizes = [p.data.size for p in params]
+    g = np.concatenate(
+        [
+            np.zeros(n) if grads.get(p) is None else grads[p].reshape(n)
+            for p, n in zip(params, sizes)
+        ],
+        dtype=np.float64,
+    )
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError("non-finite gradient; update rejected")
+    if state.params is None:
+        state.params = list(params)
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for p in params:
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.data, dtype=np.float64)
-        g = g.astype(np.float64)
-        m = state.m.get(p)
-        if m is None:
-            m = np.zeros_like(p.data, dtype=np.float64)
-            state.m[p] = m
-            state.v[p] = np.zeros_like(p.data, dtype=np.float64)
-        v = state.v[p]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        step = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-        p.data = (p.data.astype(np.float64) - step).astype(np.float32)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    step = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    flat = np.concatenate([p.data.reshape(-1) for p in params], dtype=np.float64)
+    updated = (flat - step).astype(np.float32)
+    offset = 0
+    for p, n in zip(params, sizes):
+        p.data = updated[offset : offset + n].reshape(p.data.shape)
+        offset += n
 
 
 # ---------------------------------------------------------------- checkpoint

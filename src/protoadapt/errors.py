@@ -5,6 +5,10 @@ class ProtoAdaptError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(ProtoAdaptError):
+    """A configuration value is outside its valid range."""
+
+
 class DimensionError(ProtoAdaptError):
     """Shapes of operands are incompatible."""
 

@@ -15,6 +15,7 @@ from protoadapt.adaptation import (
     wasserstein_estimates,
 )
 from protoadapt.datasets import DomainSpec, gen_blobs, gen_grid_seg
+from protoadapt.errors import ConfigError, DimensionError
 from protoadapt.rng import Rng
 
 
@@ -45,6 +46,41 @@ def blob_splits(seed=0, n=300, shifted_target=True):
     ev_spec = DomainSpec(kind="blobs", K=3, n_images=120, seed=seed + 2)
     xe, ye = gen_blobs(ev_spec, shifted=shifted_target)
     return xs, ys, xt, xe, ye
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("source_steps", -3),
+            ("adapt_steps", -1),
+            ("batch_source", 0),
+            ("batch_target", 0),
+            ("pseudo_batch", 0),
+            ("num_projections", 0),
+            ("max_draw_factor", 0),
+            ("tau_fit", 1.0),
+            ("tau_filter", -0.1),
+            ("tau_filter", float("nan")),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = ExperimentConfig(
+            source_steps=0,
+            adapt_steps=0,
+            batch_source=1,
+            batch_target=1,
+            pseudo_batch=1,
+            num_projections=1,
+            max_draw_factor=1,
+            tau_fit=0.0,
+            tau_filter=0.0,
+        )
+        assert cfg.tau_fit == 0.0
 
 
 class TestMiou:
@@ -252,6 +288,15 @@ class TestAdaptation:
         assert r1.steps == r2.steps
         for a, b in zip(m1.parameters(), m2.parameters()):
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_mismatched_mixture_rejected(self):
+        cfg, model, gmm, xt = self.setup_run(adapt_steps=3)
+        wider = ad.init_model(xt.shape[-1], 5, rng=Rng(1), neighborhood=cfg.neighborhood)
+        with pytest.raises(DimensionError, match="K=3.*K=5"):
+            adapt_source_free(wider, gmm, xt, cfg)
+        deeper = ad.init_model(xt.shape[-1], 3, embed_dim=4, rng=Rng(1), neighborhood=cfg.neighborhood)
+        with pytest.raises(DimensionError, match="dim=3.*embed_dim=4"):
+            adapt_source_free(deeper, gmm, xt, cfg)
 
     def test_adapt_lr_override_limits_movement(self):
         cfg, model, gmm, xt = self.setup_run(adapt_steps=10)

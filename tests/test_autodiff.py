@@ -21,12 +21,15 @@ from protoadapt.autodiff import (
     save_model,
     vadd,
     vcross_entropy,
+    vdense,
     vmatmul,
     vrelu,
     vscale,
     vsoftmax,
     vsum2,
 )
+from protoadapt.adaptation import ExperimentConfig, _gather_backward, train_source
+from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, TapeError
 from protoadapt.rng import Rng
 
@@ -231,6 +234,214 @@ class TestAdam:
         p = Parameter(np.array([5.0], np.float32))
         adam_step([p], {}, AdamState(), lr=0.1)
         np.testing.assert_array_equal(p.data, [5.0])
+
+
+# ---------------------------------------------------------------- oracles
+# Reference forms of the train hot path: the matmul/add/relu chain per dense
+# layer, features cut per batch, and Adam one parameter at a time. `vdense`,
+# the split padded once and the flat Adam update must match them bit for bit.
+
+
+class _ReferenceAdam:
+    def __init__(self):
+        self.t = 0
+        self.m = {}
+        self.v = {}
+
+
+def _reference_adam_step(params, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam one parameter at a time, moments keyed by parameter."""
+    for p in params:
+        g = grads.get(p)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise DivergenceError("non-finite gradient; update rejected")
+    state.t += 1
+    bias1 = 1.0 - b1**state.t
+    bias2 = 1.0 - b2**state.t
+    for p in params:
+        g = grads.get(p)
+        if g is None:
+            g = np.zeros_like(p.data, dtype=np.float64)
+        g = g.astype(np.float64)
+        m = state.m.get(p)
+        if m is None:
+            m = np.zeros_like(p.data, dtype=np.float64)
+            state.m[p] = m
+            state.v[p] = np.zeros_like(p.data, dtype=np.float64)
+        v = state.v[p]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        step = lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        p.data = (p.data.astype(np.float64) - step).astype(np.float32)
+
+
+def _chain_dense(t, x, w, b, relu):
+    x = vadd(t, vmatmul(t, x, w), b)
+    return vrelu(t, x) if relu else x
+
+
+def _reference_train(config, images, labels):
+    """train_source with per-batch pixel_features, the matmul/add/relu
+    chain per dense layer and per-parameter Adam."""
+    rng = Rng(config.seed)
+    images = np.asarray(images, dtype=np.float32)
+    n = images.shape[0]
+    model = init_model(
+        images.shape[-1],
+        int(np.max(labels)) + 1,
+        embed_dim=config.embed_dim,
+        encoder_hidden=config.encoder_hidden,
+        rng=rng,
+        neighborhood=config.neighborhood,
+    )
+    params = model.parameters()
+    state = _ReferenceAdam()
+    losses = []
+    flat_labels = np.asarray(labels).reshape(n, -1)
+    sections = (
+        (model.encoder_layers, True),
+        (model.decoder_layers, False),
+        (model.classifier_layers, False),
+    )
+    for _ in range(config.source_steps):
+        idx = rng.integers(0, n, config.batch_source)
+        feats = pixel_features(images[idx], model.neighborhood)
+        t = Tape()
+        x = t.leaf(feats, dtype=np.float32)
+        for layers, relu_last in sections:
+            for i, (w, b) in enumerate(layers):
+                relu = relu_last or i < len(layers) - 1
+                x = _chain_dense(t, x, t.watch(w, np.float32), t.watch(b, np.float32), relu)
+        loss = vcross_entropy(t, vsoftmax(t, x), flat_labels[idx].reshape(-1))
+        losses.append(float(loss.data))
+        _reference_adam_step(params, backward(t, loss), state, config.lr)
+    return model, losses
+
+
+class TestBitwiseOracle:
+    @staticmethod
+    def _two_layers(dense, dtype, relu, gather=False):
+        """Two dense layers + softmax-CE, backward run.
+
+        Returns (input leaf, first-layer input, output node, parameter
+        gradients); with `gather` the first layer reads a row gather of the
+        leaf, as adaptation's SWD branch does.
+        """
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(40, 6)).astype(dtype)
+        x[:5] = 0.0  # rows whose pre-activations are exactly the bias
+        params = [
+            Parameter(rng.normal(size=(6, 7))),
+            Parameter(np.zeros(7)),
+            Parameter(rng.normal(size=(7, 4))),
+            Parameter(rng.normal(size=4)),
+        ]
+        t = Tape()
+        leaf = t.leaf(x)
+        inp = leaf
+        if gather:
+            sub = np.arange(0, 40, 2)
+            inp = t.op(x[sub], (leaf,), _gather_backward(sub, x.shape))
+        w0, b0, w1, b1 = (t.watch(p, dtype) for p in params)
+        hidden = dense(t, inp, w0, b0, True)
+        out = dense(t, hidden, w1, b1, relu)
+        loss = vcross_entropy(t, vsoftmax(t, out), np.arange(out.data.shape[0]) % 4)
+        grads = backward(t, loss)
+        return leaf, inp, out, [grads[p] for p in params]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_vdense_matches_op_chain(self, dtype, relu):
+        _, _, out, grads = self._two_layers(vdense, dtype, relu)
+        _, _, ref_out, ref_grads = self._two_layers(_chain_dense, dtype, relu)
+        assert out.data.dtype == ref_out.data.dtype == dtype
+        assert np.array_equal(out.data, ref_out.data)
+        assert np.array_equal(np.signbit(out.data), np.signbit(ref_out.data))
+        for g, ref in zip(grads, ref_grads):
+            assert g.dtype == ref.dtype
+            assert np.array_equal(g, ref)
+
+    def test_relu_keeps_negative_zero(self):
+        t = Tape()
+        x = t.leaf(np.array([[0.0], [-1.0]], np.float32))
+        w = t.watch(Parameter(np.array([[1.0]])))
+        b = t.watch(Parameter(np.array([-0.0])))
+        out = vdense(t, x, w, b, relu=True).data
+        assert np.signbit(out[1, 0])
+        assert np.array_equal(np.signbit(out), np.signbit(vrelu(t, vadd(t, vmatmul(t, x, w), b)).data))
+
+    def test_input_gradient_only_where_read(self):
+        leaf, _, _, _ = self._two_layers(vdense, np.float32, True)
+        assert leaf.grad is None
+        leaf, inp, _, _ = self._two_layers(vdense, np.float32, True, gather=True)
+        ref_leaf, ref_inp, _, _ = self._two_layers(_chain_dense, np.float32, True, gather=True)
+        assert inp.grad is not None and leaf.grad is not None
+        assert np.array_equal(inp.grad, ref_inp.grad)
+        assert np.array_equal(leaf.grad, ref_leaf.grad)
+
+    def test_train_source_matches_reference_loop(self):
+        images, labels = gen_grid_seg(DomainSpec(K=5, n_images=40, seed=3))
+        config = ExperimentConfig(source_steps=200, lr=3e-3, seed=4)
+        model, losses = train_source(config, images, labels)
+        ref_model, ref_losses = _reference_train(config, images, labels)
+        assert losses == ref_losses
+        for p, ref in zip(model.parameters(), ref_model.parameters()):
+            assert p.data.dtype == ref.data.dtype == np.float32
+            assert p.data.tobytes() == ref.data.tobytes()
+
+    def test_flat_adam_matches_per_parameter_loop(self):
+        rng = np.random.default_rng(21)
+        shapes = [(3, 4), (4,), (4, 2), (2,)]
+        params = [Parameter(rng.normal(size=s)) for s in shapes]
+        # float64 parameters, as the finite-difference tests set them
+        params[1].data = params[1].data.astype(np.float64)
+        ref_params = [Parameter(p.data.copy()) for p in params]
+        ref_params[1].data = params[1].data.copy()
+        state, ref_state = AdamState(), _ReferenceAdam()
+        for step in range(6):
+            grads = {}
+            for i, s in enumerate(shapes):
+                if (step + i) % 3 == 0:
+                    continue  # missing gradient
+                dtype = np.float64 if i % 2 else np.float32
+                grads[i] = rng.normal(size=s).astype(dtype)
+            adam_step(params, {params[i]: g for i, g in grads.items()}, state, lr=0.05)
+            _reference_adam_step(
+                ref_params, {ref_params[i]: g for i, g in grads.items()}, ref_state, lr=0.05
+            )
+            assert state.t == ref_state.t
+            for p, ref in zip(params, ref_params):
+                assert p.data.dtype == ref.data.dtype
+                assert p.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(state.m, np.concatenate([ref_state.m[p].ravel() for p in ref_params]))
+            assert np.array_equal(state.v, np.concatenate([ref_state.v[p].ravel() for p in ref_params]))
+
+    def test_flat_adam_rejected_step_changes_nothing(self):
+        params = [Parameter(np.ones((2, 2))), Parameter(np.zeros(3))]
+        state = AdamState()
+        adam_step(params, {params[0]: np.full((2, 2), 0.5)}, state, lr=0.1)
+        before = ([p.data.copy() for p in params], state.t, state.m.copy(), state.v.copy())
+        bad = {params[0]: np.ones((2, 2)), params[1]: np.array([0.0, np.inf, 0.0])}
+        with pytest.raises(DivergenceError):
+            adam_step(params, bad, state, lr=0.1)
+        for p, old in zip(params, before[0]):
+            assert p.data.tobytes() == old.tobytes()
+        assert state.t == before[1]
+        assert np.array_equal(state.m, before[2]) and np.array_equal(state.v, before[3])
+
+    def test_flat_adam_state_bound_to_its_parameters(self):
+        params = [Parameter(np.ones(2)), Parameter(np.ones(3))]
+        state = AdamState()
+        adam_step(params, {}, state, lr=0.1)
+        with pytest.raises(ValueError):
+            adam_step(params[:1], {}, state, lr=0.1)
+        with pytest.raises(ValueError):
+            adam_step([params[1], params[0]], {}, state, lr=0.1)
+        with pytest.raises(ValueError):
+            adam_step([params[0], Parameter(np.ones(3))], {}, state, lr=0.1)
+        assert state.t == 1
 
 
 class TestModel:

@@ -159,7 +159,17 @@ class TestTrain:
         assert code == 2
         assert "not_a_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["neighborhood=flase", "seed=abc", "encoder_hidden=32,x"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "neighborhood=flase",
+            "seed=abc",
+            "encoder_hidden=32,x",
+            "batch_source=0",
+            "source_steps=-3",
+            "tau_fit=1.0",
+        ],
+    )
     def test_bad_config_value_names_key(self, workspace, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(f"source_steps=10\n{line}\n")
@@ -176,6 +186,12 @@ class TestTrain:
         )
         assert code == 2
         assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "m.mdl1").exists()
+
+    def test_negative_steps_flag_rejected(self, workspace, tmp_path, capsys):
+        argv = ["train", "--data", str(workspace / "data" / "source"), "--steps", "-3"]
+        assert main(argv + ["--out", str(tmp_path / "m.mdl1")]) == 2
+        assert "source_steps" in capsys.readouterr().err
         assert not (tmp_path / "m.mdl1").exists()
 
     def test_threads_other_than_one_rejected(self, workspace, tmp_path, capsys):
@@ -304,6 +320,22 @@ class TestAdapt:
         for key in ("w_tp_pre_exact", "w_tp_pre_sliced", "w_tp_post_exact", "w_tp_post_sliced"):
             assert float(written[key]) == getattr(diag, key)
         assert int(written["N_p"]) == pseudo.Z.shape[0]
+
+    @pytest.mark.parametrize("line", ["batch_target=0", "pseudo_batch=0", "adapt_steps=-3"])
+    def test_out_of_range_config_value_names_key(self, workspace, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(CONFIG + line + "\n")
+        assert run_adapt(workspace, tmp_path / "run", extra=["--config", str(bad)]) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
+    def test_mismatched_model_and_mixture_exit2(self, workspace, tmp_path, capsys):
+        wider = tmp_path / "k5.mdl1"
+        ad.save_model(wider, ad.init_model(3, 5, encoder_hidden=(32, 16), rng=Rng(0)))
+        assert run_adapt(workspace, tmp_path / "run", extra=["--ckpt", str(wider)]) == 2
+        err = capsys.readouterr().err
+        assert "K=3" in err and "K=5" in err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
     def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys):
         code = run_adapt(workspace, tmp_path / "x", target=workspace / "data" / "source")
