@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,10 +42,8 @@ class ExperimentConfig:
     adapt_lr: float | None = None  # None -> same as lr
     seed: int = 0
     encoder_hidden: tuple[int, ...] = (64, 32)
-    embed_dim: int | None = None  # None -> K
     neighborhood: bool = True
     freeze_classifier: bool = False
-    max_draw_factor: int = 20
 
     def __post_init__(self):
         """Reject out-of-range values at construction, before any work."""
@@ -55,7 +54,6 @@ class ExperimentConfig:
             ("batch_target", 1),
             ("pseudo_batch", 1),
             ("num_projections", 1),
-            ("max_draw_factor", 1),
         ):
             if getattr(self, key) < low:
                 raise ConfigError(f"config {key} must be >= {low}, got {getattr(self, key)}")
@@ -120,7 +118,6 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
     model = ad.init_model(
         images.shape[-1],
         int(np.max(labels)) + 1,
-        embed_dim=config.embed_dim,
         encoder_hidden=config.encoder_hidden,
         rng=rng,
         neighborhood=config.neighborhood,
@@ -147,25 +144,22 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
     return model, losses
 
 
-def predict_labels(model: SegModel, images: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Argmax class map [B,H,W] computed in image chunks."""
-    images = np.asarray(images, dtype=np.float32)
-    b, h, w, _ = images.shape
-    out = np.empty((b, h, w), dtype=np.int64)
-    for start in range(0, b, chunk):
-        part = images[start : start + chunk]
-        emb = ad.forward_embed(model, part)
-        probs = ad.forward_classify(model, emb)
-        out[start : start + chunk] = probs.argmax(axis=-1)
-    return out
+# Images per `forward_embed` call in `pixel_embeddings`.
+EMBED_CHUNK = 64
 
 
-def pixel_embeddings(model: SegModel, images: np.ndarray, chunk: int = 64) -> np.ndarray:
+def predict_labels(model: SegModel, images: np.ndarray) -> np.ndarray:
+    """Argmax class map [B,H,W]."""
+    probs = ad.forward_classify(model, pixel_embeddings(model, images))
+    return probs.argmax(axis=-1).reshape(np.shape(images)[:3])
+
+
+def pixel_embeddings(model: SegModel, images: np.ndarray) -> np.ndarray:
     """All pixel embeddings as one [n_pixels, d] array."""
     images = np.asarray(images, dtype=np.float32)
     parts = []
-    for start in range(0, images.shape[0], chunk):
-        emb = ad.forward_embed(model, images[start : start + chunk])
+    for start in range(0, images.shape[0], EMBED_CHUNK):
+        emb = ad.forward_embed(model, images[start : start + EMBED_CHUNK])
         parts.append(emb.reshape(-1, model.embed_dim))
     return np.concatenate(parts)
 
@@ -206,32 +200,24 @@ class EstimateInfo:
     support_counts: np.ndarray
 
 
-def wasserstein_estimates(
-    a: np.ndarray,
-    b: np.ndarray,
-    rng: Rng,
-    num_projections: int = 100,
-    m_exact: int = 64,
-    resamples: int = 10,
-    sliced_cap: int = 2048,
-):
+def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projections: int = 100):
     """(exact, sliced) squared transport estimates between two point clouds.
 
-    Exact: mean over `resamples` equal-size subsample pairs (m <= 64) of
-    the optimal matching cost. Sliced: projection estimator on capped
-    subsamples.
+    Exact: mean over 10 equal-size subsample pairs (m <= 64) of the optimal
+    matching cost. Sliced: projection estimator on subsamples of at most
+    2048 rows of each cloud.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m = min(m_exact, a.shape[0], b.shape[0])
+    m = min(64, a.shape[0], b.shape[0])
     vals = []
-    for _ in range(resamples):
+    for _ in range(10):
         ia = rng.subsample(a.shape[0], m)
         ib = rng.subsample(b.shape[0], m)
         vals.append(exact_wasserstein_sq_small(a[ia], b[ib]))
     exact = float(np.mean(vals))
-    ka = min(sliced_cap, a.shape[0])
-    kb = min(sliced_cap, b.shape[0])
+    ka = min(2048, a.shape[0])
+    kb = min(2048, b.shape[0])
     cfg = SlicedConfig(num_projections=num_projections)
     sliced = sliced_wasserstein_sq(
         a[rng.subsample(a.shape[0], ka)], b[rng.subsample(b.shape[0], kb)], cfg, rng
@@ -247,19 +233,13 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     """
     rng = Rng(config.seed ^ 0xE57)
     emb = pixel_embeddings(model, images)
-    probs_fn = ad.classifier_probs_fn(model)
-    probs = _chunked_probs(probs_fn, emb)
+    probs = ad.forward_classify(model, emb)
     flat = _flat_labels(labels)
     support = build_support_sets(emb, flat, probs, config.tau_fit)
     gmm = estimate_gmm(emb, support, tau_fit=config.tau_fit)
 
     pseudo = generate_pseudo_dataset(
-        gmm,
-        probs_fn,
-        min(4096, emb.shape[0]),
-        config.tau_filter,
-        rng,
-        config.max_draw_factor,
+        gmm, partial(ad.forward_classify, model), min(4096, emb.shape[0]), config.tau_filter, rng
     )
     w_exact, w_sliced = wasserstein_estimates(
         emb, pseudo.Z, rng, num_projections=config.num_projections
@@ -267,11 +247,6 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     e_source = float(np.mean(probs.argmax(axis=1) != flat))
     info = EstimateInfo(w_exact, w_sliced, e_source, emb.shape[0], support.counts)
     return gmm, info
-
-
-def _chunked_probs(probs_fn, emb: np.ndarray, chunk: int = 65536) -> np.ndarray:
-    parts = [probs_fn(emb[s : s + chunk]) for s in range(0, emb.shape[0], chunk)]
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------- adaptation
@@ -285,8 +260,8 @@ def adapt_source_free(
     and classifier (classifier optionally frozen).
 
     Returns (adapted_model, AdaptationReport); the input model is left
-    untouched. Report diagnostics carry only the target-side distances,
-    the caller merges estimation-time fields.
+    untouched. The report's diagnostics are left empty: callers fill them
+    with `compute_bound_diagnostics`, which needs the adapted model.
     """
     if gmm.K != model.K or gmm.dim != model.embed_dim:
         raise DimensionError(
@@ -301,7 +276,7 @@ def adapt_source_free(
 
     # Pseudo labels come from the classifier as it stood at adaptation
     # start, so label semantics do not drift during the loop.
-    frozen_probs_fn = ad.classifier_probs_fn(model)
+    frozen_probs_fn = partial(ad.forward_classify, model)
 
     model = _clone_model(model)
     trainable = model.parameters()
@@ -320,12 +295,7 @@ def adapt_source_free(
         emb = ad.embed_flat(model, feats, tape)
 
         pseudo = generate_pseudo_dataset(
-            gmm,
-            frozen_probs_fn,
-            config.pseudo_batch,
-            config.tau_filter,
-            rng,
-            config.max_draw_factor,
+            gmm, frozen_probs_fn, config.pseudo_batch, config.tau_filter, rng
         )
         kept.append(pseudo.kept_fraction)
 
@@ -373,9 +343,6 @@ def _clone_model(model: SegModel) -> SegModel:
         clone_layers(model.encoder_layers),
         clone_layers(model.decoder_layers),
         clone_layers(model.classifier_layers),
-        model.K,
-        model.embed_dim,
-        model.in_channels,
         model.neighborhood,
     )
 
@@ -412,11 +379,10 @@ def compute_bound_diagnostics(
     """
     pseudo = generate_pseudo_dataset(
         gmm,
-        ad.classifier_probs_fn(model),
+        partial(ad.forward_classify, model),
         min(4096, target_pre_embeddings.shape[0]),
         config.tau_filter,
         rng,
-        config.max_draw_factor,
     )
     pre, post = (
         emb[rng.subsample(emb.shape[0], min(8192, emb.shape[0]))]

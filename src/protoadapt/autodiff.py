@@ -80,12 +80,12 @@ def _accumulate(node: Value, grad: np.ndarray) -> None:
     node.grad = grad if node.grad is None else node.grad + grad
 
 
-def backward(tape: Tape, loss: Value, loss_grad: float = 1.0) -> dict:
+def backward(tape: Tape, loss: Value) -> dict:
     """Propagate from `loss`; returns {Parameter: gradient array}."""
     if tape.consumed:
         raise TapeError("backward already invoked for this tape")
     tape.consumed = True
-    loss.grad = np.asarray(loss_grad, dtype=np.asarray(loss.data).dtype)
+    loss.grad = np.asarray(1.0, dtype=np.asarray(loss.data).dtype)
     for node in reversed(tape.nodes):
         if node.grad is None or node.backward_fn is None:
             continue
@@ -214,15 +214,15 @@ class SegModel:
 
     `neighborhood` concatenates the 3x3 pixel neighborhood (edge-replicated)
     into the per-pixel input features, giving the model spatial context
-    without convolutions.
+    without convolutions. Sizes are read from the weights: the first
+    encoder (or decoder) layer's input, the last decoder (or encoder)
+    layer's output and the last classifier layer's output. The encoder may
+    be empty; the encoder+decoder and the classifier may not.
     """
 
     encoder_layers: list
     decoder_layers: list
     classifier_layers: list
-    K: int
-    embed_dim: int
-    in_channels: int
     neighborhood: bool = False
 
     def parameters(self) -> list:
@@ -234,7 +234,19 @@ class SegModel:
 
     @property
     def input_features(self) -> int:
-        return self.in_channels * (9 if self.neighborhood else 1)
+        return (self.encoder_layers + self.decoder_layers)[0][0].data.shape[0]
+
+    @property
+    def in_channels(self) -> int:
+        return self.input_features // (9 if self.neighborhood else 1)
+
+    @property
+    def embed_dim(self) -> int:
+        return (self.encoder_layers + self.decoder_layers)[-1][0].data.shape[1]
+
+    @property
+    def K(self) -> int:
+        return self.classifier_layers[-1][0].data.shape[1]
 
 
 def init_model(
@@ -265,7 +277,7 @@ def init_model(
     encoder = [dense(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     decoder = [dense(dims[-1], embed_dim)]
     classifier = [dense(embed_dim, embed_dim), dense(embed_dim, K)]
-    return SegModel(encoder, decoder, classifier, K, embed_dim, in_channels, neighborhood)
+    return SegModel(encoder, decoder, classifier, neighborhood)
 
 
 def pad_images(images: np.ndarray, neighborhood: bool) -> np.ndarray:
@@ -299,29 +311,30 @@ def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
     return feature_rows(pad_images(images, neighborhood), neighborhood)
 
 
-def _dense_stack(tape: Tape, x: Value, layers, dtype, relu_last: bool) -> Value:
+def _dense_stack(tape: Tape, x: Value, layers, relu_last: bool) -> Value:
     for i, (w, b) in enumerate(layers):
         relu = relu_last or i < len(layers) - 1
-        x = vdense(tape, x, tape.watch(w, dtype), tape.watch(b, dtype), relu)
+        x = vdense(tape, x, tape.watch(w, np.float32), tape.watch(b, np.float32), relu)
     return x
 
 
-def embed_flat(model: SegModel, feats, tape: Tape, dtype=np.float32) -> Value:
-    """Encoder+decoder on flat feature rows; returns [n, embed_dim] node."""
+def embed_flat(model: SegModel, feats, tape: Tape) -> Value:
+    """Encoder+decoder on flat feature rows (cast to float32); returns an
+    [n, embed_dim] node."""
     if feats.shape[-1] != model.input_features:
         raise DimensionError(
             f"feature dim {feats.shape[-1]} != model input {model.input_features}"
         )
-    x = tape.leaf(feats, dtype=dtype)
-    x = _dense_stack(tape, x, model.encoder_layers, dtype, relu_last=True)
-    return _dense_stack(tape, x, model.decoder_layers, dtype, relu_last=False)
+    x = tape.leaf(feats, dtype=np.float32)
+    x = _dense_stack(tape, x, model.encoder_layers, relu_last=True)
+    return _dense_stack(tape, x, model.decoder_layers, relu_last=False)
 
 
-def classify_flat(model: SegModel, emb: Value, tape: Tape, dtype=np.float32) -> Value:
-    """Classifier head + softmax on [n, embed_dim] nodes."""
+def classify_flat(model: SegModel, emb: Value, tape: Tape) -> Value:
+    """Classifier head + softmax on [n, embed_dim] nodes, in float32."""
     if emb.data.shape[-1] != model.embed_dim:
         raise DimensionError(f"embedding dim {emb.data.shape[-1]} != {model.embed_dim}")
-    logits = _dense_stack(tape, emb, model.classifier_layers, dtype, relu_last=False)
+    logits = _dense_stack(tape, emb, model.classifier_layers, relu_last=False)
     return vsoftmax(tape, logits)
 
 
@@ -342,27 +355,19 @@ def forward_classify(model: SegModel, embeddings: np.ndarray) -> np.ndarray:
     return probs.data.reshape(*emb.shape[:-1], model.K)
 
 
-def classifier_probs_fn(model: SegModel):
-    """Standalone classifier-head function z[n,d] -> probs[n,K]."""
-
-    def fn(z: np.ndarray) -> np.ndarray:
-        tape = Tape()
-        return classify_flat(model, tape.leaf(np.asarray(z, np.float32)), tape).data
-
-    return fn
-
-
 # ---------------------------------------------------------------- optimizer
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
     """Moment buffers for one fixed parameter list, kept as flat float64
     vectors in `params` order (built on the first step)."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.t = 0
         self.params = None
         self.m = None
@@ -396,7 +401,7 @@ def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
         state.m = np.zeros_like(g)
         state.v = np.zeros_like(g)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     m, v = state.m, state.v
@@ -404,7 +409,7 @@ def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
     m += (1 - b1) * g
     v *= b2
     v += (1 - b2) * g * g
-    step = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    step = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     flat = np.concatenate([p.data.reshape(-1) for p in params], dtype=np.float64)
     updated = (flat - step).astype(np.float32)
     offset = 0
@@ -438,22 +443,35 @@ def save_model(path, model: SegModel) -> None:
 
 
 def load_model(path) -> SegModel:
+    """Read an MDL1 checkpoint, rejecting trailing bytes, layers that do not
+    chain, an empty encoder+decoder or classifier, and a trailer whose
+    sizes differ from the weights'."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MDL1_MAGIC:
             raise FileFormatError("bad model magic")
         count = read_u32(f)
         tensors = [read_tns1(f) for _ in range(count)]
-        K = read_u32(f)
-        embed_dim = read_u32(f)
-        n_enc = read_u32(f)
-        n_dec = read_u32(f)
-        n_cls = read_u32(f)
-        in_channels = read_u32(f)
-        neighborhood = bool(read_u32(f))
+        K, embed_dim, n_enc, n_dec, n_cls, in_channels, flag = (read_u32(f) for _ in range(7))
+        if f.read(1):
+            raise FileFormatError("trailing bytes after model trailer")
     if count != 2 * (n_enc + n_dec + n_cls):
         raise FileFormatError("tensor count does not match layer counts")
-    it = iter(tensors)
-    sections = []
-    for n in (n_enc, n_dec, n_cls):
-        sections.append([(Parameter(next(it)), Parameter(next(it))) for _ in range(n)])
-    return SegModel(sections[0], sections[1], sections[2], K, embed_dim, in_channels, neighborhood)
+    if n_enc + n_dec == 0 or n_cls == 0:
+        raise FileFormatError("model has no encoder/decoder or no classifier layers")
+    fan_in = None
+    for i, (w, b) in enumerate(zip(tensors[::2], tensors[1::2])):
+        if w.ndim != 2 or fan_in not in (None, w.shape[0]) or b.shape != w.shape[1:]:
+            raise FileFormatError(f"layer {i} shapes {w.shape}, {b.shape} do not chain")
+        fan_in = w.shape[1]
+    layers = [(Parameter(w), Parameter(b)) for w, b in zip(tensors[::2], tensors[1::2])]
+    model = SegModel(
+        layers[:n_enc], layers[n_enc : n_enc + n_dec], layers[n_enc + n_dec :], bool(flag)
+    )
+    feats = in_channels * (9 if model.neighborhood else 1)
+    if (K, embed_dim, feats) != (model.K, model.embed_dim, model.input_features):
+        raise FileFormatError(
+            f"trailer K={K}, embed_dim={embed_dim}, in_channels={in_channels} differ from "
+            f"the weights' K={model.K}, embed_dim={model.embed_dim}, "
+            f"input features={model.input_features}"
+        )
+    return model

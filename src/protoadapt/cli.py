@@ -17,6 +17,7 @@ import os
 import sys
 import typing
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -309,25 +310,22 @@ def cmd_diagnose(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     model = ad.load_model(args.ckpt)
-    images, labels, _ = ds.load_split(_require_dir(args.data, "data"))
-    emb = adapt_mod.pixel_embeddings(model, images)
-    pred = ad.forward_classify(model, emb).argmax(axis=-1)
-    true = labels.reshape(-1) if labels is not None else -np.ones(emb.shape[0])
-    os.makedirs(args.out, exist_ok=True)
-    written = [os.path.join(args.out, "data.emb1")]
-    save_embeddings(written[0], emb, true, pred)
+    models = [("data.emb1", model)]
     if args.ckpt_pre:
-        pre_model = ad.load_model(args.ckpt_pre)
-        emb_pre = adapt_mod.pixel_embeddings(pre_model, images)
-        pred_pre = ad.forward_classify(pre_model, emb_pre).argmax(axis=-1)
-        written.append(os.path.join(args.out, "data_pre.emb1"))
-        save_embeddings(written[-1], emb_pre, true, pred_pre)
+        models.append(("data_pre.emb1", ad.load_model(args.ckpt_pre)))
+    images, labels, _ = ds.load_split(_require_dir(args.data, "data"))
+    true = labels.reshape(-1) if labels is not None else -np.ones(np.prod(images.shape[:3]))
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for name, m in models:
+        emb = adapt_mod.pixel_embeddings(m, images)
+        pred = ad.forward_classify(m, emb).argmax(axis=-1)
+        written.append(os.path.join(args.out, name))
+        save_embeddings(written[-1], emb, true, pred)
     if args.gmm:
         gmm = load_gmm(args.gmm)
         rng = Rng(args.seed or 0)
-        pseudo = generate_pseudo_dataset(
-            gmm, ad.classifier_probs_fn(model), 4096, 0.0, rng
-        )
+        pseudo = generate_pseudo_dataset(gmm, partial(ad.forward_classify, model), 4096, 0.0, rng)
         written.append(os.path.join(args.out, "gmm_samples.emb1"))
         # Labels come from this model's classifier, so they are its predictions.
         save_embeddings(written[-1], pseudo.Z, pseudo.Y, pseudo.Y)

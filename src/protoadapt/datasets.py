@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import FileFormatError
 from .fileformats import load_tensor, read_keyvalue, save_tensor, write_keyvalue
 from .rng import Rng
 
@@ -93,6 +94,16 @@ class DomainSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        if self.kind == "grid-seg":
+            # grid-seg images are RGB, and its shift has no rotation or mean
+            # shift: a spec that sets them would describe data never written.
+            for key, value, allowed in (
+                ("channels", self.channels, 3),
+                ("rotation", self.shift.rotation, 0.0),
+                ("mean_shift", self.shift.mean_shift, 0.0),
+            ):
+                if value != allowed:
+                    raise ValueError(f"grid-seg requires {key}={allowed}, got {value}")
 
 
 def standard_shift_spec(seed: int = 0) -> DomainSpec:
@@ -291,13 +302,27 @@ def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> 
 
 
 def load_split(directory):
-    """Returns (images, labels-or-None, manifest dict)."""
+    """Returns (images, labels-or-None, manifest dict).
+
+    Rejects a manifest whose format_version is not FORMAT_VERSION and
+    labels whose shape is not the images' [n, H, W].
+    """
     manifest = read_keyvalue(os.path.join(directory, "manifest.txt"))
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise FileFormatError(
+            f"{directory}: format_version {version!r} is not {FORMAT_VERSION!r}"
+        )
     images = load_tensor(os.path.join(directory, "images.tns1"))
     labels_path = os.path.join(directory, "labels.tns1")
     labels = None
     if os.path.exists(labels_path):
         labels = load_tensor(labels_path).astype(np.int64)
+        if images.ndim != 4 or labels.shape != images.shape[:3]:
+            raise FileFormatError(
+                f"{directory}: labels shape {labels.shape} does not match "
+                f"images shape {images.shape}"
+            )
     return images, labels, manifest
 
 

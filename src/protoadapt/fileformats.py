@@ -104,7 +104,10 @@ def load_embeddings(path) -> np.ndarray:
         magic = _read_exact(f, 4)
         if magic != EMB1_MAGIC:
             raise FileFormatError(f"bad embedding magic {magic!r}")
-        return read_tns1(f)
+        out = read_tns1(f)
+        if f.read(1):
+            raise FileFormatError("trailing bytes after embedding payload")
+    return out
 
 
 def write_keyvalue(path, mapping: dict) -> None:

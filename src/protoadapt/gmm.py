@@ -9,7 +9,7 @@ confident about its own prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .fileformats import (
 from .linalg import cholesky, default_jitter, sample_gaussian
 from .rng import Rng
 
+# Rejection sampling gives up after this many draws per requested sample.
+MAX_DRAW_FACTOR = 20
+
 
 @dataclass
 class SupportSets:
@@ -42,12 +45,24 @@ class SupportSets:
 
 @dataclass
 class PrototypicalGMM:
-    K: int
     alpha: np.ndarray  # [K]
     mu: np.ndarray  # [K, d]
     sigma: np.ndarray  # [K, d, d]
-    chol: np.ndarray  # [K, d, d] cached lower factors
     tau_fit: float
+    chol: np.ndarray = field(init=False, repr=False)  # [K, d, d] lower factors of sigma
+
+    def __post_init__(self):
+        K, d = self.K, self.dim
+        if self.alpha.shape != (K,) or self.mu.shape != (K, d) or self.sigma.shape != (K, d, d):
+            raise DimensionError(
+                f"alpha {self.alpha.shape}, mu {self.mu.shape} and sigma "
+                f"{self.sigma.shape} do not describe one K-component mixture"
+            )
+        self.chol = np.stack([cholesky(s, class_index=j) for j, s in enumerate(self.sigma)])
+
+    @property
+    def K(self) -> int:
+        return self.alpha.shape[0]
 
     @property
     def dim(self) -> int:
@@ -103,7 +118,6 @@ def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> Prot
     alpha = support.counts / total
     mu = np.zeros((K, d))
     sigma = np.zeros((K, d, d))
-    chol = np.zeros((K, d, d))
     for j in range(K):
         pts = emb[support.indices[j]]
         mean = pts.mean(axis=0)
@@ -115,8 +129,7 @@ def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> Prot
         cov = cov + jit * np.eye(d)
         mu[j] = mean
         sigma[j] = cov
-        chol[j] = cholesky(cov, 0.0, class_index=j)
-    return PrototypicalGMM(K, alpha, mu, sigma, chol, float(tau_fit))
+    return PrototypicalGMM(alpha, mu, sigma, float(tau_fit))
 
 
 def generate_pseudo_dataset(
@@ -125,13 +138,13 @@ def generate_pseudo_dataset(
     n_target: int,
     tau: float,
     rng: Rng,
-    max_draw_factor: int = 20,
 ) -> PseudoDataset:
     """Rejection-sample labeled embedding points from the mixture.
 
     Each draw picks a component by alpha, samples the Gaussian, then keeps
     the point iff the classifier's max softmax exceeds tau; the retained
-    label is the classifier argmax, not the drawing component.
+    label is the classifier argmax, not the drawing component. Sampling
+    stops after MAX_DRAW_FACTOR * n_target draws.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -140,7 +153,7 @@ def generate_pseudo_dataset(
     kept_z, kept_y = [], []
     drawn = 0
     kept = 0
-    cap = max_draw_factor * n_target
+    cap = MAX_DRAW_FACTOR * n_target
     while kept < n_target and drawn < cap:
         chunk = min(n_target, cap - drawn)
         comps = rng.categorical(gmm.alpha, chunk)
@@ -197,7 +210,8 @@ def load_gmm(path) -> PrototypicalGMM:
         alpha = read_tns1(f)
         mu = read_tns1(f)
         sigma = read_tns1(f)
-    if alpha.shape != (K,) or mu.shape != (K, d) or sigma.shape != (K, d, d):
+        if f.read(1):
+            raise FileFormatError("trailing bytes after GMM payload")
+    if K < 1 or alpha.shape != (K,) or mu.shape != (K, d) or sigma.shape != (K, d, d):
         raise FileFormatError("GMM tensor shapes inconsistent with header")
-    chol = np.stack([cholesky(sigma[j], 0.0, class_index=j) for j in range(K)])
-    return PrototypicalGMM(K, alpha, mu, sigma, chol, tau_fit)
+    return PrototypicalGMM(alpha, mu, sigma, tau_fit)

@@ -19,11 +19,12 @@ def default_jitter(sigma: np.ndarray) -> float:
     return float(1e-6 * np.trace(sigma.astype(np.float64)) / d)
 
 
-def cholesky(sigma: np.ndarray, jitter: float = 0.0, class_index=None) -> np.ndarray:
-    """Lower Cholesky factor of sigma + jitter*I.
+def cholesky(sigma: np.ndarray, class_index=None) -> np.ndarray:
+    """Lower Cholesky factor of sigma.
 
-    Retries with jitter*10 up to 3 times when the matrix is not positive
-    definite; `class_index` only labels the error message.
+    When sigma is not positive definite, retries with jitter*I added,
+    starting from `default_jitter` (at least 1e-12) and growing tenfold,
+    up to 3 times; `class_index` only labels the error message.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -31,7 +32,7 @@ def cholesky(sigma: np.ndarray, jitter: float = 0.0, class_index=None) -> np.nda
     if np.max(np.abs(s - s.T)) > 1e-5:
         raise DimensionError("matrix not symmetric within 1e-5")
     d = s.shape[0]
-    eps = float(jitter)
+    eps = 0.0
     for attempt in range(4):
         try:
             L = np.linalg.cholesky(s + eps * np.eye(d))

@@ -1,5 +1,7 @@
 """Pipeline pieces: metric, source training, estimation, adaptation loop."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,6 @@ class TestConfigRanges:
             ("batch_target", 0),
             ("pseudo_batch", 0),
             ("num_projections", 0),
-            ("max_draw_factor", 0),
             ("tau_fit", 1.0),
             ("tau_filter", -0.1),
             ("tau_filter", float("nan")),
@@ -76,7 +77,6 @@ class TestConfigRanges:
             batch_target=1,
             pseudo_batch=1,
             num_projections=1,
-            max_draw_factor=1,
             tau_fit=0.0,
             tau_filter=0.0,
         )
@@ -142,7 +142,6 @@ class TestTrainSource:
         ref = ad.init_model(
             xs.shape[-1],
             3,
-            embed_dim=cfg.embed_dim,
             encoder_hidden=cfg.encoder_hidden,
             rng=Rng(cfg.seed),
             neighborhood=cfg.neighborhood,
@@ -342,7 +341,7 @@ class TestRunExperiment:
         vals = []
         for i in range(10):
             pseudo = generate_pseudo_dataset(
-                gmm, ad.classifier_probs_fn(model), n_pseudo, cfg.tau_filter, Rng(50 + i)
+                gmm, partial(ad.forward_classify, model), n_pseudo, cfg.tau_filter, Rng(50 + i)
             )
             exact, _ = wasserstein_estimates(emb, pseudo.Z, Rng(80 + i))
             vals.append(exact)

@@ -11,7 +11,6 @@ from protoadapt.autodiff import (
     adam_step,
     backward,
     classify_flat,
-    classifier_probs_fn,
     embed_flat,
     forward_classify,
     forward_embed,
@@ -30,7 +29,8 @@ from protoadapt.autodiff import (
 )
 from protoadapt.adaptation import ExperimentConfig, _gather_backward, train_source
 from protoadapt.datasets import DomainSpec, gen_grid_seg
-from protoadapt.errors import DimensionError, DivergenceError, TapeError
+from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
+from protoadapt.fileformats import MDL1_MAGIC, write_tns1, write_u32
 from protoadapt.rng import Rng
 
 
@@ -183,7 +183,7 @@ class TestBackward:
         x = t.leaf(np.ones((2, 2), np.float32))
         w = Parameter(np.full((2, 2), 0.3, np.float32))
         out = vcross_entropy(t, vsoftmax(t, vmatmul(t, x, t.watch(w))), np.array([0, 1]))
-        grads = backward(t, out, loss_grad=0.0)
+        grads = backward(t, vscale(t, out, 0.0))
         np.testing.assert_array_equal(grads[w], np.zeros((2, 2)))
 
     def test_scale_and_sum_combination(self):
@@ -291,7 +291,6 @@ def _reference_train(config, images, labels):
     model = init_model(
         images.shape[-1],
         int(np.max(labels)) + 1,
-        embed_dim=config.embed_dim,
         encoder_hidden=config.encoder_hidden,
         rng=rng,
         neighborhood=config.neighborhood,
@@ -454,10 +453,14 @@ class TestModel:
         assert probs.shape == (2, 8, 8, 5)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
 
-    def test_classifier_probs_fn_matches_forward(self):
-        model = init_model(3, 4, embed_dim=3, rng=Rng(7))
-        z = np.random.default_rng(8).normal(size=(10, 3)).astype(np.float32)
-        np.testing.assert_array_equal(classifier_probs_fn(model)(z), forward_classify(model, z))
+    @pytest.mark.parametrize("hidden,neighborhood", [((6, 5), False), ((), True)])
+    def test_sizes_read_from_weights(self, hidden, neighborhood):
+        model = init_model(3, 4, embed_dim=7, encoder_hidden=hidden, rng=Rng(7), neighborhood=neighborhood)
+        assert len(model.encoder_layers) == len(hidden)
+        assert (model.K, model.embed_dim, model.in_channels) == (4, 7, 3)
+        assert model.input_features == 3 * (9 if neighborhood else 1)
+        images = np.random.default_rng(8).uniform(size=(1, 4, 4, 3)).astype(np.float32)
+        assert forward_classify(model, forward_embed(model, images)).shape == (1, 4, 4, 4)
 
     def test_embedding_dim_guard(self):
         model = init_model(3, 4, embed_dim=3, rng=Rng(9))
@@ -520,3 +523,78 @@ class TestModelFile:
             forward_classify(model, forward_embed(model, images)),
             forward_classify(back, forward_embed(back, images)),
         )
+
+
+def _write_mdl1(path, tensors, trailer):
+    """MDL1 bytes from raw tensors and the seven trailer fields."""
+    with open(path, "wb") as f:
+        f.write(MDL1_MAGIC)
+        write_u32(f, len(tensors))
+        for t in tensors:
+            write_tns1(f, t)
+        for v in trailer:
+            write_u32(f, v)
+
+
+def _trailer(model):
+    n = (len(model.encoder_layers), len(model.decoder_layers), len(model.classifier_layers))
+    return [model.K, model.embed_dim, *n, model.in_channels, int(model.neighborhood)]
+
+
+class TestModelFileChecks:
+    """`load_model` rejects files whose parts disagree."""
+
+    def model(self):
+        return init_model(3, 4, embed_dim=5, encoder_hidden=(6,), rng=Rng(15))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.mdl1"
+        save_model(path, self.model())
+        with open(path, "ab") as f:
+            f.write(b"junk")
+        with pytest.raises(FileFormatError, match="trailing"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field,value", [(0, 9), (1, 4), (5, 2)])
+    def test_trailer_sizes_must_match_weights(self, tmp_path, field, value):
+        model = self.model()
+        trailer = _trailer(model)
+        trailer[field] = value
+        path = tmp_path / "m.mdl1"
+        _write_mdl1(path, [p.data for p in model.parameters()], trailer)
+        with pytest.raises(FileFormatError, match="trailer"):
+            load_model(path)
+
+    def test_written_trailer_loads(self, tmp_path):
+        model = self.model()
+        path = tmp_path / "m.mdl1"
+        _write_mdl1(path, [p.data for p in model.parameters()], _trailer(model))
+        assert load_model(path).K == 4
+
+    @pytest.mark.parametrize(
+        "index,shape",
+        [(2, (5, 5)), (3, (7,)), (6, (4, 5)), (0, (27,))],
+        ids=["next-w-rows", "bias-length", "classifier-rows", "w-rank"],
+    )
+    def test_layers_must_chain(self, tmp_path, index, shape):
+        model = self.model()
+        tensors = [p.data for p in model.parameters()]
+        tensors[index] = np.zeros(shape, np.float32)
+        path = tmp_path / "m.mdl1"
+        _write_mdl1(path, tensors, _trailer(model))
+        with pytest.raises(FileFormatError, match="chain"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section", ["encoder+decoder", "classifier"])
+    def test_empty_section_rejected(self, tmp_path, section):
+        model = self.model()
+        tensors = [p.data for p in model.parameters()]
+        trailer = _trailer(model)
+        if section == "classifier":
+            tensors, trailer[4] = tensors[:4], 0
+        else:
+            tensors, trailer[2], trailer[3] = tensors[4:], 0, 0
+        path = tmp_path / "m.mdl1"
+        _write_mdl1(path, tensors, trailer)
+        with pytest.raises(FileFormatError, match="no encoder/decoder or no classifier"):
+            load_model(path)

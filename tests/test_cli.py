@@ -1,15 +1,19 @@
 """End-to-end command-line workflow and exit-code contract."""
 
+import dataclasses
 import os
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from protoadapt import autodiff as ad
-from protoadapt.adaptation import compute_bound_diagnostics, pixel_embeddings
+from protoadapt.adaptation import ExperimentConfig, compute_bound_diagnostics, pixel_embeddings
 from protoadapt.cli import load_config, main
 from protoadapt.datasets import load_split
-from protoadapt.fileformats import load_embeddings, read_keyvalue
+from protoadapt.fileformats import load_embeddings, read_keyvalue, write_keyvalue
 from protoadapt.gmm import load_gmm
 from protoadapt.rng import Rng
 
@@ -109,6 +113,14 @@ class TestGenData:
         assert code == 2
         assert "wibble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["channels=4", "rotation=1.0", "mean_shift=5.0"])
+    def test_grid_seg_spec_field_it_cannot_honour(self, tmp_path, capsys, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"kind=grid-seg\nn_images=2\n{line}\n")
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_output(self, workspace, tmp_path):
         spec = str(workspace / "spec.txt")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -132,7 +144,7 @@ class TestTrain:
         assert resolved["encoder_hidden"] == "32,16"
 
     def test_resolved_config_round_trips(self, workspace, tmp_path):
-        # a default run leaves adapt_lr and embed_dim at None
+        # a default run leaves adapt_lr at None
         first = tmp_path / "first"
         argv = ["train", "--data", str(workspace / "data" / "source"), "--steps", "2"]
         assert main(argv + ["--out", str(first / "m.mdl1")]) == 0
@@ -211,6 +223,17 @@ class TestTrain:
             ]
         )
         assert code == 2
+
+    def test_unknown_format_version_exit2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "source"
+        shutil.copytree(workspace / "data" / "source", data)
+        manifest = read_keyvalue(data / "manifest.txt")
+        write_keyvalue(data / "manifest.txt", {**manifest, "format_version": "2"})
+        argv = ["train", "--data", str(data), "--steps", "1", "--out", str(tmp_path / "m.mdl1")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "format_version" in err and str(data) in err
+        assert not (tmp_path / "m.mdl1").exists()
 
     def test_unlabeled_split_rejected(self, workspace, tmp_path):
         code = main(
@@ -471,3 +494,12 @@ class TestEvalDiagnoseExport:
             ]
         )
         assert code == 2
+
+
+def test_readme_config_keys_match_experiment_config():
+    """README's list of config keys names every ExperimentConfig field."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Keys mirror\s+`ExperimentConfig`:(.*?)\. Values are parsed", readme, re.S)
+    keys = re.findall(r"`(\w+)`", listed.group(1))
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert keys == ["lambda" if name == "lambda_" else name for name in fields]

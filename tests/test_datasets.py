@@ -15,6 +15,8 @@ from protoadapt.datasets import (
     standard_shift_spec,
     write_dataset,
 )
+from protoadapt.errors import FileFormatError
+from protoadapt.fileformats import read_keyvalue, save_tensor, write_keyvalue
 
 
 class TestShift:
@@ -37,6 +39,19 @@ class TestSpecValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             DomainSpec(kind="images")
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("channels", {"channels": 4}),
+            ("rotation", {"shift": Shift(rotation=1.0)}),
+            ("mean_shift", {"shift": Shift(mean_shift=5.0)}),
+        ],
+    )
+    def test_grid_seg_rejects_fields_it_cannot_honour(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            DomainSpec(kind="grid-seg", **kwargs)
+        DomainSpec(kind="blobs", **kwargs)  # blobs honour all three
 
     def test_bad_K(self):
         with pytest.raises(ValueError):
@@ -168,6 +183,32 @@ class TestSplitsOnDisk:
         np.testing.assert_array_equal(im2, images)
         assert lab2 is None
         assert manifest["labeled"] == "0"
+
+    def labeled_split(self, path):
+        spec = DomainSpec(n_images=3)
+        images, labels = gen_grid_seg(spec)
+        save_split(path, spec, "source", images, labels)
+        return labels
+
+    @pytest.mark.parametrize("version", ["2", None])
+    def test_format_version_checked(self, tmp_path, version):
+        self.labeled_split(tmp_path / "s")
+        manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
+        if version is None:
+            del manifest["format_version"]
+        else:
+            manifest["format_version"] = version
+        write_keyvalue(tmp_path / "s" / "manifest.txt", manifest)
+        with pytest.raises(FileFormatError, match="format_version") as exc:
+            load_split(tmp_path / "s")
+        assert str(tmp_path / "s") in str(exc.value)
+
+    def test_labels_shape_checked(self, tmp_path):
+        labels = self.labeled_split(tmp_path / "s")
+        save_tensor(tmp_path / "s" / "labels.tns1", labels[:, :8].astype(np.float32))
+        with pytest.raises(FileFormatError, match="labels shape") as exc:
+            load_split(tmp_path / "s")
+        assert str(tmp_path / "s") in str(exc.value)
 
     def test_write_dataset_layout(self, tmp_path):
         spec = standard_shift_spec(0)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from protoadapt.autodiff import init_model, load_model, save_model
 from protoadapt.errors import FileFormatError
 from protoadapt.fileformats import (
     load_embeddings,
@@ -17,6 +18,8 @@ from protoadapt.fileformats import (
     write_keyvalue,
     write_tns1,
 )
+from protoadapt.gmm import PrototypicalGMM, load_gmm, save_gmm
+from protoadapt.rng import Rng
 
 
 def test_tns1_roundtrip(tmp_path):
@@ -75,6 +78,33 @@ def test_emb1_roundtrip(tmp_path):
     np.testing.assert_array_equal(out[:, :5], emb)
     np.testing.assert_array_equal(out[:, 5], true_l.astype(np.float32))
     np.testing.assert_array_equal(out[:, 6], pred_l.astype(np.float32))
+
+
+def _tiny_files(tmp_path):
+    """One small file of each binary format, with its loader."""
+    files = {}
+    files["tns1"] = (tmp_path / "t.tns1", load_tensor)
+    save_tensor(files["tns1"][0], np.arange(6, dtype=np.float32).reshape(2, 3))
+    files["mdl1"] = (tmp_path / "m.mdl1", load_model)
+    save_model(files["mdl1"][0], init_model(2, 2, encoder_hidden=(3,), rng=Rng(0)))
+    files["gmm1"] = (tmp_path / "g.gmm1", load_gmm)
+    gmm = PrototypicalGMM(np.array([0.5, 0.5]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2), 0.5)
+    save_gmm(files["gmm1"][0], gmm)
+    files["emb1"] = (tmp_path / "e.emb1", load_embeddings)
+    save_embeddings(files["emb1"][0], np.ones((3, 2)), np.arange(3), np.arange(3))
+    return files
+
+
+@pytest.mark.parametrize("fmt", ["tns1", "mdl1", "gmm1", "emb1"])
+def test_every_truncation_and_one_extra_byte_rejected(tmp_path, fmt):
+    path, load = _tiny_files(tmp_path)[fmt]
+    data = path.read_bytes()
+    load(path)  # the intact file loads
+    bad = tmp_path / "bad"
+    for cut in [*range(len(data)), None]:
+        bad.write_bytes(data[:cut] if cut is not None else data + b"\x00")
+        with pytest.raises(FileFormatError):
+            load(bad)
 
 
 def test_emb1_bad_magic(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from protoadapt.errors import DimensionError, EstimationError, GenerationError
+from protoadapt.errors import DimensionError, EstimationError, FileFormatError, GenerationError
 from protoadapt.gmm import (
     PrototypicalGMM,
     build_support_sets,
@@ -12,7 +12,6 @@ from protoadapt.gmm import (
     load_gmm,
     save_gmm,
 )
-from protoadapt.linalg import cholesky
 from protoadapt.rng import Rng
 
 
@@ -143,8 +142,22 @@ def two_blob_gmm(sep=8.0):
     d = 2
     mu = np.array([[0.0, 0.0], [sep, 0.0]])
     sigma = np.stack([np.eye(d) * 0.25] * 2)
-    chol = np.stack([cholesky(s, 0.0) for s in sigma])
-    return PrototypicalGMM(2, np.array([0.6, 0.4]), mu, sigma, chol, 0.0)
+    return PrototypicalGMM(np.array([0.6, 0.4]), mu, sigma, 0.0)
+
+
+class TestMixtureFacts:
+    def test_size_and_factors_derived(self):
+        gmm = two_blob_gmm()
+        assert (gmm.K, gmm.dim) == (2, 2)
+        np.testing.assert_allclose(gmm.chol, 0.5 * np.stack([np.eye(2)] * 2))
+
+    @pytest.mark.parametrize("part", ["alpha", "mu", "sigma"])
+    def test_parts_must_agree(self, part):
+        gmm = two_blob_gmm()
+        parts = {"alpha": gmm.alpha, "mu": gmm.mu, "sigma": gmm.sigma}
+        parts[part] = parts[part][:1]
+        with pytest.raises(DimensionError):
+            PrototypicalGMM(parts["alpha"], parts["mu"], parts["sigma"], 0.0)
 
 
 def sharp_classifier(sep=8.0, sharp=4.0):
@@ -234,6 +247,14 @@ class TestGmmFile:
             np.testing.assert_allclose(
                 back.chol[j] @ back.chol[j].T, back.sigma[j], atol=1e-5
             )
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "m.gmm"
+        save_gmm(p, two_blob_gmm())
+        with open(p, "ab") as f:
+            f.write(b"junk")
+        with pytest.raises(FileFormatError, match="trailing"):
+            load_gmm(p)
 
     def test_save_is_deterministic(self, tmp_path):
         gmm = two_blob_gmm()

@@ -10,11 +10,11 @@ from protoadapt.rng import Rng
 
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_allclose(cholesky(np.eye(3), jitter=0.0), np.eye(3))
+        np.testing.assert_allclose(cholesky(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            cholesky(np.diag([4.0, 9.0]), jitter=0.0), np.diag([2.0, 3.0])
+            cholesky(np.diag([4.0, 9.0])), np.diag([2.0, 3.0])
         )
 
     def test_reconstruction_random_spd(self):
@@ -22,22 +22,25 @@ class TestCholesky:
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             sigma = a.T @ a + np.eye(4)
-            L = cholesky(sigma, jitter=0.0).astype(np.float64)
+            L = cholesky(sigma).astype(np.float64)
             err = np.linalg.norm(L @ L.T - sigma)
             assert err <= 1e-4
 
     def test_jitter_added_to_diagonal(self):
-        sigma = np.eye(2)
-        L = cholesky(sigma, jitter=3.0).astype(np.float64)
-        np.testing.assert_allclose(L @ L.T, sigma + 3.0 * np.eye(2), atol=1e-4)
+        # singular, so the first attempt fails and default_jitter is added
+        sigma = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        expected = np.linalg.cholesky(sigma + default_jitter(sigma) * np.eye(2))
+        np.testing.assert_array_equal(cholesky(sigma), expected.astype(np.float32))
 
     def test_retries_then_fails_on_negative_definite(self):
         with pytest.raises(FactorizationError):
-            cholesky(-np.eye(2) * 1e12, jitter=1e-12)
+            cholesky(-np.eye(2) * 1e12)
 
     def test_error_names_class(self):
         with pytest.raises(FactorizationError) as exc:
-            cholesky(-np.eye(2) * 1e12, jitter=1e-12, class_index=3)
+            cholesky(-np.eye(2) * 1e12, class_index=3)
         assert "3" in str(exc.value)
 
     def test_asymmetric_rejected(self):
