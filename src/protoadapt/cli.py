@@ -132,6 +132,11 @@ def cmd_gen_data(args) -> int:
     )
     n_eval = values.pop("n_eval", 500)
     if values.pop("preset", "") == "standard" or args.preset == "standard":
+        # The preset fixes every field but the seed: any other key would be
+        # silently ignored.
+        for key in values:
+            if key != "seed":
+                raise CliError(f"spec key {key} cannot be combined with preset=standard")
         spec = ds.standard_shift_spec(seed=values.get("seed", 0))
     else:
         shift = ds.Shift(**{k: values.pop(k) for k in shift_types if k in values})

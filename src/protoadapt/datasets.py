@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .fileformats import load_tensor, read_keyvalue, save_tensor, write_keyvalue
-from .rng import Rng
+from .rng import Rng, box_muller
 
 FORMAT_VERSION = "1"
 
@@ -43,6 +43,13 @@ BOUNDARY_BLEND = 0.5
 EDGE_COLOR = np.array([0.05, 0.05, 0.05])
 EDGE_DARKEN_MIN = 0.0
 EDGE_DARKEN_MAX = 0.6
+
+# Images rendered per batch of array operations in gen_grid_seg; bounds its
+# float64 temporaries to a few MB whatever n_images is.
+GEN_CHUNK = 256
+
+# A grid-seg scene has 2 to MAX_SHAPES shapes.
+MAX_SHAPES = 5
 
 # Base colors for grid-seg classes (class 0 is background). Chosen so the
 # standard channel-gain shift (1.4, 0.7, 1.0) pushes several classes across
@@ -94,6 +101,9 @@ class DomainSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        for key in ("n_images", "height", "width"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.kind == "grid-seg":
             # grid-seg images are RGB, and its shift has no rotation or mean
             # shift: a spec that sets them would describe data never written.
@@ -156,13 +166,10 @@ def gen_blobs(spec: DomainSpec, shifted: bool = False):
     return images, labels.reshape(n, 1, 1)
 
 
-def _paint_scene(rng: Rng, spec: DomainSpec):
-    """One latent scene: per-pixel label map of shapes over background."""
-    h, w, K = spec.height, spec.width, spec.K
-    label = np.zeros((h, w), dtype=np.int64)
-    yy, xx = np.mgrid[0:h, 0:w]
-    n_shapes = int(rng.integers(2, 6))
-    for _ in range(n_shapes):
+def _scene_shapes(rng: Rng, K: int, h: int, w: int) -> list:
+    """One latent scene's draws: its shapes, as (cls, kind, cy, cx, ry, rx)."""
+    shapes = []
+    for _ in range(int(rng.integers(2, MAX_SHAPES + 1))):
         # The last class appears only as small speckle shapes, so most of
         # its pixels sit near a label boundary.
         cls = int(rng.integers(1, K))
@@ -175,49 +182,65 @@ def _paint_scene(rng: Rng, spec: DomainSpec):
         else:
             ry = 2.5 + float(rng.uniform()) * (h / 3.5)
             rx = 2.5 + float(rng.uniform()) * (w / 3.5)
-        if kind == 0:  # rectangle
-            mask = (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
-        else:  # ellipse
-            mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
-        label[mask] = cls
+        shapes.append((cls, kind, cy, cx, ry, rx))
+    return shapes
+
+
+def _paint(scenes: list, h: int, w: int) -> np.ndarray:
+    """[b,h,w] label maps: each scene's shapes painted in order over background.
+
+    Kind 0 is a rectangle and kind 1 an ellipse, centred at (cy, cx) with
+    half-extents (ry, rx).
+    """
+    table = np.zeros((len(scenes), MAX_SHAPES, 6))
+    table[:, :, 4:] = 1.0  # radii of unused slots, whose class 0 paints nothing
+    for j, shapes in enumerate(scenes):
+        table[j, : len(shapes)] = shapes
+    yy, xx = np.mgrid[0:h, 0:w]
+    label = np.zeros((len(scenes), h, w), dtype=np.int64)
+    for cls, kind, cy, cx, ry, rx in table.transpose(1, 2, 0)[..., None, None]:
+        rect = (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
+        ellipse = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        painted = np.where(kind == 0, rect, ellipse) & (cls > 0)
+        label = np.where(painted, cls.astype(np.int64), label)
     return label
 
 
-def _smooth_field(rng: Rng, h: int, w: int) -> np.ndarray:
-    """Low-frequency [h,w] field in [-1,1] from a coarse bilinear grid."""
-    coarse = rng.uniform((4, 4)) * 2.0 - 1.0
+def _smooth_field(coarse: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Low-frequency [b,h,w] fields in [-1,1], bilinear over [b,4,4] uniforms."""
+    coarse = coarse * 2.0 - 1.0
     ys = np.linspace(0, 3, h)
     xs = np.linspace(0, 3, w)
-    y0 = np.floor(ys).astype(int).clip(0, 2)
-    x0 = np.floor(xs).astype(int).clip(0, 2)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    c00 = coarse[np.ix_(y0, x0)]
-    c01 = coarse[np.ix_(y0, x0 + 1)]
-    c10 = coarse[np.ix_(y0 + 1, x0)]
-    c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
+    y0 = np.floor(ys).astype(int).clip(0, 2)[:, None]
+    x0 = np.floor(xs).astype(int).clip(0, 2)[None, :]
+    fy = ys[:, None] - y0
+    fx = xs[None, :] - x0
+    c00 = coarse[:, y0, x0]
+    c01 = coarse[:, y0, x0 + 1]
+    c10 = coarse[:, y0 + 1, x0]
+    c11 = coarse[:, y0 + 1, x0 + 1]
     return (1 - fy) * ((1 - fx) * c00 + fx * c01) + fy * ((1 - fx) * c10 + fx * c11)
 
 
 def _label_boundary(label: np.ndarray) -> np.ndarray:
-    """Mask of pixels that touch a different label in their 3x3 window."""
-    h, w = label.shape
-    padded = np.pad(label, 1, mode="edge")
-    mask = np.zeros((h, w), dtype=bool)
+    """Mask of [b,h,w] pixels that touch a different label in their 3x3 window."""
+    _, h, w = label.shape
+    padded = np.pad(label, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    mask = np.zeros(label.shape, dtype=bool)
     for dy in range(3):
         for dx in range(3):
-            mask |= padded[dy : dy + h, dx : dx + w] != label
+            mask |= padded[:, dy : dy + h, dx : dx + w] != label
     return mask
 
 
 def _box_blur(img: np.ndarray, weight: float) -> np.ndarray:
-    """Blend each pixel with its 3x3 (edge-replicated) neighborhood mean."""
-    h, w, _ = img.shape
-    padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    """Blend each [b,h,w,c] pixel with its 3x3 (edge-replicated) neighborhood mean."""
+    _, h, w, _ = img.shape
+    padded = np.pad(img, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
     acc = np.zeros_like(img)
     for dy in range(3):
         for dx in range(3):
-            acc += padded[dy : dy + h, dx : dx + w]
+            acc += padded[:, dy : dy + h, dx : dx + w]
     return (1.0 - weight) * img + weight * (acc / 9.0)
 
 
@@ -229,36 +252,60 @@ def class_colors(K: int, seed: int = 0) -> np.ndarray:
     return np.concatenate([CLASS_COLORS, extra])
 
 
+def _render(spec: DomainSpec, shifted: bool, colors, labels, draws) -> np.ndarray:
+    """[b,h,w,3] float64 images from [b,h,w] label maps and each image's
+    uniform draws (the layout `gen_grid_seg` documents)."""
+    b, h, w = labels.shape
+    hw, size = h * w, h * w * 3
+    half = (size + 1) // 2
+
+    def normals(start):  # one Box-Muller block: u1 then u2, half draws each
+        u1 = draws[:, start : start + half]
+        u2 = draws[:, start + half : start + 2 * half]
+        return box_muller(u1, u2)[:, :size].reshape(b, h, w, 3)
+
+    clean = _box_blur(colors[labels], BOUNDARY_BLEND)
+    edge = _label_boundary(labels)
+    span = EDGE_DARKEN_MAX - EDGE_DARKEN_MIN
+    weight = EDGE_DARKEN_MIN + span * draws[:, :hw].reshape(b, h, w)
+    darken = edge[..., None] * weight[..., None]
+    clean = clean + darken * (EDGE_COLOR - clean)
+    # Intra-class jitter exists in both domains; the noise and texture draws
+    # are made for both too, so zero-shift target bytes equal source bytes.
+    clean = clean + INTRA_CLASS_JITTER * normals(hw)
+    if not shifted:
+        return clean
+    shift = spec.shift
+    texture = _smooth_field(draws[:, -16:].reshape(b, 4, 4), h, w)[..., None]
+    img = clean * np.asarray(shift.channel_gain, dtype=np.float64)
+    img = img * (1.0 + 0.3 * shift.noise_sigma * texture)
+    return img + shift.noise_sigma * normals(hw + 2 * half)
+
+
 def gen_grid_seg(spec: DomainSpec, shifted: bool = False):
-    """Labeled images ([n,H,W,3] float32, [n,H,W] int64 labels)."""
+    """Labeled images ([n,H,W,3] float32, [n,H,W] int64 labels).
+
+    Image i draws from its own stream `Rng(spec.seed).spawn(i)`: first the
+    scene (`_scene_shapes`), then one uniform block holding, in order, the
+    H*W edge-darkening weights, the jitter and the noise Box-Muller blocks
+    (u1 then u2, ceil(H*W*3/2) draws each) and the 4x4 texture grid.
+    Painting and rendering run over GEN_CHUNK images at a time.
+    """
     rng = Rng(spec.seed)
     colors = class_colors(spec.K, spec.seed)
-    h, w = spec.height, spec.width
-    images = np.empty((spec.n_images, h, w, 3), dtype=np.float32)
-    labels = np.empty((spec.n_images, h, w), dtype=np.int64)
-    shift = spec.shift
-    gains = np.asarray(shift.channel_gain, dtype=np.float64)
-    for i in range(spec.n_images):
-        img_rng = rng.spawn(i)
-        label = _paint_scene(img_rng, spec)
-        clean = _box_blur(colors[label], BOUNDARY_BLEND)
-        edge = _label_boundary(label)
-        span = EDGE_DARKEN_MAX - EDGE_DARKEN_MIN
-        weight = EDGE_DARKEN_MIN + span * img_rng.uniform(label.shape)
-        darken = edge[:, :, None] * weight[:, :, None]
-        clean = clean + darken * (EDGE_COLOR - clean)
-        # Intra-class jitter exists in both domains; draws happen for both
-        # so zero-shift target bytes equal source bytes.
-        clean = clean + INTRA_CLASS_JITTER * img_rng.normal(clean.shape)
-        noise = img_rng.normal(clean.shape)
-        texture = _smooth_field(img_rng, h, w)[:, :, None]
-        img = clean
-        if shifted:
-            img = img * gains
-            img = img * (1.0 + 0.3 * shift.noise_sigma * texture)
-            img = img + shift.noise_sigma * noise
-        labels[i] = label
-        images[i] = img.astype(np.float32)
+    n, h, w = spec.n_images, spec.height, spec.width
+    images = np.empty((n, h, w, 3), dtype=np.float32)
+    labels = np.empty((n, h, w), dtype=np.int64)
+    n_draws = h * w + 4 * ((h * w * 3 + 1) // 2) + 16
+    for start in range(0, n, GEN_CHUNK):
+        stop = min(start + GEN_CHUNK, n)
+        scenes, draws = [], np.empty((stop - start, n_draws))
+        for i in range(start, stop):
+            img_rng = rng.spawn(i)
+            scenes.append(_scene_shapes(img_rng, spec.K, h, w))
+            draws[i - start] = img_rng.uniform(n_draws)
+        labels[start:stop] = _paint(scenes, h, w)
+        images[start:stop] = _render(spec, shifted, colors, labels[start:stop], draws)
     return images, labels
 
 
@@ -328,6 +375,8 @@ def load_split(directory):
 
 def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     """Write the three splits: labeled source, unlabeled target, labeled eval."""
+    if n_eval < 1:
+        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
     source = replace(spec, seed=spec.seed)
     target_train = replace(spec, seed=spec.seed + 1)
     target_eval = replace(spec, seed=spec.seed + 2, n_images=n_eval)

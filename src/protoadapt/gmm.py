@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, EstimationError, FileFormatError, GenerationError
+from .errors import (
+    DimensionError,
+    EstimationError,
+    FactorizationError,
+    FileFormatError,
+    GenerationError,
+)
 from .fileformats import (
     GMM1_MAGIC,
     _read_exact,
@@ -214,4 +220,7 @@ def load_gmm(path) -> PrototypicalGMM:
             raise FileFormatError("trailing bytes after GMM payload")
     if K < 1 or alpha.shape != (K,) or mu.shape != (K, d) or sigma.shape != (K, d, d):
         raise FileFormatError("GMM tensor shapes inconsistent with header")
-    return PrototypicalGMM(alpha, mu, sigma, tau_fit)
+    try:
+        return PrototypicalGMM(alpha, mu, sigma, tau_fit)
+    except (DimensionError, FactorizationError) as exc:
+        raise FileFormatError(f"{path}: invalid sigma: {exc}") from exc

@@ -13,6 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from two equal-shape blocks of uniforms in [0, 1).
+
+    Returns the cosine branch followed by the sine branch, concatenated
+    along the last axis, so a batch of streams transforms in one call.
+    """
+    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log never hits 0
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+
+
 class Rng:
     """Deterministic random stream. Not safe to share across threads."""
 
@@ -35,10 +46,7 @@ class Rng:
         half = (n + 1) // 2
         u1 = self._gen.random(half)
         u2 = self._gen.random(half)
-        radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log never hits 0
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-        return z.reshape(shape)
+        return box_muller(u1, u2)[:n].reshape(shape)
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray:
         """Uniform integers in [low, high)."""

@@ -121,6 +121,28 @@ class TestGenData:
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["n_images=0", "height=0", "width=0", "n_images=-2", "n_eval=0"]
+    )
+    def test_spec_size_below_one_names_field(self, tmp_path, capsys, line):
+        spec = tmp_path / "spec.txt"
+        key, value = line.split("=")
+        fields = {"kind": "grid-seg", "n_images": "2", "n_eval": "2", key: value}
+        spec.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["spec-key", "flag"])
+    @pytest.mark.parametrize("line", ["n_images=-2", "height=0", "K=3", "noise_sigma=0.5"])
+    def test_preset_rejects_other_spec_keys(self, tmp_path, capsys, line, flag):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(("" if flag else "preset=standard\n") + f"seed=1\nn_eval=4\n{line}\n")
+        argv = ["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--preset", "standard"] if flag else [])) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_output(self, workspace, tmp_path):
         spec = str(workspace / "spec.txt")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -358,6 +380,16 @@ class TestAdapt:
         assert run_adapt(workspace, tmp_path / "run", extra=["--ckpt", str(wider)]) == 2
         err = capsys.readouterr().err
         assert "K=3" in err and "K=5" in err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
+    def test_corrupt_mixture_sigma_exit2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "flipped.gmm1"
+        data = bytearray((workspace / "model.gmm1").read_bytes())
+        n_sigma = load_gmm(workspace / "model.gmm1").sigma.size
+        data[len(data) - 4 * n_sigma + 4 + 3] ^= 0x40  # exponent bit of sigma[0, 0, 1]
+        bad.write_bytes(bytes(data))
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
     def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys):

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from protoadapt.datasets import (
+    BOUNDARY_BLEND,
+    EDGE_COLOR,
+    EDGE_DARKEN_MAX,
+    EDGE_DARKEN_MIN,
+    GEN_CHUNK,
+    INTRA_CLASS_JITTER,
     DomainSpec,
     Shift,
     blob_centers,
+    class_colors,
     gen_blobs,
     gen_grid_seg,
     generate,
@@ -17,6 +24,7 @@ from protoadapt.datasets import (
 )
 from protoadapt.errors import FileFormatError
 from protoadapt.fileformats import read_keyvalue, save_tensor, write_keyvalue
+from protoadapt.rng import Rng
 
 
 class TestShift:
@@ -56,6 +64,18 @@ class TestSpecValidation:
     def test_bad_K(self):
         with pytest.raises(ValueError):
             DomainSpec(K=1)
+
+    @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
+    @pytest.mark.parametrize("field", ["n_images", "height", "width"])
+    def test_sizes_below_one_rejected(self, kind, field):
+        for value in (0, -2):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                DomainSpec(kind=kind, **{field: value})
+
+    def test_write_dataset_rejects_empty_eval_split(self, tmp_path):
+        with pytest.raises(ValueError, match="n_eval must be >= 1"):
+            write_dataset(tmp_path / "d", DomainSpec(n_images=2), n_eval=0)
+        assert not (tmp_path / "d").exists()
 
 
 class TestBlobs:
@@ -121,11 +141,14 @@ class TestGridSeg:
         assert gen_grid_seg(s1)[0].tobytes() != gen_grid_seg(s2)[0].tobytes()
 
     def test_zero_shift_identity(self):
-        spec = DomainSpec(n_images=6)
-        a = gen_grid_seg(spec, shifted=False)
-        b = gen_grid_seg(spec, shifted=True)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        for spec in (
+            DomainSpec(n_images=6),
+            DomainSpec(K=9, n_images=GEN_CHUNK + 3, height=7, width=9),
+        ):
+            a = gen_grid_seg(spec, shifted=False)
+            b = gen_grid_seg(spec, shifted=True)
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1].tobytes() == b[1].tobytes()
 
     def test_shift_changes_images_not_labels(self):
         spec = standard_shift_spec(1)
@@ -161,6 +184,133 @@ class TestGridSeg:
         grid = generate(DomainSpec(kind="grid-seg", K=2, n_images=4))
         assert blobs[0].shape[1:3] == (1, 1)
         assert grid[0].shape[1:3] == (16, 16)
+
+
+# ------------------------------------------------ per-image reference loop
+# The grid-seg generator before it was batched, kept verbatim as the oracle:
+# the batched generator must give the same bytes.
+
+
+def _ref_normal(rng, shape):
+    n = int(np.prod(shape))
+    half = (n + 1) // 2
+    u1 = rng.uniform(half)
+    u2 = rng.uniform(half)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
+
+
+def _ref_paint_scene(rng, spec):
+    h, w, K = spec.height, spec.width, spec.K
+    label = np.zeros((h, w), dtype=np.int64)
+    yy, xx = np.mgrid[0:h, 0:w]
+    n_shapes = int(rng.integers(2, 6))
+    for _ in range(n_shapes):
+        cls = int(rng.integers(1, K))
+        kind = int(rng.integers(0, 2))
+        cy = float(rng.uniform()) * h
+        cx = float(rng.uniform()) * w
+        if cls == K - 1:
+            ry = 1.2 + float(rng.uniform())
+            rx = 1.2 + float(rng.uniform())
+        else:
+            ry = 2.5 + float(rng.uniform()) * (h / 3.5)
+            rx = 2.5 + float(rng.uniform()) * (w / 3.5)
+        if kind == 0:
+            mask = (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
+        else:
+            mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        label[mask] = cls
+    return label
+
+
+def _ref_smooth_field(rng, h, w):
+    coarse = rng.uniform((4, 4)) * 2.0 - 1.0
+    ys = np.linspace(0, 3, h)
+    xs = np.linspace(0, 3, w)
+    y0 = np.floor(ys).astype(int).clip(0, 2)
+    x0 = np.floor(xs).astype(int).clip(0, 2)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    c00 = coarse[np.ix_(y0, x0)]
+    c01 = coarse[np.ix_(y0, x0 + 1)]
+    c10 = coarse[np.ix_(y0 + 1, x0)]
+    c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
+    return (1 - fy) * ((1 - fx) * c00 + fx * c01) + fy * ((1 - fx) * c10 + fx * c11)
+
+
+def _ref_label_boundary(label):
+    h, w = label.shape
+    padded = np.pad(label, 1, mode="edge")
+    mask = np.zeros((h, w), dtype=bool)
+    for dy in range(3):
+        for dx in range(3):
+            mask |= padded[dy : dy + h, dx : dx + w] != label
+    return mask
+
+
+def _ref_box_blur(img, weight):
+    h, w, _ = img.shape
+    padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    acc = np.zeros_like(img)
+    for dy in range(3):
+        for dx in range(3):
+            acc += padded[dy : dy + h, dx : dx + w]
+    return (1.0 - weight) * img + weight * (acc / 9.0)
+
+
+def _ref_gen_grid_seg(spec, shifted=False):
+    rng = Rng(spec.seed)
+    colors = class_colors(spec.K, spec.seed)
+    h, w = spec.height, spec.width
+    images = np.empty((spec.n_images, h, w, 3), dtype=np.float32)
+    labels = np.empty((spec.n_images, h, w), dtype=np.int64)
+    shift = spec.shift
+    gains = np.asarray(shift.channel_gain, dtype=np.float64)
+    for i in range(spec.n_images):
+        img_rng = rng.spawn(i)
+        label = _ref_paint_scene(img_rng, spec)
+        clean = _ref_box_blur(colors[label], BOUNDARY_BLEND)
+        edge = _ref_label_boundary(label)
+        span = EDGE_DARKEN_MAX - EDGE_DARKEN_MIN
+        weight = EDGE_DARKEN_MIN + span * img_rng.uniform(label.shape)
+        darken = edge[:, :, None] * weight[:, :, None]
+        clean = clean + darken * (EDGE_COLOR - clean)
+        clean = clean + INTRA_CLASS_JITTER * _ref_normal(img_rng, clean.shape)
+        noise = _ref_normal(img_rng, clean.shape)
+        texture = _ref_smooth_field(img_rng, h, w)[:, :, None]
+        img = clean
+        if shifted:
+            img = img * gains
+            img = img * (1.0 + 0.3 * shift.noise_sigma * texture)
+            img = img + shift.noise_sigma * noise
+        labels[i] = label
+        images[i] = img.astype(np.float32)
+    return images, labels
+
+
+def _assert_same_bytes(got, want):
+    for g, x in zip(got, want):
+        assert g.dtype == x.dtype and g.shape == x.shape
+        assert g.tobytes() == x.tobytes()
+
+
+class TestGridSegMatchesPerImageLoop:
+    SHIFT = Shift(channel_gain=(1.4, 0.7, 1.0), noise_sigma=0.1)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("hw", [(16, 16), (12, 20), (7, 9)])  # 7*9*3 is odd
+    @pytest.mark.parametrize("K", [2, 3, 5, 8, 9])  # K=9 draws an extra color
+    def test_same_bytes(self, K, hw, shifted):
+        spec = DomainSpec(K=K, n_images=5, height=hw[0], width=hw[1], shift=self.SHIFT, seed=K)
+        _assert_same_bytes(gen_grid_seg(spec, shifted), _ref_gen_grid_seg(spec, shifted))
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("n", [1, GEN_CHUNK + 3])
+    def test_same_bytes_one_image_and_across_chunks(self, n, shifted):
+        spec = DomainSpec(K=5, n_images=n, height=7, width=9, shift=self.SHIFT, seed=4)
+        _assert_same_bytes(gen_grid_seg(spec, shifted), _ref_gen_grid_seg(spec, shifted))
 
 
 class TestSplitsOnDisk:

@@ -1,5 +1,7 @@
 """Class-conditional mixture: support sets, closed-form fit, sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,18 @@ class TestGmmFile:
         with open(p, "ab") as f:
             f.write(b"junk")
         with pytest.raises(FileFormatError, match="trailing"):
+            load_gmm(p)
+
+    @pytest.mark.parametrize("entries", [(1,), (1, 2)], ids=["asymmetric", "indefinite"])
+    def test_sigma_bit_flip_is_a_file_error(self, tmp_path, entries):
+        p = tmp_path / "m.gmm"
+        save_gmm(p, two_blob_gmm())
+        data = bytearray(p.read_bytes())
+        sigma_at = len(data) - 2 * 2 * 2 * 4  # sigma's float32 payload ends the file
+        for e in entries:  # flat indices of sigma[0, 0, 1] and sigma[0, 1, 0]
+            data[sigma_at + 4 * e + 3] ^= 0x40  # top exponent bit: 0.0 -> 2.0
+        p.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match=re.escape(str(p))):
             load_gmm(p)
 
     def test_save_is_deterministic(self, tmp_path):
