@@ -1,20 +1,40 @@
-"""Pinned bytes of the standard-preset dataset splits (format version 1).
+"""Pinned bits of the pipeline: data, a small run and the CLI artifacts.
 
-The constants are the SHA-256 of every TNS1 file that
-`write_dataset(standard_shift_spec(0))` writes. A constant changes only in a
-change that says why the data moved. The float64 arithmetic behind the
-images runs through numpy's SIMD loops, so the stack the constants were made
-on is stored next to them and named in any failure.
+Three fingerprints, each a set of constants:
+- the SHA-256 of every TNS1 file that `write_dataset(standard_shift_spec(0))`
+  writes (format version 1);
+- a small in-process grid-seg `run_experiment`: its pre/post mIoU, final
+  train loss and every bound-diagnostics value, compared with `==`, and the
+  SHA-256 of the adapted model and mixture files;
+- the SHA-256 of every artifact of the blobs CLI pipeline in
+  `tests/test_cli.py`, with the nondeterministic lines left out.
+
+A constant changes only in a change that says why its results moved. The
+float64 arithmetic behind the data runs through numpy's SIMD loops, and the
+sgemm bits depend on the OpenBLAS kernel picked for this CPU, so the stack
+the constants were made on is stored next to them and named in any failure.
 """
 
+import ctypes
 import hashlib
 from pathlib import Path
 
 import numpy as np
 
-from protoadapt.datasets import standard_shift_spec, write_dataset
+from protoadapt import adaptation
+from protoadapt.adaptation import ExperimentConfig, run_experiment
+from protoadapt.autodiff import save_model
+from protoadapt.cli import main
+from protoadapt.datasets import DomainSpec, Shift, gen_grid_seg, standard_shift_spec, write_dataset
+from protoadapt.gmm import save_gmm
+from test_cli import CONFIG, SPEC
 
-PINNED_STACK = {"numpy": "2.4.6", "simd": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"}
+PINNED_STACK = {
+    "numpy": "2.4.6",
+    "simd": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR",
+    "openblas": "0.3.31.188.0",
+    "openblas_core": "SkylakeX",
+}
 
 PINNED_SHA256 = {
     "source/images.tns1": "35b145f867a9dac111e36b26d6a5f7b6a137b389c7d8457527941bedccdfd4fd",
@@ -22,6 +42,46 @@ PINNED_SHA256 = {
     "target_train/images.tns1": "0d9647362154403930ee94c29467ba8af6917a943c5d26aff68620767f3762f8",
     "target_eval/images.tns1": "a819ec03a6516b207a941f7221376589763cf13026623c6ed1a3680f624a7dd1",
     "target_eval/labels.tns1": "1c23414a29d1d0c9c5cecccc80e06f97ea285b1d37815127ed80525435e14cb5",
+}
+
+PINNED_RUN = {
+    "pre_miou": 0.22794345406215574,
+    "post_miou": 0.6535361124452842,
+    "final_train_loss": 0.08229777961969376,
+    "w_sp_exact": 6.505860584795042,
+    "w_sp_sliced": 0.08224120623533564,
+    "w_tp_pre_exact": 42.43162653998048,
+    "w_tp_pre_sliced": 6.877994859481374,
+    "w_tp_post_exact": 7.892142844127851,
+    "w_tp_post_sliced": 0.40494269554621826,
+    "one_minus_tau": 0.5,
+    "e_source": 0.0294921875,
+    "e_target_pre": 0.6734375,
+    "e_target_post": 0.1623828125,
+    "N": 76800,
+    "M": 8192,
+    "N_p": 4096,
+}
+
+PINNED_RUN_SHA256 = {
+    "adapted.mdl1": "d9b4a6557c206e13c13690b87bcca14db55c4f6d39512d452f78ecac560e2a60",
+    "model.gmm1": "adf19541dde87db8d313c1a891d60f48bb854cbe4b0893122b6da6ffe98514e5",
+}
+
+PINNED_CLI_SHA256 = {
+    "model.mdl1": "55d1242b28e3364c5e51150b6d8ba3de435fbb96c79da3642c6727e9712a6d2e",
+    "model.mdl1.trainlog.csv": "ecbb13abda95a7d0645bc30ad0d0c721687b663d50529c4dc6d61eaf8be2600c",
+    "model.gmm1": "fa8539c7962d61e85275c461b4bac6c78e75904882f06ba5650d62041076a2a4",
+    "model.gmm1.meta": "5d81f06672d06c9f6e39320c492fdfc3d4a020fd309ae2d7419f01166c089746",
+    "adapted/adapted.mdl1": "6630e59bb5e5a1eded217315e5b179ddc381755db972ff66ea1464283bd8a66b",
+    "adapted/report.csv": "3a45ebfdbfa2a706efaf01d779af2b700f81d0c17539f95a75523ee7bd5e9003",
+    "adapted/diagnostics.txt": "ccd40ece930f393919158bd8598c17fdaa45d52c35c3e7062194bca1e0588e9c",
+    "adapted/gmm_samples.emb1": "1d0aa64850617cb860c715f39a12ec1f7d15e2d695dd19dbcb8c0220a75dc2df",
+    "adapted/target_post.emb1": "7ec1533b4b1750753580ed5e394a93f0d591dcca0586af15f99adb872e742e5a",
+    "adapted/target_pre.emb1": "9da988035e48d41b47be09c9d6bee5a3a97e15f36eb1ac58c09b84881c5c3d72",
+    "emb/data.emb1": "853797a3987f5d116f89ecb5aa165b7f596a58a9736183cf40db381595f50405",
+    "emb/data_pre.emb1": "6fb07ab67f7f4f79dc5450cdf9b06a94ad85ea4c5f7b0fd82c559c9f8c4660a2",
+    "emb/gmm_samples.emb1": "3ea0663b29c1136952ad76f82b10d3d0155735c63bef886da999e333de8d2636",
 }
 
 
@@ -35,15 +95,106 @@ def numpy_stack() -> dict:
     return {"numpy": np.__version__, "simd": ",".join(simd)}
 
 
+def blas_stack() -> dict:
+    """OpenBLAS's version and the core kernel it picked on this CPU.
+
+    The core name comes from the OpenBLAS that numpy bundles; "unknown" when
+    numpy links another BLAS.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = "unknown"
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return {"openblas": str(blas.get("version")), "openblas_core": core}
+
+
+def this_stack() -> dict:
+    return {**numpy_stack(), **blas_stack()}
+
+
+def assert_pinned(what: str, got: dict, pinned: dict) -> None:
+    changed = sorted(k for k in {**pinned, **got} if got.get(k) != pinned.get(k))
+    assert not changed, (
+        f"{what} differ from the pinned ones in {changed}; "
+        f"pinned on {PINNED_STACK}, this stack is {this_stack()}"
+    )
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_standard_preset_split_bytes(tmp_path):
     paths = write_dataset(tmp_path, standard_shift_spec(0))
     got = {
-        f"{split}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        f"{split}/{path.name}": sha256(path.read_bytes())
         for split, directory in paths.items()
         for path in Path(directory).glob("*.tns1")
     }
-    changed = sorted(k for k in {**PINNED_SHA256, **got} if got.get(k) != PINNED_SHA256.get(k))
-    assert not changed, (
-        f"standard-preset split bytes differ from the pinned ones in {changed}; "
-        f"pinned on {PINNED_STACK}, this stack is {numpy_stack()}"
+    assert_pinned("standard-preset split bytes", got, PINNED_SHA256)
+
+
+def test_small_run_experiment(tmp_path, monkeypatch):
+    shift = Shift(channel_gain=(1.4, 0.7, 1.0), noise_sigma=0.1)
+    xs, ys = gen_grid_seg(DomainSpec(K=5, n_images=300, seed=0))
+    xt, _ = gen_grid_seg(DomainSpec(K=5, n_images=300, seed=1, shift=shift), shifted=True)
+    xe, ye = gen_grid_seg(DomainSpec(K=5, n_images=100, seed=2, shift=shift), shifted=True)
+    config = ExperimentConfig(
+        source_steps=800, adapt_steps=20, pseudo_batch=128, lr=3e-3, tau_fit=0.5, tau_filter=0.5
     )
+    train_losses = []
+    train_source = adaptation.train_source
+
+    def recording_train_source(*args):
+        model, losses = train_source(*args)
+        train_losses.extend(losses)
+        return model, losses
+
+    monkeypatch.setattr(adaptation, "train_source", recording_train_source)
+    result = run_experiment(config, xs, ys, xt, xe, ye)
+    got = {
+        "pre_miou": result.pre_miou,
+        "post_miou": result.post_miou,
+        "final_train_loss": train_losses[-1],
+        **result.report.diagnostics.as_dict(),
+    }
+    assert_pinned("small run_experiment values", got, PINNED_RUN)
+    save_model(tmp_path / "adapted.mdl1", result.model)
+    save_gmm(tmp_path / "model.gmm1", result.gmm)
+    got = {name: sha256((tmp_path / name).read_bytes()) for name in ("adapted.mdl1", "model.gmm1")}
+    assert_pinned("small run_experiment artifact bytes", got, PINNED_RUN_SHA256)
+
+
+def _without(path: Path, key: str) -> bytes:
+    lines = path.read_text().splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith(f"{key}=")).encode()
+
+
+def test_cli_blobs_pipeline(tmp_path):
+    (tmp_path / "spec.txt").write_text(SPEC)
+    (tmp_path / "config.txt").write_text(CONFIG)
+    data, run = tmp_path / "data", tmp_path / "run"
+    config = ["--config", str(tmp_path / "config.txt")]
+    model, gmm = run / "model.mdl1", run / "model.gmm1"
+    adapted = run / "adapted" / "adapted.mdl1"
+    for argv in (
+        ["gen-data", "--spec", str(tmp_path / "spec.txt"), "--out", str(data)],
+        ["train", *config, "--data", str(data / "source"), "--out", str(model)],
+        ["estimate", *config, "--ckpt", str(model), "--data", str(data / "source"), "--out", str(gmm)],
+        ["adapt", *config, "--ckpt", str(model), "--gmm", str(gmm),
+         "--target", str(data / "target_train"), "--out", str(run / "adapted")],
+        ["export-embeddings", "--ckpt", str(adapted), "--ckpt-pre", str(model), "--gmm", str(gmm),
+         "--data", str(data / "target_train"), "--seed", "0", "--out", str(run / "emb")],
+    ):
+        assert main(argv) == 0, argv[0]
+    names = ["model.mdl1", "model.mdl1.trainlog.csv", "model.gmm1", "adapted/adapted.mdl1", "adapted/report.csv"]
+    names += sorted(str(p.relative_to(run)) for p in run.glob("*/*.emb1"))
+    got = {name: sha256((run / name).read_bytes()) for name in names}
+    # The source path and the wall clock differ from run to run.
+    got["model.gmm1.meta"] = sha256(_without(run / "model.gmm1.meta", "source_data"))
+    got["adapted/diagnostics.txt"] = sha256(_without(run / "adapted" / "diagnostics.txt", "wall_clock"))
+    assert_pinned("CLI blobs pipeline artifact bytes", got, PINNED_CLI_SHA256)
