@@ -43,7 +43,6 @@ class ExperimentConfig:
     seed: int = 0
     encoder_hidden: tuple[int, ...] = (64, 32)
     neighborhood: bool = True
-    freeze_classifier: bool = False
 
     def __post_init__(self):
         """Reject out-of-range values at construction, before any work."""
@@ -188,16 +187,24 @@ def pixel_error(model: SegModel, images: np.ndarray, labels: np.ndarray) -> floa
 # ---------------------------------------------------------------- estimation
 
 
+# Draws in the pseudo cloud of each transport term, capped at the pixels
+# measured: w_sp (estimate_stage) and w_tp compare only at one cloud size.
+PSEUDO_CLOUD = 4096
+DIAG_SUBSAMPLE = 8192  # target embedding rows each w_tp term subsamples
+DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
+
+
 @dataclass
 class EstimateInfo:
-    """Source-phase facts persisted in the GMM sidecar; the only numbers
-    about the source domain that survive into the adaptation phase."""
+    """Source-phase facts persisted in the GMM `.meta` sidecar; the only
+    numbers about the source domain that survive into the adaptation phase.
+    The defaults stand for a sidecar that is missing or lacks the field."""
 
-    w_sp_exact: float
-    w_sp_sliced: float
-    e_source: float
-    n_pixels: int
-    support_counts: np.ndarray
+    w_sp_exact: float = float("nan")
+    w_sp_sliced: float = float("nan")
+    e_source: float = float("nan")
+    n_pixels: int = 0
+    support_counts: tuple[int, ...] = ()
 
 
 def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projections: int = 100):
@@ -238,15 +245,15 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     support = build_support_sets(emb, flat, probs, config.tau_fit)
     gmm = estimate_gmm(emb, support, tau_fit=config.tau_fit)
 
-    pseudo = generate_pseudo_dataset(
-        gmm, partial(ad.forward_classify, model), min(4096, emb.shape[0]), config.tau_filter, rng
-    )
+    n_pseudo = min(PSEUDO_CLOUD, emb.shape[0])
+    probs_fn = partial(ad.forward_classify, model)
+    pseudo = generate_pseudo_dataset(gmm, probs_fn, n_pseudo, config.tau_filter, rng)
     w_exact, w_sliced = wasserstein_estimates(
         emb, pseudo.Z, rng, num_projections=config.num_projections
     )
     e_source = float(np.mean(probs.argmax(axis=1) != flat))
-    info = EstimateInfo(w_exact, w_sliced, e_source, emb.shape[0], support.counts)
-    return gmm, info
+    counts = tuple(support.counts.tolist())
+    return gmm, EstimateInfo(w_exact, w_sliced, e_source, emb.shape[0], counts)
 
 
 # ---------------------------------------------------------------- adaptation
@@ -257,7 +264,7 @@ def adapt_source_free(
 ):
     """Minimize pseudo-label cross-entropy + lambda * squared SWD between
     target pixel embeddings and pseudo samples. Updates encoder, decoder
-    and classifier (classifier optionally frozen).
+    and classifier.
 
     Returns (adapted_model, AdaptationReport); the input model is left
     untouched. The report's diagnostics are left empty: callers fill them
@@ -279,10 +286,7 @@ def adapt_source_free(
     frozen_probs_fn = partial(ad.forward_classify, model)
 
     model = _clone_model(model)
-    trainable = model.parameters()
-    if config.freeze_classifier:
-        ncls = 2 * len(model.classifier_layers)
-        trainable = trainable[:-ncls]
+    params = model.parameters()
     state = AdamState()
     swd_cfg = SlicedConfig(num_projections=config.num_projections)
     kept = []
@@ -318,7 +322,7 @@ def adapt_source_free(
             raise DivergenceError(f"adaptation loss non-finite at step {step}", step=step)
         grads = backward(tape, total)
         lr = config.lr if config.adapt_lr is None else config.adapt_lr
-        adam_step(trainable, grads, state, lr)
+        adam_step(params, grads, state, lr)
         report.steps.append((step, ce_v, swd_v, total_v))
 
     report.kept_fraction = float(np.mean(kept)) if kept else float("nan")
@@ -357,21 +361,20 @@ def compute_bound_diagnostics(
     target_post_embeddings: np.ndarray,
     config: ExperimentConfig,
     rng: Rng,
-    estimate_info: EstimateInfo | None = None,
-    e_target_pre: float = float("nan"),
-    e_target_post: float = float("nan"),
+    estimate_info: EstimateInfo,
 ) -> tuple[BoundDiagnostics, PseudoDataset]:
-    """Populate every observable bound term; returns (diagnostics, pseudo set).
+    """Every bound term but the labelled target errors; returns (diagnostics,
+    pseudo set). The source-side terms come from `estimate_info`.
 
     The target-side terms measure the target embeddings before and after
-    adaptation against one pseudo cloud: min(4096, target pixels) draws
-    from `gmm`, kept where the classifier of `model`, the adapted model, is
-    confident above tau_filter. With one cloud for both terms, their difference
-    comes only from the moved target embeddings. The adapted classifier
-    filters the cloud, not the pre-adaptation one that filtered the
-    adaptation batches, so that w_tp values stay comparable with reports
-    already written; switching would move all of them. Each embedding set
-    is subsampled to at most 8192 rows first.
+    adaptation against one pseudo cloud: min(PSEUDO_CLOUD, target pixels)
+    draws from `gmm`, kept where the classifier of `model`, the adapted
+    model, is confident above tau_filter. With one cloud for both terms,
+    their difference comes only from the moved target embeddings. The
+    adapted classifier filters the cloud, not the pre-adaptation one that
+    filtered the adaptation batches, so that w_tp values stay comparable
+    with reports already written; switching would move all of them. Each
+    embedding set is subsampled to at most DIAG_SUBSAMPLE rows first.
 
     Draws from `rng` in this order: the pseudo cloud, the pre subsample,
     the post subsample, the pre estimates, the post estimates. Callers
@@ -380,31 +383,31 @@ def compute_bound_diagnostics(
     pseudo = generate_pseudo_dataset(
         gmm,
         partial(ad.forward_classify, model),
-        min(4096, target_pre_embeddings.shape[0]),
+        min(PSEUDO_CLOUD, target_pre_embeddings.shape[0]),
         config.tau_filter,
         rng,
     )
     pre, post = (
-        emb[rng.subsample(emb.shape[0], min(8192, emb.shape[0]))]
+        emb[rng.subsample(emb.shape[0], min(DIAG_SUBSAMPLE, emb.shape[0]))]
         for emb in (target_pre_embeddings, target_post_embeddings)
     )
-    diag = BoundDiagnostics()
-    diag.one_minus_tau = 1.0 - config.tau_filter
-    if estimate_info is not None:
-        diag.w_sp_exact = estimate_info.w_sp_exact
-        diag.w_sp_sliced = estimate_info.w_sp_sliced
-        diag.e_source = estimate_info.e_source
-        diag.N = estimate_info.n_pixels
-    diag.N_p = pseudo.Z.shape[0]
-    diag.M = pre.shape[0]
-    diag.w_tp_pre_exact, diag.w_tp_pre_sliced = wasserstein_estimates(
-        pre, pseudo.Z, rng, num_projections=config.num_projections
+    (pre_exact, pre_sliced), (post_exact, post_sliced) = (
+        wasserstein_estimates(emb, pseudo.Z, rng, num_projections=config.num_projections)
+        for emb in (pre, post)
     )
-    diag.w_tp_post_exact, diag.w_tp_post_sliced = wasserstein_estimates(
-        post, pseudo.Z, rng, num_projections=config.num_projections
+    diag = BoundDiagnostics(
+        w_sp_exact=estimate_info.w_sp_exact,
+        w_sp_sliced=estimate_info.w_sp_sliced,
+        w_tp_pre_exact=pre_exact,
+        w_tp_pre_sliced=pre_sliced,
+        w_tp_post_exact=post_exact,
+        w_tp_post_sliced=post_sliced,
+        one_minus_tau=1.0 - config.tau_filter,
+        e_source=estimate_info.e_source,
+        N=estimate_info.n_pixels,
+        M=pre.shape[0],
+        N_p=pseudo.Z.shape[0],
     )
-    diag.e_target_pre = e_target_pre
-    diag.e_target_post = e_target_post
     return diag, pseudo
 
 
@@ -442,18 +445,11 @@ def run_experiment(
     model, report = adapt_source_free(model, gmm, target_images, config)
 
     post_iou, post_miou = evaluate_miou(model, eval_images, eval_labels)
-    e_post = pixel_error(model, eval_images, eval_labels)
     target_post = pixel_embeddings(model, np.asarray(target_images, np.float32))
 
     report.diagnostics, _ = compute_bound_diagnostics(
-        gmm,
-        model,
-        target_pre,
-        target_post,
-        config,
-        Rng(config.seed ^ 0xD1A6),
-        estimate_info=info,
-        e_target_pre=e_pre,
-        e_target_post=e_post,
+        gmm, model, target_pre, target_post, config, Rng(config.seed ^ DIAG_SALT), info
     )
+    report.diagnostics.e_target_pre = e_pre
+    report.diagnostics.e_target_post = pixel_error(model, eval_images, eval_labels)
     return ExperimentResult(model, gmm, report, pre_miou, post_miou, pre_iou, post_iou, info)

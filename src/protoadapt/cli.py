@@ -16,7 +16,6 @@ import csv
 import os
 import sys
 import typing
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import adaptation as adapt_mod
 from . import autodiff as ad
 from . import datasets as ds
-from .adaptation import ExperimentConfig
+from .adaptation import DIAG_SALT, PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
 from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
@@ -89,20 +88,37 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def echo_config(config: ExperimentConfig, out_dir: str) -> None:
-    """Write resolved_config.txt so that `--config` reads it back as `config`.
-
-    Fields left at None (their default) are omitted: a config file has no
-    spelling for None.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        ("lambda" if k == "lambda_" else k): v
-        for k, v in config.__dict__.items()
+def _format_values(record) -> dict:
+    """A dataclass's fields as `_parse_values` reads them back: tuples as
+    comma lists, and fields at None omitted (key=value has no spelling
+    for None)."""
+    return {
+        k: ",".join(str(x) for x in v) if isinstance(v, tuple) else v
+        for k, v in record.__dict__.items()
         if v is not None
     }
-    payload["encoder_hidden"] = ",".join(str(x) for x in config.encoder_hidden)
+
+
+def echo_config(config: ExperimentConfig, out_dir: str) -> None:
+    """Write resolved_config.txt so that `--config` reads it back as `config`."""
+    os.makedirs(out_dir, exist_ok=True)
+    payload = {("lambda" if k == "lambda_" else k): v for k, v in _format_values(config).items()}
     write_keyvalue(os.path.join(out_dir, "resolved_config.txt"), payload)
+
+
+_INFO_TYPES = typing.get_type_hints(EstimateInfo)
+
+
+def read_sidecar(path: str) -> tuple[str, EstimateInfo]:
+    """(source data path, EstimateInfo) from a mixture's `.meta` sidecar.
+
+    A missing sidecar gives ("", EstimateInfo()), whose source terms are
+    NaN. `tau_fit` is skipped: the mixture file holds it.
+    """
+    meta = read_keyvalue(path) if os.path.exists(path) else {}
+    source = meta.pop("source_data", "")
+    meta.pop("tau_fit", None)
+    return source, EstimateInfo(**_parse_values(_INFO_TYPES, meta, "sidecar"))
 
 
 def _require_dir(path: str, what: str) -> str:
@@ -169,26 +185,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = load_config(args.config, {"seed": args.seed})
-    if args.tau is not None:
-        config = replace(config, tau_fit=args.tau)
+    config = load_config(args.config, {"seed": args.seed, "tau_fit": args.tau})
     model = ad.load_model(args.ckpt)
     data_dir = _require_dir(args.data, "data")
     images, labels, _ = _load_labeled(data_dir)
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
-    write_keyvalue(
-        args.out + ".meta",
-        {
-            "source_data": os.path.realpath(data_dir),
-            "tau_fit": config.tau_fit,
-            "w_sp_exact": info.w_sp_exact,
-            "w_sp_sliced": info.w_sp_sliced,
-            "e_source": info.e_source,
-            "n_pixels": info.n_pixels,
-            "support_counts": ",".join(str(int(c)) for c in info.support_counts),
-        },
-    )
+    sidecar = {"source_data": os.path.realpath(data_dir), "tau_fit": config.tau_fit}
+    write_keyvalue(args.out + ".meta", sidecar | _format_values(info))
     print(
         f"gmm: {args.out} K={gmm.K} d={gmm.dim} tau_fit={gmm.tau_fit} "
         f"w_sp_exact={info.w_sp_exact:.6g} w_sp_sliced={info.w_sp_sliced:.6g}"
@@ -196,11 +200,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _check_source_freedom(target_dir: str, meta_path: str) -> None:
-    if not os.path.exists(meta_path):
-        return
-    meta = read_keyvalue(meta_path)
-    source = meta.get("source_data", "")
+def _check_source_freedom(target_dir: str, source: str) -> None:
     if not source:
         return
     target = os.path.realpath(target_dir)
@@ -220,7 +220,8 @@ def cmd_adapt(args) -> int:
         },
     )
     target_dir = _require_dir(args.target, "target")
-    _check_source_freedom(target_dir, args.gmm + ".meta")
+    source, info = read_sidecar(args.gmm + ".meta")
+    _check_source_freedom(target_dir, source)
     if os.path.exists(os.path.join(target_dir, "labels.tns1")):
         raise CliError("target directory must not contain a labels file")
 
@@ -241,17 +242,9 @@ def cmd_adapt(args) -> int:
             (s, f"{ce:.8g}", f"{sw:.8g}", f"{t:.8g}") for s, ce, sw, t in report.steps
         )
 
-    meta = read_keyvalue(args.gmm + ".meta") if os.path.exists(args.gmm + ".meta") else {}
-    info = adapt_mod.EstimateInfo(
-        float(meta.get("w_sp_exact", "nan")),
-        float(meta.get("w_sp_sliced", "nan")),
-        float(meta.get("e_source", "nan")),
-        int(meta.get("n_pixels", 0)),
-        np.array([]),
-    )
-    diag_rng = Rng(config.seed ^ 0xD1A6)
+    diag_rng = Rng(config.seed ^ DIAG_SALT)
     diag, pseudo = adapt_mod.compute_bound_diagnostics(
-        gmm, adapted, target_pre, target_post, config, diag_rng, estimate_info=info
+        gmm, adapted, target_pre, target_post, config, diag_rng, info
     )
     diag_map = diag.as_dict()
     diag_map["kept_fraction"] = report.kept_fraction
@@ -261,7 +254,7 @@ def cmd_adapt(args) -> int:
     # Fig.-3-style embedding exports (labels for target are unknown: -1).
     # The pseudo cloud was labelled by the adapted classifier, so its
     # labels are also its predictions.
-    emb_cap = diag_rng.subsample(target_pre.shape[0], min(4096, target_pre.shape[0]))
+    emb_cap = diag_rng.subsample(target_pre.shape[0], min(PSEUDO_CLOUD, target_pre.shape[0]))
     save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
     for name, m, emb in (("target_pre", model, target_pre), ("target_post", adapted, target_post)):
         rows = emb[emb_cap]
@@ -330,7 +323,8 @@ def cmd_export_embeddings(args) -> int:
     if args.gmm:
         gmm = load_gmm(args.gmm)
         rng = Rng(args.seed or 0)
-        pseudo = generate_pseudo_dataset(gmm, partial(ad.forward_classify, model), 4096, 0.0, rng)
+        probs_fn = partial(ad.forward_classify, model)
+        pseudo = generate_pseudo_dataset(gmm, probs_fn, PSEUDO_CLOUD, 0.0, rng)
         written.append(os.path.join(args.out, "gmm_samples.emb1"))
         # Labels come from this model's classifier, so they are its predictions.
         save_embeddings(written[-1], pseudo.Z, pseudo.Y, pseudo.Y)

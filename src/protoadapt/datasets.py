@@ -101,9 +101,11 @@ class DomainSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
-        for key in ("n_images", "height", "width"):
+        for key in ("n_images", "height", "width", "channels"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.shift.noise_sigma >= 0.0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.shift.noise_sigma}")
         if self.kind == "grid-seg":
             # grid-seg images are RGB, and its shift has no rotation or mean
             # shift: a spec that sets them would describe data never written.
@@ -114,6 +116,11 @@ class DomainSpec:
             ):
                 if value != allowed:
                     raise ValueError(f"grid-seg requires {key}={allowed}, got {value}")
+            # One gain per RGB channel; blobs pad missing gains with 1.0.
+            if len(self.shift.channel_gain) != 3:
+                raise ValueError(
+                    f"grid-seg requires 3 channel_gain values, got {self.shift.channel_gain}"
+                )
 
 
 def standard_shift_spec(seed: int = 0) -> DomainSpec:

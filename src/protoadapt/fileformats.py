@@ -4,6 +4,8 @@ All multi-byte fields are little-endian.
 
 TNS1 tensor block:
     magic "TNS1" | u32 rank | rank x u32 dims | prod(dims) x f32 data
+A block whose dims ask for more payload than the file has left is
+rejected before any payload is read.
 
 EMB1 embedding export:
     magic "EMB1" | one TNS1 block of shape [n, d+2]
@@ -15,6 +17,8 @@ modules; see their save/load functions.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -65,9 +69,17 @@ def read_tns1(f) -> np.ndarray:
         raise FileFormatError(f"bad tensor magic {magic!r}")
     rank = read_u32(f)
     shape = tuple(read_u32(f) for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4")
-    return data.reshape(shape).astype(np.float32)
+    nbytes = 4 * math.prod(shape)
+    here = f.tell()
+    left = f.seek(0, os.SEEK_END) - here
+    f.seek(here)
+    if nbytes > left:
+        raise FileFormatError(f"tensor payload of {nbytes} bytes exceeds the {left} bytes left")
+    data = np.frombuffer(_read_exact(f, nbytes), dtype="<f4")
+    try:
+        return data.reshape(shape).astype(np.float32)
+    except ValueError:  # a zero dim next to dims numpy cannot index
+        raise FileFormatError(f"tensor shape {shape} is not a valid array shape") from None
 
 
 def save_tensor(path, arr: np.ndarray) -> None:

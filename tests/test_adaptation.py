@@ -7,6 +7,7 @@ import pytest
 
 from protoadapt import autodiff as ad
 from protoadapt.adaptation import (
+    PSEUDO_CLOUD,
     ExperimentConfig,
     adapt_source_free,
     estimate_stage,
@@ -179,7 +180,8 @@ class TestEstimateStage:
         gmm, info = estimate_stage(model, xs, ys, cfg)
         assert gmm.K == 3
         assert info.n_pixels == xs.shape[0]
-        assert info.support_counts.sum() > 0.8 * xs.shape[0]
+        assert len(info.support_counts) == 3
+        assert sum(info.support_counts) > 0.8 * xs.shape[0]
         assert info.w_sp_exact >= 0 and info.w_sp_sliced >= 0
         assert 0.0 <= info.e_source <= 0.05
 
@@ -267,19 +269,6 @@ class TestAdaptation:
         for _, ce, swd, total in report.steps:
             assert total == pytest.approx(ce, abs=1e-6)
 
-    def test_freeze_classifier(self):
-        cfg, model, gmm, xt = self.setup_run(freeze_classifier=True, adapt_steps=10)
-        adapted, _ = adapt_source_free(model, gmm, xt, cfg)
-        ncls = len(model.classifier_layers)
-        for (w1, b1), (w2, b2) in zip(model.classifier_layers, adapted.classifier_layers):
-            np.testing.assert_array_equal(w1.data, w2.data)
-            np.testing.assert_array_equal(b1.data, b2.data)
-        changed = any(
-            not np.array_equal(a[0].data, b[0].data)
-            for a, b in zip(model.encoder_layers, adapted.encoder_layers)
-        )
-        assert changed
-
     def test_determinism(self):
         cfg, model, gmm, xt = self.setup_run(adapt_steps=10)
         m1, r1 = adapt_source_free(model, gmm, xt, cfg)
@@ -337,7 +326,7 @@ class TestRunExperiment:
         emb = pixel_embeddings(model, xs)
         from protoadapt.gmm import generate_pseudo_dataset
 
-        n_pseudo = min(4096, emb.shape[0])  # same draw size as estimate_stage
+        n_pseudo = min(PSEUDO_CLOUD, emb.shape[0])  # same draw size as estimate_stage
         vals = []
         for i in range(10):
             pseudo = generate_pseudo_dataset(

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from protoadapt import autodiff as ad
-from protoadapt.adaptation import ExperimentConfig, compute_bound_diagnostics, pixel_embeddings
-from protoadapt.cli import load_config, main
+from protoadapt.adaptation import (
+    DIAG_SALT,
+    EstimateInfo,
+    ExperimentConfig,
+    compute_bound_diagnostics,
+    pixel_embeddings,
+)
+from protoadapt.cli import load_config, main, read_sidecar
 from protoadapt.datasets import load_split
 from protoadapt.fileformats import load_embeddings, read_keyvalue, write_keyvalue
 from protoadapt.gmm import load_gmm
@@ -131,6 +137,23 @@ class TestGenData:
         spec.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind,line",
+        [
+            ("grid-seg", "channel_gain=1.4"),
+            ("grid-seg", "channel_gain=1.4,0.7"),
+            ("blobs", "channels=0"),
+            ("grid-seg", "noise_sigma=-1"),
+            ("blobs", "noise_sigma=-1"),
+        ],
+    )
+    def test_spec_that_cannot_mean_what_it_says_names_field(self, tmp_path, capsys, kind, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"kind={kind}\nn_images=3\nn_eval=3\n{line}\n")
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [False, True], ids=["spec-key", "flag"])
@@ -353,18 +376,47 @@ class TestAdapt:
         images, _, _ = load_split(str(workspace / "data" / "target_train"))
         model = ad.load_model(workspace / "model.mdl1")
         adapted = ad.load_model(out / "adapted.mdl1")
-        diag, pseudo = compute_bound_diagnostics(
+        _, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
+        diag, _ = compute_bound_diagnostics(
             load_gmm(workspace / "model.gmm1"),
             adapted,
             pixel_embeddings(model, images),
             pixel_embeddings(adapted, images),
             config,
-            Rng(config.seed ^ 0xD1A6),
+            Rng(config.seed ^ DIAG_SALT),
+            info,
         )
         written = read_keyvalue(out / "diagnostics.txt")
-        for key in ("w_tp_pre_exact", "w_tp_pre_sliced", "w_tp_post_exact", "w_tp_post_sliced"):
-            assert float(written[key]) == getattr(diag, key)
-        assert int(written["N_p"]) == pseudo.Z.shape[0]
+        del written["kept_fraction"], written["wall_clock"]
+        assert written == {key: str(value) for key, value in diag.as_dict().items()}
+        assert float(written["w_sp_exact"]) == info.w_sp_exact >= 0.0
+
+    def test_sidecar_is_estimate_info(self, workspace):
+        meta = read_keyvalue(str(workspace / "model.gmm1") + ".meta")
+        source, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
+        assert source == meta["source_data"]
+        fields = [f.name for f in dataclasses.fields(EstimateInfo)]
+        assert list(meta) == ["source_data", "tau_fit", *fields]
+        assert len(info.support_counts) == 3 and all(type(c) is int for c in info.support_counts)
+
+    @pytest.mark.parametrize("line", ["w_sp_exact=abc", "n_pixels=1.5", "support_counts=3,x", "wibble=1"])
+    def test_bad_sidecar_line_names_key(self, workspace, tmp_path, capsys, line):
+        gmm = tmp_path / "model.gmm1"
+        shutil.copy(workspace / "model.gmm1", gmm)
+        meta = read_keyvalue(str(workspace / "model.gmm1") + ".meta")
+        key, value = line.split("=")
+        write_keyvalue(str(gmm) + ".meta", {**meta, key: value})
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
+    def test_missing_sidecar_gives_nan_source_terms(self, workspace, tmp_path):
+        gmm = tmp_path / "model.gmm1"
+        shutil.copy(workspace / "model.gmm1", gmm)
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 0
+        diag = read_keyvalue(tmp_path / "run" / "diagnostics.txt")
+        assert [diag[k] for k in ("w_sp_exact", "w_sp_sliced", "e_source", "N")] == ["nan"] * 3 + ["0"]
+        assert float(diag["w_tp_post_exact"]) >= 0.0
 
     @pytest.mark.parametrize("line", ["batch_target=0", "pseudo_batch=0", "adapt_steps=-3"])
     def test_out_of_range_config_value_names_key(self, workspace, tmp_path, capsys, line):
@@ -529,9 +581,13 @@ class TestEvalDiagnoseExport:
 
 
 def test_readme_config_keys_match_experiment_config():
-    """README's list of config keys names every ExperimentConfig field."""
+    """README's lists of config and sidecar keys name every ExperimentConfig
+    and EstimateInfo field."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Keys mirror\s+`ExperimentConfig`:(.*?)\. Values are parsed", readme, re.S)
     keys = re.findall(r"`(\w+)`", listed.group(1))
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert keys == ["lambda" if name == "lambda_" else name for name in fields]
+    listed = re.search(r"the `EstimateInfo` fields:(.*?)\. `adapt` reads it", readme, re.S)
+    keys = re.findall(r"`(\w+)`", listed.group(1))
+    assert keys == [f.name for f in dataclasses.fields(EstimateInfo)]

@@ -61,12 +61,24 @@ class TestSpecValidation:
             DomainSpec(kind="grid-seg", **kwargs)
         DomainSpec(kind="blobs", **kwargs)  # blobs honour all three
 
+    @pytest.mark.parametrize("gains", [(1.4,), (1.4, 0.7), (1.4, 0.7, 1.0, 1.0)])
+    def test_grid_seg_needs_one_gain_per_channel(self, gains):
+        with pytest.raises(ValueError, match="3 channel_gain values"):
+            DomainSpec(kind="grid-seg", shift=Shift(channel_gain=gains))
+        DomainSpec(kind="blobs", shift=Shift(channel_gain=gains))  # blobs pad with 1.0
+
+    @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan")])
+    def test_negative_noise_sigma_rejected(self, kind, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            DomainSpec(kind=kind, shift=Shift(noise_sigma=sigma))
+
     def test_bad_K(self):
         with pytest.raises(ValueError):
             DomainSpec(K=1)
 
     @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
-    @pytest.mark.parametrize("field", ["n_images", "height", "width"])
+    @pytest.mark.parametrize("field", ["n_images", "height", "width", "channels"])
     def test_sizes_below_one_rejected(self, kind, field):
         for value in (0, -2):
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
@@ -107,6 +119,13 @@ class TestBlobs:
         b = gen_blobs(spec, shifted=True)  # shift object is all-zero
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_missing_gains_padded_with_one(self):
+        spec = DomainSpec(kind="blobs", K=3, n_images=60, shift=Shift(channel_gain=(2.0,)))
+        plain, _ = gen_blobs(spec, shifted=False)
+        shifted, _ = gen_blobs(spec, shifted=True)
+        np.testing.assert_array_equal(shifted[..., 0], 2 * plain[..., 0])
+        np.testing.assert_array_equal(shifted[..., 1:], plain[..., 1:])
 
     def test_gain_shift_scales_channel(self):
         spec = DomainSpec(

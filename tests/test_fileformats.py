@@ -107,6 +107,78 @@ def test_every_truncation_and_one_extra_byte_rejected(tmp_path, fmt):
             load(bad)
 
 
+def _tns1_header(data: bytes, at: int):
+    """(bytes of the magic, rank and dims of the TNS1 block at `at`, its end)."""
+    rank = struct.unpack_from("<I", data, at + 4)[0]
+    dims = struct.unpack_from(f"<{rank}I", data, at + 8)
+    header_end = at + 8 + 4 * rank
+    return range(at, header_end), header_end + 4 * int(np.prod(dims))
+
+
+def _structural_bytes(fmt: str, data: bytes) -> list:
+    """Offsets of every magic, rank, dim, count, header and trailer byte.
+
+    GMM1's f32 tau_fit is payload: format version 1 has no checksum for it.
+    """
+    ranges, at, blocks = [range(0, 4)], 4, 1
+    if fmt == "tns1":
+        at = 0
+    elif fmt == "mdl1":
+        ranges.append(range(4, 8))
+        at, blocks = 8, struct.unpack_from("<I", data, 4)[0]
+        ranges.append(range(len(data) - 28, len(data)))
+    elif fmt == "gmm1":
+        ranges.append(range(4, 12))
+        at, blocks = 16, 3
+    for _ in range(blocks):
+        header, at = _tns1_header(data, at)
+        ranges.append(header)
+    return sorted({i for r in ranges for i in r})
+
+
+def _loaded_arrays(obj) -> list:
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, PrototypicalGMM):
+        return [obj.alpha, obj.mu, obj.sigma, np.array(obj.tau_fit)]
+    layers = (obj.encoder_layers, obj.decoder_layers, obj.classifier_layers)
+    sizes = np.array([len(x) for x in layers] + [obj.neighborhood])
+    return [sizes] + [p.data for p in obj.parameters()]
+
+
+@pytest.mark.parametrize("fmt", ["tns1", "mdl1", "gmm1", "emb1"])
+def test_every_structural_bit_flip_loads_same_or_rejected(tmp_path, fmt):
+    path, load = _tiny_files(tmp_path)[fmt]
+    data = path.read_bytes()
+    want = _loaded_arrays(load(path))
+    bad = tmp_path / "bad"
+    for offset in _structural_bytes(fmt, data):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1 << bit
+            bad.write_bytes(bytes(flipped))
+            try:
+                got = _loaded_arrays(load(bad))
+            except FileFormatError:
+                continue
+            same = len(got) == len(want) and all(
+                g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+                for g, w in zip(got, want)
+            )
+            assert same, f"{fmt}: flipping bit {bit} of byte {offset} loaded different values"
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(1 << 31, 1 << 31, 1 << 31), (0x80000002, 4), (0, 1 << 31, 1 << 31, 1 << 31)],
+    ids=["product-overflows-int64", "34GB-payload", "zero-next-to-huge"],
+)
+def test_tns1_impossible_dims_rejected_before_reading(dims):
+    buf = io.BytesIO(b"TNS1" + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(8))
+    with pytest.raises(FileFormatError, match="bytes left|valid array shape"):
+        read_tns1(buf)
+
+
 def test_emb1_bad_magic(tmp_path):
     path = tmp_path / "e.emb1"
     save_tensor(path, np.ones((2, 2), dtype=np.float32))  # TNS1 magic, not EMB1
