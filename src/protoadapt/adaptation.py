@@ -59,6 +59,10 @@ class ExperimentConfig:
         for key in ("tau_fit", "tau_filter"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"config {key} must be in [0, 1), got {getattr(self, key)}")
+        # GMM1 stores tau_fit as float32, and a mixture whose tau_fit rounds
+        # up to 1 there could not be loaded back.
+        if np.float32(self.tau_fit) >= 1.0:
+            raise ConfigError(f"config tau_fit must stay below 1 as float32, got {self.tau_fit}")
 
 
 @dataclass
@@ -163,25 +167,39 @@ def pixel_embeddings(model: SegModel, images: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray):
-    """Per-class IoU (NaN where the class is absent on both sides) + mean."""
+def confusion_matrix(model: SegModel, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """[K, K] pixel counts, true class by predicted class, from one forward."""
     pred = predict_labels(model, images).reshape(-1)
-    true = _flat_labels(labels)
     K = model.K
     conf = np.zeros((K, K), dtype=np.int64)
-    np.add.at(conf, (true, pred), 1)
+    np.add.at(conf, (_flat_labels(labels), pred), 1)
+    return conf
+
+
+def miou_from_confusion(conf: np.ndarray):
+    """Per-class IoU (NaN where the class is absent on both sides) + mean."""
     tp = np.diag(conf).astype(np.float64)
     fp = conf.sum(axis=0) - tp
     fn = conf.sum(axis=1) - tp
     denom = tp + fp + fn
     iou = np.where(denom > 0, tp / np.maximum(denom, 1), np.nan)
-    miou = float(np.nanmean(iou))
-    return iou, miou
+    return iou, float(np.nanmean(iou))
+
+
+def error_from_confusion(conf: np.ndarray) -> float:
+    """Fraction of mislabeled pixels; `(n - trace) / n` divides the same two
+    exact integers as `np.mean(pred != true)`, so the bits agree."""
+    n = int(conf.sum())
+    return (n - int(np.trace(conf))) / n
+
+
+def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray):
+    """Per-class IoU (NaN where the class is absent on both sides) + mean."""
+    return miou_from_confusion(confusion_matrix(model, images, labels))
 
 
 def pixel_error(model: SegModel, images: np.ndarray, labels: np.ndarray) -> float:
-    pred = predict_labels(model, images).reshape(-1)
-    return float(np.mean(pred != _flat_labels(labels)))
+    return error_from_confusion(confusion_matrix(model, images, labels))
 
 
 # ---------------------------------------------------------------- estimation
@@ -438,18 +456,19 @@ def run_experiment(
     model, _ = train_source(config, source_images, source_labels)
     gmm, info = estimate_stage(model, source_images, source_labels, config)
 
-    pre_iou, pre_miou = evaluate_miou(model, eval_images, eval_labels)
-    e_pre = pixel_error(model, eval_images, eval_labels)
+    conf_pre = confusion_matrix(model, eval_images, eval_labels)
+    pre_iou, pre_miou = miou_from_confusion(conf_pre)
     target_pre = pixel_embeddings(model, np.asarray(target_images, np.float32))
 
     model, report = adapt_source_free(model, gmm, target_images, config)
 
-    post_iou, post_miou = evaluate_miou(model, eval_images, eval_labels)
+    conf_post = confusion_matrix(model, eval_images, eval_labels)
+    post_iou, post_miou = miou_from_confusion(conf_post)
     target_post = pixel_embeddings(model, np.asarray(target_images, np.float32))
 
     report.diagnostics, _ = compute_bound_diagnostics(
         gmm, model, target_pre, target_post, config, Rng(config.seed ^ DIAG_SALT), info
     )
-    report.diagnostics.e_target_pre = e_pre
-    report.diagnostics.e_target_post = pixel_error(model, eval_images, eval_labels)
+    report.diagnostics.e_target_pre = error_from_confusion(conf_pre)
+    report.diagnostics.e_target_post = error_from_confusion(conf_post)
     return ExperimentResult(model, gmm, report, pre_miou, post_miou, pre_iou, post_iou, info)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from .fileformats import (
@@ -136,41 +137,113 @@ def vrelu(tape: Tape, a: Value) -> Value:
     return tape.op(a.data * mask, (a,), lambda g: (g * mask,))
 
 
+# Rows shorter than this are reduced column by column. numpy adds a row of
+# fewer than 8 elements one at a time from +0.0 and sums longer rows
+# pairwise. Its max of a row longer than one SIMD vector runs in lanes,
+# which can flip the sign of a zero maximum; 8 is AVX-512's float64 lane
+# count, and a narrower vector unit would need a smaller cutoff for float64
+# rows to keep that sign. `vsoftmax` does not see it: exp(+-0) == 1.
+SHORT_ROW = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1, keepdims=True)`, bit for bit.
+
+    A short row is reduced one column at a time over all rows at once with
+    `np.maximum`, which takes the same first-wins choices as numpy's
+    in-order scalar row loop; longer rows use `a.max`.
+    """
+    k = a.shape[-1]
+    if k >= SHORT_ROW:
+        return a.max(axis=-1, keepdims=True)
+    cols = a.reshape(-1, k)
+    out = cols[:, 0].copy()
+    for j in range(1, k):
+        np.maximum(out, cols[:, j], out=out)
+    return out.reshape(*a.shape[:-1], 1)
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1, keepdims=True)`, bit for bit.
+
+    A short row is added one column at a time starting from +0.0, as numpy
+    does; starting from the first column would turn a row of -0.0 into
+    -0.0 where numpy gives +0.0. Longer rows use `a.sum` (pairwise).
+    """
+    k = a.shape[-1]
+    if k >= SHORT_ROW:
+        return a.sum(axis=-1, keepdims=True)
+    cols = a.reshape(-1, k)
+    out = np.zeros(cols.shape[0], a.dtype)
+    for j in range(k):
+        out += cols[:, j]
+    return out.reshape(*a.shape[:-1], 1)
+
+
+def _column_sum(g: np.ndarray) -> np.ndarray:
+    """`g.sum(axis=0)` of a 2-D array, bit for bit.
+
+    On a C-contiguous `g` wider than one column both forms add the rows in
+    order, and `einsum` does it faster. They differ in the sign of a NaN
+    made from inf - inf, so a NaN result is recomputed with `sum`. A single
+    column is contiguous, and there numpy sums pairwise while `einsum` does
+    not, so it keeps `sum` too.
+    """
+    if g.shape[1] > 1 and g.flags.c_contiguous:
+        out = np.einsum("ij->j", g)
+        if not np.isnan(out).any():
+            return out
+    return g.sum(axis=0)
+
+
 def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
     """One dense layer, `x @ w + b` then ReLU if `relu`, as a single node.
 
-    Forward and backward do the same arithmetic in the same order as
-    `vrelu(vadd(vmatmul(x, w), b))`, so values and gradients are bitwise
-    equal to that chain. The input gradient is skipped when `x` is a leaf
-    that is not a parameter.
+    Values and gradients are bitwise equal to those of the chain
+    `vrelu(vadd(vmatmul(x, w), b))`. The forward adds the bias and applies
+    the ReLU mask in place on the matmul output; that is the same
+    arithmetic as long as `b` does not promote the output's dtype, which
+    holds for the float32 stacks `_dense_stack` builds and for an all-
+    float64 layer. The bias gradient is `_column_sum`. The backward never
+    writes into the incoming gradient, which `vsum2` hands to two parents.
+    The input gradient is skipped when `x` is a leaf that is not a
+    parameter.
     """
     if x.data.shape[-1] != w.data.shape[0]:
         raise DimensionError(f"matmul: {x.data.shape} x {w.data.shape}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    if np.result_type(out, b.data) == out.dtype:
+        out += b.data
+    else:
+        out = out + b.data
     mask = None
     if relu:
         # A multiply, not np.maximum, so that -0.0 pre-activations stay -0.0.
         mask = out > 0
-        out = out * mask
+        np.multiply(out, mask, out=out)
     want_x = bool(x.parents) or x.param is not None
 
     def bwd(g):
         if mask is not None:
             g = g * mask
         gx = g @ w.data.T if want_x else None
-        return gx, x.data.T @ g, g.sum(axis=0)
+        return gx, x.data.T @ g, _column_sum(g)
 
     return tape.op(out, (x, w, b), bwd)
 
 
 def vsoftmax(tape: Tape, a: Value) -> Value:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis. The row max and sums are `_row_max`
+    and `_row_sum`, and the elementwise steps run in place; the bits are
+    those of the plain numpy expression
+    `e = exp(a - a.max(-1)); e / e.sum(-1)`."""
+    p = a.data - _row_max(a.data)
+    np.exp(p, out=p)
+    p /= _row_sum(p)
 
     def bwd(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
+        d = g - _row_sum(g * p)
+        return (np.multiply(p, d, out=d),)
 
     return tape.op(p, (a,), bwd)
 
@@ -290,17 +363,18 @@ def pad_images(images: np.ndarray, neighborhood: bool) -> np.ndarray:
 
 
 def feature_rows(padded: np.ndarray, neighborhood: bool) -> np.ndarray:
-    """`pad_images` output [B,H(+2),W(+2),C] -> [B*H*W, F] feature rows."""
+    """`pad_images` output [B,H(+2),W(+2),C] -> [B*H*W, F] feature rows.
+
+    With `neighborhood`, a row holds the 3x3 window around its pixel in
+    (dy, dx, channel) order: the bytes of concatenating the nine shifted
+    [B,H,W,C] slices on the channel axis, made here by one copy of a
+    strided window view.
+    """
     b, h, w, c = padded.shape
     if not neighborhood:
         return padded.reshape(b * h * w, c)
-    h, w = h - 2, w - 2
-    patches = [
-        padded[:, dy : dy + h, dx : dx + w, :]
-        for dy in range(3)
-        for dx in range(3)
-    ]
-    return np.concatenate(patches, axis=-1).reshape(b * h * w, 9 * c)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # [B,H,W,C,dy,dx]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * (h - 2) * (w - 2), 9 * c)
 
 
 def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
@@ -444,8 +518,8 @@ def save_model(path, model: SegModel) -> None:
 
 def load_model(path) -> SegModel:
     """Read an MDL1 checkpoint, rejecting trailing bytes, layers that do not
-    chain, an empty encoder+decoder or classifier, and a trailer whose
-    sizes differ from the weights'."""
+    chain, an empty encoder+decoder or classifier, a neighborhood flag other
+    than 0 or 1, and a trailer whose sizes differ from the weights'."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MDL1_MAGIC:
             raise FileFormatError("bad model magic")
@@ -458,6 +532,8 @@ def load_model(path) -> SegModel:
         raise FileFormatError("tensor count does not match layer counts")
     if n_enc + n_dec == 0 or n_cls == 0:
         raise FileFormatError("model has no encoder/decoder or no classifier layers")
+    if flag not in (0, 1):
+        raise FileFormatError(f"neighborhood flag must be 0 or 1, got {flag}")
     fan_in = None
     for i, (w, b) in enumerate(zip(tensors[::2], tensors[1::2])):
         if w.ndim != 2 or fan_in not in (None, w.shape[0]) or b.shape != w.shape[1:]:
@@ -465,7 +541,7 @@ def load_model(path) -> SegModel:
         fan_in = w.shape[1]
     layers = [(Parameter(w), Parameter(b)) for w, b in zip(tensors[::2], tensors[1::2])]
     model = SegModel(
-        layers[:n_enc], layers[n_enc : n_enc + n_dec], layers[n_enc + n_dec :], bool(flag)
+        layers[:n_enc], layers[n_enc : n_enc + n_dec], layers[n_enc + n_dec :], flag == 1
     )
     feats = in_channels * (9 if model.neighborhood else 1)
     if (K, embed_dim, feats) != (model.K, model.embed_dim, model.input_features):

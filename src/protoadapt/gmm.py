@@ -191,8 +191,8 @@ def generate_pseudo_dataset(
 
 # ---------------------------------------------------------------- GMM1 file
 
-# GMM1 layout: magic | u32 K | u32 d | f32 tau_fit | alpha, mu, sigma as
-# TNS1 blocks. Cholesky factors are recomputed on load.
+# GMM1 layout: magic | u32 K | u32 d | f32 tau_fit in [0, 1) | alpha, mu,
+# sigma as TNS1 blocks. Cholesky factors are recomputed on load.
 
 
 def save_gmm(path, gmm: PrototypicalGMM) -> None:
@@ -220,6 +220,8 @@ def load_gmm(path) -> PrototypicalGMM:
             raise FileFormatError("trailing bytes after GMM payload")
     if K < 1 or alpha.shape != (K,) or mu.shape != (K, d) or sigma.shape != (K, d, d):
         raise FileFormatError("GMM tensor shapes inconsistent with header")
+    if not 0.0 <= tau_fit < 1.0:  # also rejects NaN
+        raise FileFormatError(f"GMM tau_fit must be in [0, 1), got {tau_fit}")
     try:
         return PrototypicalGMM(alpha, mu, sigma, tau_fit)
     except (DimensionError, FactorizationError) as exc:

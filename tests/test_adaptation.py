@@ -10,9 +10,11 @@ from protoadapt.adaptation import (
     PSEUDO_CLOUD,
     ExperimentConfig,
     adapt_source_free,
+    error_from_confusion,
     estimate_stage,
     evaluate_miou,
     pixel_embeddings,
+    pixel_error,
     run_experiment,
     train_source,
     wasserstein_estimates,
@@ -62,6 +64,7 @@ class TestConfigRanges:
             ("pseudo_batch", 0),
             ("num_projections", 0),
             ("tau_fit", 1.0),
+            ("tau_fit", 0.99999999),  # 1.0 as float32, GMM1's tau_fit type
             ("tau_filter", -0.1),
             ("tau_filter", float("nan")),
         ],
@@ -123,6 +126,23 @@ class TestMiou:
         assert miou == pytest.approx(
             self.miou_of_maps(ys.reshape(-1), pred.reshape(-1), model.K), abs=1e-12
         )
+
+    def test_error_from_confusion_matches_mean_of_mismatches(self):
+        rng = np.random.default_rng(40)
+        for n in (1, 3, 7, 1000, 512000):
+            true = rng.integers(0, 5, n)
+            pred = np.where(rng.random(n) < rng.random(), true, rng.integers(0, 5, n))
+            conf = np.zeros((5, 5), np.int64)
+            np.add.at(conf, (true, pred), 1)
+            assert error_from_confusion(conf) == float(np.mean(pred != true))
+
+    def test_pixel_error_matches_mean_of_mismatches(self):
+        model = self.train_tiny()
+        xs, ys, *_ = blob_splits(seed=5)
+        from protoadapt.adaptation import predict_labels
+
+        pred = predict_labels(model, xs)
+        assert pixel_error(model, xs, ys) == float(np.mean(pred != ys))
 
     def test_hand_case_half_overlap(self):
         # direct check of the arithmetic on a handmade confusion pattern:

@@ -12,10 +12,12 @@ from protoadapt.autodiff import (
     backward,
     classify_flat,
     embed_flat,
+    feature_rows,
     forward_classify,
     forward_embed,
     init_model,
     load_model,
+    pad_images,
     pixel_features,
     save_model,
     vadd,
@@ -27,6 +29,7 @@ from protoadapt.autodiff import (
     vsoftmax,
     vsum2,
 )
+from protoadapt.autodiff import _column_sum, _row_max, _row_sum
 from protoadapt.adaptation import ExperimentConfig, _gather_backward, train_source
 from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
@@ -443,6 +446,131 @@ class TestBitwiseOracle:
         assert state.t == 1
 
 
+# ---------------------------------------------------------------- kernels
+# The short-axis kernels against the numpy forms they replace, compared
+# bit for bit (signed zeros and NaN payloads included).
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view({4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+
+
+def _hard_rows(n, k, dtype, seed):
+    """[n, k] values spread over 60 decades, a third of them replaced by
+    ±0.0, ±inf, NaN, subnormals or ±1e±30, and a tenth of the rows made of
+    signed zeros only."""
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -3 * tiny, 1e-30, -1e-30, 1e30, -1e30], dtype
+    )
+    a = (rng.normal(size=(n, k)) * 10.0 ** rng.integers(-30, 31, (n, k))).astype(dtype)
+    hit = rng.random((n, k)) < 0.3
+    a[hit] = rng.choice(specials, hit.sum())
+    zero_rows = rng.random(n) < 0.1
+    a[zero_rows] = rng.choice(specials[:2], (zero_rows.sum(), k))
+    return a
+
+
+def _slice_concat_rows(padded, neighborhood):
+    """The reference `feature_rows`: nine shifted slices concatenated on the
+    channel axis."""
+    b, h, w, c = padded.shape
+    if not neighborhood:
+        return padded.reshape(b * h * w, c)
+    h, w = h - 2, w - 2
+    patches = [padded[:, dy : dy + h, dx : dx + w, :] for dy in range(3) for dx in range(3)]
+    return np.concatenate(patches, axis=-1).reshape(b * h * w, 9 * c)
+
+
+class TestShortAxisKernels:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 17))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_row_reductions_match_numpy(self, dtype, k):
+        for n in (1, 7, 2048, 16385):
+            a = _hard_rows(n, k, dtype, seed=100 * k + n)
+            assert _same_bits(_row_max(a), a.max(axis=-1, keepdims=True)), (n, "max")
+            assert _same_bits(_row_sum(a), a.sum(axis=-1, keepdims=True)), (n, "sum")
+        # leading axes are kept
+        a = _hard_rows(12, k, dtype, seed=k).reshape(3, 4, k)
+        assert _same_bits(_row_sum(a), a.sum(axis=-1, keepdims=True))
+        assert _same_bits(_row_max(a), a.max(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_column_sum_matches_numpy(self, dtype):
+        rng = np.random.default_rng(30)
+        for width in (1, 2, 3, 5, 7, 8, 9, 32, 64, 200):
+            for n in (1, 2, 7, 8, 9, 2048, 16384):
+                finite = rng.normal(size=(n, width)).astype(dtype)
+                hard = _hard_rows(n, width, dtype, seed=width * n)
+                for g in (finite, hard, np.asfortranarray(finite), hard.T.copy().T):
+                    assert _same_bits(_column_sum(g), g.sum(axis=0)), (width, n)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("neighborhood", [True, False])
+    def test_feature_rows_match_slice_concat(self, channels, neighborhood):
+        images = np.random.default_rng(31).normal(size=(3, 5, 7, channels)).astype(np.float32)
+        images[0, 0, 0, 0] = -0.0
+        padded = pad_images(images, neighborhood)
+        got = feature_rows(padded, neighborhood)
+        want = _slice_concat_rows(padded, neighborhood)
+        assert got.dtype == want.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        # cut from a batch of a padded split, as training does
+        got = feature_rows(padded[[2, 0]], neighborhood)
+        assert got.tobytes() == _slice_concat_rows(padded[[2, 0]], neighborhood).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7, 8, 13])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_softmax_matches_numpy_expression(self, dtype, k):
+        rng = np.random.default_rng(32 + k)
+        a = (rng.normal(size=(2048, k)) * 30).astype(dtype)
+        a[:50] = rng.choice(np.array([0.0, -0.0, 1e-30, -1e-30], dtype), (50, k))
+        a[50:60, 0] = np.inf
+        a[60:70, -1] = np.nan
+        g = rng.normal(size=a.shape).astype(dtype)
+        g[:20] = -0.0
+        t = Tape()
+        node = vsoftmax(t, t.leaf(a))
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        assert _same_bits(node.data, p)
+        (gp,) = node.backward_fn(g)
+        assert _same_bits(gp, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+
+    def test_vdense_bias_promotion_matches_op_chain(self):
+        rng = np.random.default_rng(33)
+        t = Tape()
+        x = t.leaf(rng.normal(size=(9, 4)).astype(np.float32))
+        w = t.leaf(rng.normal(size=(4, 3)).astype(np.float32))
+        b = t.leaf(rng.normal(size=3))  # float64: the output is promoted
+        out = vdense(t, x, w, b, relu=True).data
+        ref = vrelu(t, vadd(t, vmatmul(t, x, w), b)).data
+        assert out.dtype == ref.dtype == np.float64
+        assert _same_bits(out, ref)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_vdense_backward_leaves_incoming_gradient(self, relu):
+        rng = np.random.default_rng(34)
+        t = Tape()
+        x = t.watch(Parameter(rng.normal(size=(6, 4))))
+        w = t.watch(Parameter(rng.normal(size=(4, 3))))
+        b = t.watch(Parameter(rng.normal(size=3)))
+        node = vdense(t, x, w, b, relu)
+        g = rng.normal(size=node.data.shape).astype(np.float32)
+        before = g.copy()
+        gx, gw, gb = node.backward_fn(g)
+        assert np.array_equal(g, before)
+        assert not any(np.shares_memory(g, out) for out in (gx, gw, gb))
+
+
 class TestModel:
     def test_init_shapes_and_inference(self):
         model = init_model(3, 5, embed_dim=4, rng=Rng(5))
@@ -583,6 +711,19 @@ class TestModelFileChecks:
         path = tmp_path / "m.mdl1"
         _write_mdl1(path, tensors, _trailer(model))
         with pytest.raises(FileFormatError, match="chain"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bit", [1, 31])
+    def test_neighborhood_flag_must_be_zero_or_one(self, tmp_path, bit):
+        model = init_model(3, 4, embed_dim=5, encoder_hidden=(6,), rng=Rng(15), neighborhood=True)
+        path = tmp_path / "m.mdl1"
+        save_model(path, model)
+        data = bytearray(path.read_bytes())
+        flag = int.from_bytes(data[-4:], "little")
+        assert flag == 1
+        data[-4:] = (flag ^ (1 << bit)).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="neighborhood flag"):
             load_model(path)
 
     @pytest.mark.parametrize("section", ["encoder+decoder", "classifier"])

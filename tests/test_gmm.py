@@ -1,6 +1,7 @@
 """Class-conditional mixture: support sets, closed-form fit, sampling."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -268,6 +269,16 @@ class TestGmmFile:
             data[sigma_at + 4 * e + 3] ^= 0x40  # top exponent bit: 0.0 -> 2.0
         p.write_bytes(bytes(data))
         with pytest.raises(FileFormatError, match=re.escape(str(p))):
+            load_gmm(p)
+
+    @pytest.mark.parametrize("tau_fit", [-0.3, 1.02e38, 1.0, float("nan"), float("inf")])
+    def test_tau_fit_out_of_range_rejected(self, tmp_path, tau_fit):
+        p = tmp_path / "m.gmm"
+        save_gmm(p, two_blob_gmm())
+        data = bytearray(p.read_bytes())
+        data[12:16] = struct.pack("<f", tau_fit)  # after magic, K and d
+        p.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="tau_fit"):
             load_gmm(p)
 
     def test_save_is_deterministic(self, tmp_path):
