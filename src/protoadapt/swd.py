@@ -7,12 +7,17 @@ the original space serves as the trustworthy (high variance) reference for
 diagnostics and tests.
 
 The sliced estimator works on all projections at once: the projections
-are an [L, m] array with one contiguous row per direction, sorted row-wise
-by numpy's default sort, and only a row with equal neighbours is sorted
-again stably. The sum over ranks and the gradient's accumulation keep the
-order of the per-projection loop (stable column argsort, np.add.at per
-direction), so value and gradient equal that loop's bit for bit
-(tests/test_swd.py keeps the loop as an oracle).
+are an [L, m] array with one contiguous row per direction. Without the
+gradient, rows are sorted by numpy's default sort, and only a row with
+equal neighbours is sorted again stably. The gradient needs the sorting
+order too: it comes from one integer sort of packed keys (the float's
+order-preserving int64 bits with the column index in the low bits), which
+is accepted only when every sorted row is strictly increasing; a tie, a
+signed zero, a NaN or two keys that collide fall back to a stable argsort.
+The sum over ranks and the gradient's accumulation keep the order of the
+per-projection loop (stable column argsort, np.add.at per direction), so
+value and gradient equal that loop's bit for bit (tests/test_swd.py keeps
+the loop as an oracle).
 """
 
 from __future__ import annotations
@@ -111,6 +116,11 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
     if directions is None:
         directions = sample_unit_sphere(d, cfg.num_projections, rng)
     dirs = np.asarray(directions, dtype=np.float64)
+    if dirs.ndim != 2 or len(dirs) < 1 or dirs.shape[1] != d or not np.isfinite(dirs).all():
+        raise DimensionError(
+            f"directions must be a finite [L >= 1, {d}] array: "
+            f"got {dirs.shape} for points {x.shape}"
+        )
     L = dirs.shape[0]
 
     xe, ye, x_idx = _equalize(x, y, rng)
@@ -134,35 +144,78 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
     # reuses proj_x's buffer, which the sort no longer needs.
     diff *= 2.0 / (L * m)
     by_row = proj_x
-    np.put_along_axis(by_row, order_x, diff, axis=1)
-    # One add per projection, in projection order, from 0.0: the same adds
-    # as a per-projection scatter, so the gradient keeps its bits (a matmul
-    # or a sum over a stacked axis would reorder them).
+    by_row.reshape(-1)[order_x] = diff
+    # grad_t[j, i] adds dirs[l, j] * by_row[l, i] over l in projection
+    # order, starting from +0.0, as a per-projection scatter does. A reduce
+    # over the first axis of a C-contiguous [L, m] array adds whole rows
+    # one after another, so it makes those adds in that order. initial=0.0
+    # pins the +0.0 start, so a column of -0.0 products sums to +0.0 as in
+    # the loop, whether or not a numpy version starts a reduce from its
+    # first row. At m = 1 that axis is contiguous and numpy sums it
+    # pairwise, so one row takes the projection loop instead.
     grad_t = np.zeros((d, m))
-    for l in range(L):
-        grad_t += dirs[l][:, None] * by_row[l][None, :]
+    if m == 1:
+        for l in range(L):
+            grad_t += dirs[l][:, None] * by_row[l][None, :]
+    else:
+        products = np.empty_like(by_row)
+        for j in range(d):
+            np.multiply(by_row, dirs[:, j : j + 1], out=products)
+            np.add.reduce(products, axis=0, initial=0.0, out=grad_t[j])
     grad = np.zeros_like(x)
     grad[x_idx] = grad_t.T
     return value, grad
 
 
 def _sort_rows(p: np.ndarray, want_order: bool):
-    """Sort each row of p; return (sorted rows, argsort order or None).
+    """Sort each row of the C-contiguous float64 array p; return (sorted
+    rows, flat indices into p of the sorted entries, or None).
 
-    The default sort is fast but may order equal values either way. With
-    no equal neighbours the sorting permutation is unique, so it is the
-    stable one; when a row has ties (which also catches -0.0 == 0.0),
-    sort again stably so that ties keep their input order.
+    The sort must equal a stable one. Without the order, numpy's default
+    sort is fast but may order equal values either way (-0.0 and 0.0
+    included), so a row with equal neighbours is sorted again stably. With
+    the order, see _packed_order; if its rows are not strictly increasing
+    (a tie, -0.0 next to 0.0, a NaN, or a packed-key collision), the
+    order comes from a stable argsort instead.
     """
     if want_order:
-        order = np.argsort(p, axis=1)
-        s = np.take_along_axis(p, order, axis=1)
+        flat = _packed_order(p)
+        s = p.take(flat)
+        if np.all(s[:, 1:] > s[:, :-1]):
+            return s, flat
     else:
-        order, s = None, np.sort(p, axis=1)
-    if not np.any(s[:, 1:] == s[:, :-1]):
-        return s, order
-    order = np.argsort(p, axis=1, kind="stable")
-    return np.take_along_axis(p, order, axis=1), order
+        s = np.sort(p, axis=1)
+        if not np.any(s[:, 1:] == s[:, :-1]):
+            return s, None
+    flat = np.argsort(p, axis=1, kind="stable")
+    flat += np.arange(0, p.size, p.shape[1])[:, None]
+    return p.take(flat), flat if want_order else None
+
+
+def _packed_order(p: np.ndarray) -> np.ndarray:
+    """A candidate row-wise sorting order of p as flat indices into p.
+
+    Each float64 is mapped to an int64 with the same order (negative
+    values get their magnitude bits flipped), its low b bits are replaced
+    by the column index (b = bits needed for m - 1), and each row of keys
+    is sorted as integers; the low bits then give the order. Keys that
+    agree above the low b bits tie and are ordered by column, which may be
+    wrong, so the caller accepts the order only when the sorted values are
+    strictly increasing: a strictly increasing order is the only sorting
+    order, hence the stable one.
+    """
+    n, m = p.shape
+    low = (1 << (m - 1).bit_length()) - 1
+    bits = p.view(np.int64)
+    keys = bits >> 63
+    keys &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+    keys ^= bits
+    keys &= ~low
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    keys &= low
+    keys += np.arange(0, n * m, m)[:, None]
+    return keys
 
 
 def exact_wasserstein_sq_small(x: np.ndarray, y: np.ndarray) -> float:
@@ -172,6 +225,8 @@ def exact_wasserstein_sq_small(x: np.ndarray, y: np.ndarray) -> float:
     if x.ndim != 2 or y.ndim != 2 or x.shape != y.shape:
         raise DimensionError(f"point sets must match in shape: {x.shape} vs {y.shape}")
     m = x.shape[0]
+    if m < 1:
+        raise DimensionError("empty point set")
     if m > 64:
         raise DimensionError(f"exact matcher limited to m <= 64, got {m}")
     cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)

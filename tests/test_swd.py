@@ -1,6 +1,7 @@
 """Sliced Wasserstein: 1-D transport, sliced estimator, gradient, oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,11 @@ class TestExactSmall:
         with pytest.raises(DimensionError):
             exact_wasserstein_sq_small(big, big)
 
+    def test_empty_sets_rejected(self):
+        empty = np.zeros((0, 2))
+        with pytest.raises(DimensionError, match="empty point set"):
+            exact_wasserstein_sq_small(empty, empty)
+
 
 class TestSliced:
     def test_identity(self):
@@ -206,6 +212,24 @@ class TestSliced:
         with pytest.raises(ValueError):
             SlicedConfig(num_projections=0)
 
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            np.zeros((0, 3)),
+            np.ones((4, 2)),
+            np.ones(3),
+            np.full((4, 3), np.nan),
+            np.array([[1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]),
+        ],
+        ids=["no-rows", "wrong-d", "1-d", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("fn", [sliced_wasserstein_sq, sliced_wasserstein_grad])
+    def test_bad_frozen_directions(self, fn, directions):
+        x = np.random.default_rng(10).normal(size=(8, 3))
+        shapes = re.escape(str(np.shape(directions))) + ".*" + re.escape(str(x.shape))
+        with pytest.raises(DimensionError, match=shapes):
+            fn(x, x + 1.0, SlicedConfig(num_projections=4), directions=directions)
+
 
 class TestSlicedGrad:
     def test_identity_gradient_zero(self):
@@ -269,17 +293,23 @@ class TestBitwiseOracle:
     """The batched estimator against _loop_reference: equal bits, not close."""
 
     @staticmethod
-    def _check(x, y, cfg, seed=0, directions=None):
+    def _bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+    @classmethod
+    def _check(cls, x, y, cfg, seed=0, directions=None):
         ref_value, ref_grad = _loop_reference(x, y, cfg, Rng(seed), directions)
         value, grad = sliced_wasserstein_grad(x, y, cfg, Rng(seed), directions)
-        assert value == ref_value
-        assert sliced_wasserstein_sq(x, y, cfg, Rng(seed), directions) == ref_value
+        assert cls._bits(value) == cls._bits(ref_value)
+        value_only = sliced_wasserstein_sq(x, y, cfg, Rng(seed), directions)
+        assert cls._bits(value_only) == cls._bits(ref_value)
         assert grad.dtype == np.float64 and grad.shape == np.shape(x)
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+        assert np.array_equal(cls._bits(grad), cls._bits(ref_grad))
         return grad
 
-    @pytest.mark.parametrize("m", [1, 10, 384, 1024])
+    # 2, 3, 1025 and 4097 sit just past a power of two: the packed sort key
+    # gives the column index one more bit there.
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 384, 1024, 1025, 4097])
     def test_equal_counts(self, m):
         rng = np.random.default_rng(20 + m)
         cfg = SlicedConfig(num_projections=100)
@@ -329,3 +359,57 @@ class TestBitwiseOracle:
         for seed in range(3):
             grad = self._check(x, y, SlicedConfig(num_projections=100), seed)
             assert not np.array_equal(grad[0], grad[1])
+
+    def test_key_collision_matches(self):
+        # Values 1 ulp apart share their packed sort key once its low bits
+        # hold the column index; putting the larger value in the earlier
+        # column makes the packed order wrong, which must not show.
+        rng = np.random.default_rng(26)
+        base = rng.normal(size=(200, 1))
+        x = np.concatenate([np.nextafter(base, np.inf), base])
+        y = rng.normal(size=(400, 1))
+        self._check(x, y, SlicedConfig(num_projections=1), directions=np.array([[1.0]]))
+
+    @pytest.mark.parametrize("scale", [-1.0, 1e-310, -1e-310, 1e30, -1e-30])
+    def test_rows_of_one_sign_and_extreme_magnitude(self, scale):
+        # Non-negative directions and same-sign points give projection rows
+        # that are all negative, all subnormal or all near 1e+-30.
+        rng = np.random.default_rng(27)
+        dirs = np.abs(sample_unit_sphere(4, 50, Rng(12)))
+        x = scale * np.abs(rng.normal(size=(300, 4)))
+        y = scale * np.abs(rng.normal(size=(300, 4)))
+        self._check(x, y, SlicedConfig(num_projections=50), directions=dirs)
+
+    def test_zero_direction_component_gives_positive_zero(self):
+        # Every rank-paired gap is negative, so each product with the zero
+        # component is -0.0; the loop adds them to +0.0 and gets +0.0.
+        rng = np.random.default_rng(28)
+        dirs = np.abs(sample_unit_sphere(3, 40, Rng(13))).astype(np.float64)
+        dirs[:, 1] = 0.0
+        y = rng.normal(size=(128, 3))
+        x = y - 4.0
+        grad = self._check(x, y, SlicedConfig(num_projections=40), directions=dirs)
+        assert np.all(grad[:, 1] == 0.0) and not np.any(np.signbit(grad[:, 1]))
+        assert np.all(grad[:, [0, 2]] < 0.0)
+
+    def test_tie_free_input_skips_stable_sort(self, monkeypatch):
+        # The stable argsort is the fallback for ties; a tie-free call must
+        # find the order without it, and a tied call must still use it.
+        kinds = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(1024, 5))
+        y = rng.normal(size=(1024, 5))
+        cfg = SlicedConfig(num_projections=100)
+        monkeypatch.setattr(np, "argsort", spy)
+        sliced_wasserstein_grad(x, y, cfg, Rng(0))
+        assert "stable" not in kinds
+        sliced_wasserstein_grad(np.concatenate([x[:512], x[:512]]), y, cfg, Rng(0))
+        assert "stable" in kinds
+        monkeypatch.undo()
+        self._check(x, y, cfg)
