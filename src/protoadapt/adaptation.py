@@ -56,6 +56,10 @@ class ExperimentConfig:
         ):
             if getattr(self, key) < low:
                 raise ConfigError(f"config {key} must be >= {low}, got {getattr(self, key)}")
+        for key in ("lr", "adapt_lr", "lambda_"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value < np.inf:
+                raise ConfigError(f"config {key} must be finite and >= 0, got {value}")
         for key in ("tau_fit", "tau_filter"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"config {key} must be in [0, 1), got {getattr(self, key)}")
@@ -374,40 +378,37 @@ def _clone_model(model: SegModel) -> SegModel:
 
 def compute_bound_diagnostics(
     gmm: PrototypicalGMM,
-    model: SegModel,
-    target_pre_embeddings: np.ndarray,
-    target_post_embeddings: np.ndarray,
+    source_model: SegModel,
+    adapted: SegModel,
+    target_images: np.ndarray,
     config: ExperimentConfig,
-    rng: Rng,
     estimate_info: EstimateInfo,
-) -> tuple[BoundDiagnostics, PseudoDataset]:
+) -> tuple[BoundDiagnostics, PseudoDataset, np.ndarray, np.ndarray]:
     """Every bound term but the labelled target errors; returns (diagnostics,
-    pseudo set). The source-side terms come from `estimate_info`.
+    pseudo set, pre export rows, post export rows). The source-side terms
+    come from `estimate_info`; every draw from Rng(config.seed ^ DIAG_SALT).
 
-    The target-side terms measure the target embeddings before and after
-    adaptation against one pseudo cloud: min(PSEUDO_CLOUD, target pixels)
-    draws from `gmm`, kept where the classifier of `model`, the adapted
-    model, is confident above tau_filter. With one cloud for both terms,
-    their difference comes only from the moved target embeddings. The
-    adapted classifier filters the cloud, not the pre-adaptation one that
-    filtered the adaptation batches, so that w_tp values stay comparable
-    with reports already written; switching would move all of them. Each
-    embedding set is subsampled to at most DIAG_SUBSAMPLE rows first.
-
-    Draws from `rng` in this order: the pseudo cloud, the pre subsample,
-    the post subsample, the pre estimates, the post estimates. Callers
-    that keep drawing from `rng` afterwards rely on that order.
+    The target-side terms measure the target pixels embedded by
+    `source_model` and by `adapted` against one pseudo cloud:
+    min(PSEUDO_CLOUD, target pixels) draws from `gmm`, kept where the
+    adapted classifier is confident above tau_filter. With one cloud for
+    both terms, their difference comes only from the moved target
+    embeddings. The adapted classifier filters the cloud, not the
+    pre-adaptation one that filtered the adaptation batches, so that w_tp
+    values stay comparable with reports already written; switching would
+    move all of them. Each embedding set is subsampled to at most
+    DIAG_SUBSAMPLE rows first. The export rows, for the EMB1 exports, are
+    the same min(PSEUDO_CLOUD, target pixels) pixels in both embeddings.
     """
+    rng = Rng(config.seed ^ DIAG_SALT)
+    target_pre = pixel_embeddings(source_model, target_images)
+    target_post = pixel_embeddings(adapted, target_images)
+    n = target_pre.shape[0]
     pseudo = generate_pseudo_dataset(
-        gmm,
-        partial(ad.forward_classify, model),
-        min(PSEUDO_CLOUD, target_pre_embeddings.shape[0]),
-        config.tau_filter,
-        rng,
+        gmm, partial(ad.forward_classify, adapted), min(PSEUDO_CLOUD, n), config.tau_filter, rng
     )
     pre, post = (
-        emb[rng.subsample(emb.shape[0], min(DIAG_SUBSAMPLE, emb.shape[0]))]
-        for emb in (target_pre_embeddings, target_post_embeddings)
+        emb[rng.subsample(n, min(DIAG_SUBSAMPLE, n))] for emb in (target_pre, target_post)
     )
     (pre_exact, pre_sliced), (post_exact, post_sliced) = (
         wasserstein_estimates(emb, pseudo.Z, rng, num_projections=config.num_projections)
@@ -426,7 +427,8 @@ def compute_bound_diagnostics(
         M=pre.shape[0],
         N_p=pseudo.Z.shape[0],
     )
-    return diag, pseudo
+    export = rng.subsample(n, min(PSEUDO_CLOUD, n))
+    return diag, pseudo, target_pre[export], target_post[export]
 
 
 # ---------------------------------------------------------------- pipeline
@@ -458,17 +460,15 @@ def run_experiment(
 
     conf_pre = confusion_matrix(model, eval_images, eval_labels)
     pre_iou, pre_miou = miou_from_confusion(conf_pre)
-    target_pre = pixel_embeddings(model, np.asarray(target_images, np.float32))
 
-    model, report = adapt_source_free(model, gmm, target_images, config)
+    adapted, report = adapt_source_free(model, gmm, target_images, config)
 
-    conf_post = confusion_matrix(model, eval_images, eval_labels)
+    conf_post = confusion_matrix(adapted, eval_images, eval_labels)
     post_iou, post_miou = miou_from_confusion(conf_post)
-    target_post = pixel_embeddings(model, np.asarray(target_images, np.float32))
 
-    report.diagnostics, _ = compute_bound_diagnostics(
-        gmm, model, target_pre, target_post, config, Rng(config.seed ^ DIAG_SALT), info
+    report.diagnostics, *_ = compute_bound_diagnostics(
+        gmm, model, adapted, target_images, config, info
     )
     report.diagnostics.e_target_pre = error_from_confusion(conf_pre)
     report.diagnostics.e_target_post = error_from_confusion(conf_post)
-    return ExperimentResult(model, gmm, report, pre_miou, post_miou, pre_iou, post_iou, info)
+    return ExperimentResult(adapted, gmm, report, pre_miou, post_miou, pre_iou, post_iou, info)

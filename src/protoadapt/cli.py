@@ -5,8 +5,8 @@ export-embeddings. Exit codes: 0 success, 2 usage/config error,
 3 estimation failure, 4 source-freeness violation, 5 numerical divergence.
 
 Config files are plain key=value lines (# comments); command-line flags
-override file values. Every run echoes its fully-resolved config next to
-its outputs so result directories are self-describing.
+override file values. `train` and `adapt` echo their fully-resolved config
+next to their outputs so result directories are self-describing.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import adaptation as adapt_mod
 from . import autodiff as ad
 from . import datasets as ds
-from .adaptation import DIAG_SALT, PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
+from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
 from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
@@ -228,10 +228,7 @@ def cmd_adapt(args) -> int:
     model = ad.load_model(args.ckpt)
     gmm = load_gmm(args.gmm)
     images, _, _ = ds.load_split(target_dir)
-    target_pre = adapt_mod.pixel_embeddings(model, images)
-
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
-    target_post = adapt_mod.pixel_embeddings(adapted, images)
 
     os.makedirs(args.out, exist_ok=True)
     ad.save_model(os.path.join(args.out, "adapted.mdl1"), adapted)
@@ -242,9 +239,8 @@ def cmd_adapt(args) -> int:
             (s, f"{ce:.8g}", f"{sw:.8g}", f"{t:.8g}") for s, ce, sw, t in report.steps
         )
 
-    diag_rng = Rng(config.seed ^ DIAG_SALT)
-    diag, pseudo = adapt_mod.compute_bound_diagnostics(
-        gmm, adapted, target_pre, target_post, config, diag_rng, info
+    diag, pseudo, pre_rows, post_rows = adapt_mod.compute_bound_diagnostics(
+        gmm, model, adapted, images, config, info
     )
     diag_map = diag.as_dict()
     diag_map["kept_fraction"] = report.kept_fraction
@@ -254,10 +250,8 @@ def cmd_adapt(args) -> int:
     # Fig.-3-style embedding exports (labels for target are unknown: -1).
     # The pseudo cloud was labelled by the adapted classifier, so its
     # labels are also its predictions.
-    emb_cap = diag_rng.subsample(target_pre.shape[0], min(PSEUDO_CLOUD, target_pre.shape[0]))
     save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
-    for name, m, emb in (("target_pre", model, target_pre), ("target_post", adapted, target_post)):
-        rows = emb[emb_cap]
+    for name, m, rows in (("target_pre", model, pre_rows), ("target_post", adapted, post_rows)):
         pred = ad.forward_classify(m, rows).argmax(axis=-1)
         save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -np.ones(len(rows)), pred)
     echo_config(config, args.out)

@@ -121,6 +121,15 @@ class DomainSpec:
                 raise ValueError(
                     f"grid-seg requires 3 channel_gain values, got {self.shift.channel_gain}"
                 )
+        # blobs would ignore a gain past its last channel, and a rotation
+        # when it has one channel.
+        elif any(g != 1.0 for g in self.shift.channel_gain[self.channels :]):
+            raise ValueError(
+                f"blobs with channels={self.channels} cannot apply "
+                f"channel_gain={self.shift.channel_gain}"
+            )
+        elif self.shift.rotation != 0.0 and self.channels < 2:
+            raise ValueError(f"blobs rotation needs channels >= 2, got channels={self.channels}")
 
 
 def standard_shift_spec(seed: int = 0) -> DomainSpec:
@@ -145,7 +154,7 @@ def blob_centers(spec: DomainSpec) -> np.ndarray:
 
 def _apply_shift_points(points: np.ndarray, shift: Shift, rng: Rng) -> np.ndarray:
     out = points.copy()
-    if shift.rotation != 0.0 and out.shape[1] >= 2:
+    if shift.rotation != 0.0:
         c, s = np.cos(shift.rotation), np.sin(shift.rotation)
         xy = out[:, :2].copy()
         out[:, 0] = c * xy[:, 0] - s * xy[:, 1]

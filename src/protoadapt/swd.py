@@ -7,10 +7,9 @@ the original space serves as the trustworthy (high variance) reference for
 diagnostics and tests.
 
 The sliced estimator works on all projections at once: the projections
-are an [L, m] array with one contiguous row per direction. Without the
-gradient, rows are sorted by numpy's default sort, and only a row with
-equal neighbours is sorted again stably. The gradient needs the sorting
-order too: it comes from one integer sort of packed keys (the float's
+are an [L, m] array with one contiguous row per direction, sorted by
+numpy's default sort. Only the gradient reads a sorting order, that of x:
+it comes from one integer sort of packed keys (the float's
 order-preserving int64 bits with the column index in the low bits), which
 is accepted only when every sorted row is strictly increasing; a tie, a
 signed zero, a NaN or two keys that collide fall back to a stable argsort.
@@ -129,8 +128,14 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
     # makes each projection a contiguous row.
     proj_x = np.ascontiguousarray((xe @ dirs.T).T)
     proj_y = np.ascontiguousarray((ye @ dirs.T).T)
-    sorted_y, _ = _sort_rows(proj_y, want_order=False)
-    diff, order_x = _sort_rows(proj_x, want_order=want_grad)
+    # Sorted values agree with a stable sort's but for where +0.0 and -0.0
+    # sit, which moves no bit: a gap is +-0 only where both sides are zero,
+    # and a +-0 gap is squared or added into a reduce that starts at +0.0.
+    sorted_y = np.sort(proj_y, axis=1)
+    if want_grad:
+        diff, order_x = _sort_rows(proj_x)
+    else:
+        diff = np.sort(proj_x, axis=1)
     diff -= sorted_y  # [L, m] rank-paired gaps
     # Sequential sum over ranks per projection, as on an [m, L] array: a
     # mean along the contiguous axis would sum pairwise and move the bits.
@@ -167,29 +172,21 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
     return value, grad
 
 
-def _sort_rows(p: np.ndarray, want_order: bool):
-    """Sort each row of the C-contiguous float64 array p; return (sorted
-    rows, flat indices into p of the sorted entries, or None).
+def _sort_rows(p: np.ndarray):
+    """Sort each row of the C-contiguous float64 array p as a stable sort
+    does; return (sorted rows, flat indices into p of the sorted entries).
 
-    The sort must equal a stable one. Without the order, numpy's default
-    sort is fast but may order equal values either way (-0.0 and 0.0
-    included), so a row with equal neighbours is sorted again stably. With
-    the order, see _packed_order; if its rows are not strictly increasing
-    (a tie, -0.0 next to 0.0, a NaN, or a packed-key collision), the
-    order comes from a stable argsort instead.
+    The order is _packed_order's if its rows come out strictly increasing;
+    otherwise (a tie, -0.0 next to 0.0, a NaN, or a packed-key collision)
+    it comes from a stable argsort.
     """
-    if want_order:
-        flat = _packed_order(p)
-        s = p.take(flat)
-        if np.all(s[:, 1:] > s[:, :-1]):
-            return s, flat
-    else:
-        s = np.sort(p, axis=1)
-        if not np.any(s[:, 1:] == s[:, :-1]):
-            return s, None
+    flat = _packed_order(p)
+    s = p.take(flat)
+    if np.all(s[:, 1:] > s[:, :-1]):
+        return s, flat
     flat = np.argsort(p, axis=1, kind="stable")
     flat += np.arange(0, p.size, p.shape[1])[:, None]
-    return p.take(flat), flat if want_order else None
+    return p.take(flat), flat
 
 
 def _packed_order(p: np.ndarray) -> np.ndarray:

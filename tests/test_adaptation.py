@@ -67,6 +67,11 @@ class TestConfigRanges:
             ("tau_fit", 0.99999999),  # 1.0 as float32, GMM1's tau_fit type
             ("tau_filter", -0.1),
             ("tau_filter", float("nan")),
+            ("lr", float("nan")),
+            ("lr", -1.0),
+            ("adapt_lr", float("inf")),
+            ("lambda_", float("nan")),
+            ("lambda_", -2.0),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
@@ -83,6 +88,9 @@ class TestConfigRanges:
             num_projections=1,
             tau_fit=0.0,
             tau_filter=0.0,
+            lr=0.0,
+            adapt_lr=0.0,
+            lambda_=0.0,
         )
         assert cfg.tau_fit == 0.0
 

@@ -1,8 +1,12 @@
-"""The benchmark tracer patches package functions by name; each must exist."""
+"""The benchmark tracer patches package functions by name; each must exist
+and keep the arguments it reads by position where it reads them."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
@@ -23,3 +27,36 @@ def test_tape_ops_and_stages_resolve():
     names += [("autodiff", "adam_step"), ("autodiff", "forward_embed")]
     missing = [f"{m}.{a}" for m, a in names if not callable(_resolve(m, a))]
     assert not missing, f"benchmark hooks name missing functions: {missing}"
+
+
+# Arguments that Tracer's after-hooks and StageClock read by position:
+# (module, function, {index: parameter name}).
+POSITIONAL_READS = [
+    ("swd", "sliced_wasserstein_grad", {0: "x", 1: "y", 2: "cfg", 4: "directions"}),
+    ("linalg", "sample_gaussian", {2: "n"}),
+    ("datasets", "load_split", {0: "directory"}),
+    ("autodiff", "load_model", {0: "path"}),
+    ("gmm", "load_gmm", {0: "path"}),
+    ("autodiff", "save_model", {0: "path"}),
+    ("gmm", "save_gmm", {0: "path"}),
+    ("fileformats", "save_embeddings", {0: "path"}),
+    ("autodiff", "backward", {0: "tape"}),
+]
+
+
+@pytest.mark.parametrize(
+    "module,attr,expected", POSITIONAL_READS, ids=[f"{m}.{a}" for m, a, _ in POSITIONAL_READS]
+)
+def test_positionally_read_arguments_stay_put(module, attr, expected):
+    params = list(inspect.signature(_resolve(module, attr)).parameters.values())
+    found = {
+        i: params[i].name
+        for i in expected
+        if i < len(params) and params[i].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    }
+    assert found == expected, f"{module}.{attr} moved an argument the benchmark reads by position"
+
+
+def test_forward_embed_takes_exactly_model_and_images():
+    # StageClock's chunk timer wraps it as `timed(model, images)`.
+    assert list(inspect.signature(_resolve("autodiff", "forward_embed")).parameters) == ["model", "images"]

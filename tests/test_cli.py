@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from protoadapt import autodiff as ad
-from protoadapt.adaptation import (
-    DIAG_SALT,
-    EstimateInfo,
-    ExperimentConfig,
-    compute_bound_diagnostics,
-    pixel_embeddings,
-)
+from protoadapt.adaptation import EstimateInfo, ExperimentConfig, compute_bound_diagnostics
 from protoadapt.cli import load_config, main, read_sidecar
 from protoadapt.datasets import load_split
 from protoadapt.fileformats import load_embeddings, read_keyvalue, write_keyvalue
@@ -147,6 +141,8 @@ class TestGenData:
             ("blobs", "channels=0"),
             ("grid-seg", "noise_sigma=-1"),
             ("blobs", "noise_sigma=-1"),
+            ("blobs", "channel_gain=1,1,5\nchannels=2"),
+            ("blobs", "rotation=0.7\nchannels=1"),
         ],
     )
     def test_spec_that_cannot_mean_what_it_says_names_field(self, tmp_path, capsys, kind, line):
@@ -369,27 +365,41 @@ class TestAdapt:
             np.testing.assert_array_equal(data[:, -2], -1.0)
         assert (out / "resolved_config.txt").exists()
 
+    @staticmethod
+    def library_call(workspace, out):
+        """compute_bound_diagnostics on the inputs `adapt` had for `out`."""
+        config = load_config(str(workspace / "config.txt"), {})
+        images, _, _ = load_split(str(workspace / "data" / "target_train"))
+        _, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
+        result = compute_bound_diagnostics(
+            load_gmm(workspace / "model.gmm1"),
+            ad.load_model(workspace / "model.mdl1"),
+            ad.load_model(out / "adapted.mdl1"),
+            images,
+            config,
+            info,
+        )
+        return result, info
+
     def test_diagnostics_match_library_call(self, workspace, tmp_path):
         out = tmp_path / "run"
         assert run_adapt(workspace, out) == 0
-        config = load_config(str(workspace / "config.txt"), {})
-        images, _, _ = load_split(str(workspace / "data" / "target_train"))
-        model = ad.load_model(workspace / "model.mdl1")
-        adapted = ad.load_model(out / "adapted.mdl1")
-        _, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
-        diag, _ = compute_bound_diagnostics(
-            load_gmm(workspace / "model.gmm1"),
-            adapted,
-            pixel_embeddings(model, images),
-            pixel_embeddings(adapted, images),
-            config,
-            Rng(config.seed ^ DIAG_SALT),
-            info,
-        )
+        (diag, *_), info = self.library_call(workspace, out)
         written = read_keyvalue(out / "diagnostics.txt")
         del written["kept_fraction"], written["wall_clock"]
         assert written == {key: str(value) for key, value in diag.as_dict().items()}
         assert float(written["w_sp_exact"]) == info.w_sp_exact >= 0.0
+
+    def test_exports_are_library_rows(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        assert run_adapt(workspace, out) == 0
+        (_, pseudo, pre_rows, post_rows), _ = self.library_call(workspace, out)
+        assert pre_rows.shape == post_rows.shape and len(pre_rows) > 0
+        for name, rows in (("target_pre", pre_rows), ("target_post", post_rows)):
+            data = load_embeddings(out / f"{name}.emb1")
+            np.testing.assert_array_equal(data[:, :-2], rows.astype(np.float32))
+        samples = load_embeddings(out / "gmm_samples.emb1")
+        np.testing.assert_array_equal(samples[:, :-2], pseudo.Z.astype(np.float32))
 
     def test_sidecar_is_estimate_info(self, workspace):
         meta = read_keyvalue(str(workspace / "model.gmm1") + ".meta")
@@ -418,7 +428,19 @@ class TestAdapt:
         assert [diag[k] for k in ("w_sp_exact", "w_sp_sliced", "e_source", "N")] == ["nan"] * 3 + ["0"]
         assert float(diag["w_tp_post_exact"]) >= 0.0
 
-    @pytest.mark.parametrize("line", ["batch_target=0", "pseudo_batch=0", "adapt_steps=-3"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "batch_target=0",
+            "pseudo_batch=0",
+            "adapt_steps=-3",
+            "lr=nan",
+            "lr=-1",
+            "adapt_lr=inf",
+            "lambda=nan",
+            "lambda=-2",
+        ],
+    )
     def test_out_of_range_config_value_names_key(self, workspace, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(CONFIG + line + "\n")

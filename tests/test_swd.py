@@ -413,3 +413,31 @@ class TestBitwiseOracle:
         assert "stable" in kinds
         monkeypatch.undo()
         self._check(x, y, cfg)
+
+    def test_value_only_call_never_sorts_stably(self, monkeypatch):
+        # The value reads sorted values, never an order, so signed zeros
+        # and repeated rows, which give every projection row equal
+        # neighbours, need no stable sort.
+        kinds = []
+        for name in ("argsort", "sort"):
+
+            def spy(*args, _fn=getattr(np, name), **kwargs):
+                kinds.append(kwargs.get("kind"))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        rng = np.random.default_rng(30)
+        base = rng.normal(size=(64, 5))
+        x = np.concatenate([base, base[::-1], base[:16]])
+        x[:2] = 0.0
+        x[2] = -0.0
+        y = np.concatenate([rng.normal(size=(72, 5))] * 2)
+        y[:3] = 0.0
+        y[3:5] = -0.0
+        cfg = SlicedConfig(num_projections=100)
+        for seed in range(3):
+            sliced_wasserstein_sq(x, y, cfg, Rng(seed))
+        assert kinds and "stable" not in kinds
+        monkeypatch.undo()
+        for seed in range(3):
+            self._check(x, y, cfg, seed)
