@@ -212,7 +212,7 @@ def pixel_error(model: SegModel, images: np.ndarray, labels: np.ndarray) -> floa
 # Draws in the pseudo cloud of each transport term, capped at the pixels
 # measured: w_sp (estimate_stage) and w_tp compare only at one cloud size.
 PSEUDO_CLOUD = 4096
-DIAG_SUBSAMPLE = 8192  # target embedding rows each w_tp term subsamples
+DIAG_SUBSAMPLE = 8192  # target pixels both w_tp terms embed and measure
 DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
 
 
@@ -388,30 +388,28 @@ def compute_bound_diagnostics(
     pseudo set, pre export rows, post export rows). The source-side terms
     come from `estimate_info`; every draw from Rng(config.seed ^ DIAG_SALT).
 
-    The target-side terms measure the target pixels embedded by
-    `source_model` and by `adapted` against one pseudo cloud:
-    min(PSEUDO_CLOUD, target pixels) draws from `gmm`, kept where the
-    adapted classifier is confident above tau_filter. With one cloud for
-    both terms, their difference comes only from the moved target
-    embeddings. The adapted classifier filters the cloud, not the
-    pre-adaptation one that filtered the adaptation batches, so that w_tp
-    values stay comparable with reports already written; switching would
-    move all of them. Each embedding set is subsampled to at most
-    DIAG_SUBSAMPLE rows first. The export rows, for the EMB1 exports, are
-    the same min(PSEUDO_CLOUD, target pixels) pixels in both embeddings.
+    The pseudo cloud is drawn as `estimate_stage` draws w_sp's: k =
+    min(PSEUDO_CLOUD, target pixels) draws from `gmm`, kept where
+    `source_model`'s classifier is confident above tau_filter. One draw of
+    min(DIAG_SUBSAMPLE, target pixels) target pixels is embedded by
+    `source_model` (pre) and by `adapted` (post), and both estimates run
+    from one derived stream: pre and post share their subsamples and
+    directions and differ only where the embeddings moved. The export rows
+    are the first k drawn pixels.
     """
     rng = Rng(config.seed ^ DIAG_SALT)
-    target_pre = pixel_embeddings(source_model, target_images)
-    target_post = pixel_embeddings(adapted, target_images)
-    n = target_pre.shape[0]
+    target_images = np.asarray(target_images, dtype=np.float32)
+    n = int(np.prod(target_images.shape[:3]))
+    k = min(PSEUDO_CLOUD, n)
     pseudo = generate_pseudo_dataset(
-        gmm, partial(ad.forward_classify, adapted), min(PSEUDO_CLOUD, n), config.tau_filter, rng
+        gmm, partial(ad.forward_classify, source_model), k, config.tau_filter, rng
     )
-    pre, post = (
-        emb[rng.subsample(n, min(DIAG_SUBSAMPLE, n))] for emb in (target_pre, target_post)
-    )
+    pixels = rng.subsample(n, min(DIAG_SUBSAMPLE, n))
+    nb = source_model.neighborhood
+    feats = ad.feature_rows(ad.pad_images(target_images, nb), nb, pixels)
+    pre, post = (ad.embed_flat(m, feats, Tape()).data for m in (source_model, adapted))
     (pre_exact, pre_sliced), (post_exact, post_sliced) = (
-        wasserstein_estimates(emb, pseudo.Z, rng, num_projections=config.num_projections)
+        wasserstein_estimates(emb, pseudo.Z, rng.spawn(0), num_projections=config.num_projections)
         for emb in (pre, post)
     )
     diag = BoundDiagnostics(
@@ -427,8 +425,7 @@ def compute_bound_diagnostics(
         M=pre.shape[0],
         N_p=pseudo.Z.shape[0],
     )
-    export = rng.subsample(n, min(PSEUDO_CLOUD, n))
-    return diag, pseudo, target_pre[export], target_post[export]
+    return diag, pseudo, pre[:k], post[:k]
 
 
 # ---------------------------------------------------------------- pipeline

@@ -137,13 +137,28 @@ def vrelu(tape: Tape, a: Value) -> Value:
     return tape.op(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-# Rows shorter than this are reduced column by column. numpy adds a row of
+def _float64_lanes() -> int:
+    """float64 lanes of the widest vector loops numpy dispatches to on this
+    CPU: 8 with AVX-512 (X86_V4), 4 with AVX2 (X86_V3), otherwise 2."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+    on = {t for t in targets if umath.__cpu_features__.get(t)}
+    if on & {"X86_V4", "AVX512_SKX"}:
+        return 8
+    return 4 if on & {"X86_V3", "AVX2"} else 2
+
+
+# Rows shorter than these are reduced column by column. numpy adds a row of
 # fewer than 8 elements one at a time from +0.0 and sums longer rows
-# pairwise. Its max of a row longer than one SIMD vector runs in lanes,
-# which can flip the sign of a zero maximum; 8 is AVX-512's float64 lane
-# count, and a narrower vector unit would need a smaller cutoff for float64
-# rows to keep that sign. `vsoftmax` does not see it: exp(+-0) == 1.
+# pairwise, on every stack. Its max of a row at least one SIMD vector long
+# runs in lanes, which can flip the sign of a zero maximum, so the max
+# cutoff is the float64 lane count; a float32 vector holds twice as many.
+# `vsoftmax` does not see that sign: exp(+-0) == 1.
 SHORT_ROW = 8
+SHORT_MAX_ROW = _float64_lanes()
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -154,7 +169,7 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     in-order scalar row loop; longer rows use `a.max`.
     """
     k = a.shape[-1]
-    if k >= SHORT_ROW:
+    if k >= SHORT_MAX_ROW:
         return a.max(axis=-1, keepdims=True)
     cols = a.reshape(-1, k)
     out = cols[:, 0].copy()
@@ -362,19 +377,21 @@ def pad_images(images: np.ndarray, neighborhood: bool) -> np.ndarray:
     return np.pad(images, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
 
 
-def feature_rows(padded: np.ndarray, neighborhood: bool) -> np.ndarray:
-    """`pad_images` output [B,H(+2),W(+2),C] -> [B*H*W, F] feature rows.
+def feature_rows(padded: np.ndarray, neighborhood: bool, pixels=None) -> np.ndarray:
+    """`pad_images` output [B,H(+2),W(+2),C] -> [B*H*W, F] feature rows, or
+    only the rows of the flat pixel indices `pixels`, in their order.
 
     With `neighborhood`, a row holds the 3x3 window around its pixel in
     (dy, dx, channel) order: the bytes of concatenating the nine shifted
     [B,H,W,C] slices on the channel axis, made here by one copy of a
     strided window view.
     """
-    b, h, w, c = padded.shape
-    if not neighborhood:
-        return padded.reshape(b * h * w, c)
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # [B,H,W,C,dy,dx]
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * (h - 2) * (w - 2), 9 * c)
+    width = padded.shape[-1] * (9 if neighborhood else 1)
+    if neighborhood:  # [B,H,W,dy,dx,C] windows
+        padded = sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    if pixels is not None:
+        padded = padded[np.unravel_index(pixels, padded.shape[:3])]
+    return padded.reshape(-1, width)
 
 
 def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:

@@ -248,8 +248,8 @@ def cmd_adapt(args) -> int:
     write_keyvalue(os.path.join(args.out, "diagnostics.txt"), diag_map)
 
     # Fig.-3-style embedding exports (labels for target are unknown: -1).
-    # The pseudo cloud was labelled by the adapted classifier, so its
-    # labels are also its predictions.
+    # The pseudo cloud was labelled by the source classifier, so its labels
+    # are also that classifier's predictions.
     save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
     for name, m, rows in (("target_pre", model, pre_rows), ("target_post", adapted, post_rows)):
         pred = ad.forward_classify(m, rows).argmax(axis=-1)

@@ -106,6 +106,9 @@ class DomainSpec:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.shift.noise_sigma >= 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.shift.noise_sigma}")
+        for key in ("mean_shift", "rotation", "channel_gain"):
+            if not np.all(np.isfinite(getattr(self.shift, key))):
+                raise ValueError(f"{key} must be finite, got {getattr(self.shift, key)}")
         if self.kind == "grid-seg":
             # grid-seg images are RGB, and its shift has no rotation or mean
             # shift: a spec that sets them would describe data never written.
@@ -120,6 +123,11 @@ class DomainSpec:
             if len(self.shift.channel_gain) != 3:
                 raise ValueError(
                     f"grid-seg requires 3 channel_gain values, got {self.shift.channel_gain}"
+                )
+            # A negative gain would paint a negative color intensity.
+            if min(self.shift.channel_gain) < 0.0:
+                raise ValueError(
+                    f"grid-seg channel_gain must be >= 0, got {self.shift.channel_gain}"
                 )
         # blobs would ignore a gain past its last channel, and a rotation
         # when it has one channel.

@@ -5,11 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from protoadapt import adaptation
 from protoadapt import autodiff as ad
 from protoadapt.adaptation import (
     PSEUDO_CLOUD,
     ExperimentConfig,
     adapt_source_free,
+    compute_bound_diagnostics,
     error_from_confusion,
     estimate_stage,
     evaluate_miou,
@@ -364,3 +366,71 @@ class TestRunExperiment:
             vals.append(exact)
         spread = np.std(vals)
         assert abs(info.w_sp_exact - np.mean(vals)) <= 4 * spread + 0.1 * np.mean(vals)
+
+
+class TestBoundDiagnostics:
+    """The target-side bound terms on a small grid-seg target with more
+    pixels (10,240) than the diagnostics subsample, so the gather is real."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cfg = ExperimentConfig(
+            source_steps=300, adapt_steps=5, pseudo_batch=64, lr=3e-3, tau_fit=0.5, tau_filter=0.5
+        )
+        xs, ys = gen_grid_seg(DomainSpec(K=3, n_images=30, seed=0))
+        xt, _ = gen_grid_seg(DomainSpec(K=3, n_images=40, seed=1))
+        model, _ = train_source(cfg, xs, ys)
+        gmm, info = estimate_stage(model, xs, ys, cfg)
+        adapted, _ = adapt_source_free(model, gmm, xt, cfg)
+        return cfg, model, adapted, gmm, info, xt
+
+    def test_unadapted_model_gives_equal_pre_and_post(self, run):
+        cfg, model, _, gmm, info, xt = run
+        diag, _, pre_rows, post_rows = compute_bound_diagnostics(gmm, model, model, xt, cfg, info)
+        for term in ("exact", "sliced"):
+            pre, post = getattr(diag, f"w_tp_pre_{term}"), getattr(diag, f"w_tp_post_{term}")
+            assert np.isfinite(pre) and pre == post, term
+        assert pre_rows.tobytes() == post_rows.tobytes()
+        assert diag.M == 8192 and len(pre_rows) == PSEUDO_CLOUD
+
+    def test_source_classifier_filters_the_cloud(self, run, monkeypatch):
+        cfg, model, adapted, gmm, info, xt = run
+        seen = []
+        draw = adaptation.generate_pseudo_dataset
+
+        def spy(gmm, classifier_fn, *args):
+            seen.append(classifier_fn)
+            return draw(gmm, classifier_fn, *args)
+
+        monkeypatch.setattr(adaptation, "generate_pseudo_dataset", spy)
+        compute_bound_diagnostics(gmm, model, adapted, xt, cfg, info)
+        assert len(seen) == 1
+        z = gmm.mu.astype(np.float32) + np.float32(0.5)
+        source, moved = ad.forward_classify(model, z), ad.forward_classify(adapted, z)
+        assert not np.array_equal(source, moved)
+        assert np.array_equal(seen[0](z), source)
+
+    def test_embeds_only_the_drawn_pixels(self, run, monkeypatch):
+        cfg, model, adapted, gmm, info, xt = run
+
+        def forbidden(*args):
+            raise AssertionError("a full-target embedding pass")
+
+        monkeypatch.setattr(adaptation, "pixel_embeddings", forbidden)
+        monkeypatch.setattr(ad, "forward_embed", forbidden)
+        diag, _, pre_rows, post_rows = compute_bound_diagnostics(gmm, model, adapted, xt, cfg, info)
+        assert np.isfinite(diag.w_tp_post_exact) and pre_rows.shape == post_rows.shape
+
+    def test_run_experiment_embeds_three_times(self, monkeypatch):
+        calls = []
+        embed = adaptation.pixel_embeddings
+
+        def counting(model, images):
+            calls.append(len(images))
+            return embed(model, images)
+
+        monkeypatch.setattr(adaptation, "pixel_embeddings", counting)
+        xs, ys, xt, xe, ye = blob_splits()
+        run_experiment(blob_config(adapt_steps=2), xs, ys, xt, xe, ye)
+        # the source split for the mixture, then the eval split before and after
+        assert calls == [len(xs), len(xe), len(xe)]

@@ -1,5 +1,10 @@
 """Tape autodiff: forward ops, gradients vs finite differences, Adam, MDL1."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +40,7 @@ from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from protoadapt.fileformats import MDL1_MAGIC, write_tns1, write_u32
 from protoadapt.rng import Rng
+from test_fingerprint import numpy_stack
 
 
 class TestForwardOps:
@@ -525,6 +531,14 @@ class TestShortAxisKernels:
         # cut from a batch of a padded split, as training does
         got = feature_rows(padded[[2, 0]], neighborhood)
         assert got.tobytes() == _slice_concat_rows(padded[[2, 0]], neighborhood).tobytes()
+        # only the rows of chosen pixels: corners and edges of every image,
+        # unsorted and repeated, the -0.0 pixel among them
+        pixels = np.array([104, 0, 6, 34, 35, 7, 0, 52, 52, 70, 13, 98])
+        got = feature_rows(padded, neighborhood, pixels)
+        want = pixel_features(images, neighborhood)[pixels]
+        assert (np.signbit(want) & (want == 0)).any()
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 2, 5, 7, 8, 13])
@@ -569,6 +583,36 @@ class TestShortAxisKernels:
         gx, gw, gb = node.backward_fn(g)
         assert np.array_equal(g, before)
         assert not any(np.shares_memory(g, out) for out in (gx, gw, gb))
+
+
+# Stacks the oracles above must also hold on, each forced for one child
+# process: numpy's AVX2 loops in place of the AVX-512 ones this CPU runs
+# (float64 rows reduce in 4 lanes, not 8), and OpenBLAS's Haswell kernels.
+AVX512_TARGETS = {"X86_V4", "AVX512_ICL", "AVX512_SPR"}
+FORCED_STACKS = [
+    pytest.param(
+        {"NPY_DISABLE_CPU_FEATURES": ",".join(sorted(AVX512_TARGETS))},
+        id="avx2-loops",
+        marks=pytest.mark.skipif(
+            not AVX512_TARGETS <= set(numpy_stack()["simd"].split(",")),
+            reason="numpy runs no AVX-512 loops here to switch off",
+        ),
+    ),
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="haswell-blas"),
+]
+
+
+@pytest.mark.parametrize("forced", FORCED_STACKS)
+def test_bitwise_oracles_hold_on_forced_stack(forced):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **forced}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=",
+         f"{__file__}::TestShortAxisKernels", f"{__file__}::TestBitwiseOracle"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 class TestModel:

@@ -143,6 +143,10 @@ class TestGenData:
             ("blobs", "noise_sigma=-1"),
             ("blobs", "channel_gain=1,1,5\nchannels=2"),
             ("blobs", "rotation=0.7\nchannels=1"),
+            ("blobs", "mean_shift=nan"),
+            ("blobs", "rotation=inf"),
+            ("blobs", "channel_gain=1,nan,1"),
+            ("grid-seg", "channel_gain=1.4,-0.7,1"),
         ],
     )
     def test_spec_that_cannot_mean_what_it_says_names_field(self, tmp_path, capsys, kind, line):

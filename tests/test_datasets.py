@@ -73,6 +73,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
             DomainSpec(kind=kind, shift=Shift(noise_sigma=sigma))
 
+    @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
+    @pytest.mark.parametrize(
+        "field,shift",
+        [
+            ("mean_shift", Shift(mean_shift=float("nan"))),
+            ("rotation", Shift(rotation=float("-inf"))),
+            ("channel_gain", Shift(channel_gain=(1.4, float("inf"), 1.0))),
+        ],
+    )
+    def test_shift_values_must_be_finite(self, kind, field, shift):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DomainSpec(kind=kind, shift=shift)
+
+    def test_grid_seg_rejects_negative_gain(self):
+        with pytest.raises(ValueError, match="channel_gain must be >= 0"):
+            DomainSpec(kind="grid-seg", shift=Shift(channel_gain=(1.4, -0.7, 1.0)))
+        DomainSpec(kind="grid-seg", shift=Shift(channel_gain=(1.4, 0.0, 1.0)))
+        DomainSpec(kind="blobs", shift=Shift(channel_gain=(1.4, -0.7, 1.0)))  # a reflection
+
     def test_bad_K(self):
         with pytest.raises(ValueError):
             DomainSpec(K=1)

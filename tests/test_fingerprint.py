@@ -50,10 +50,10 @@ PINNED_RUN = {
     "final_train_loss": 0.08229777961969376,
     "w_sp_exact": 6.505860584795042,
     "w_sp_sliced": 0.08224120623533564,
-    "w_tp_pre_exact": 42.43162653998048,
-    "w_tp_pre_sliced": 6.877994859481374,
-    "w_tp_post_exact": 7.892142844127851,
-    "w_tp_post_sliced": 0.40494269554621826,
+    "w_tp_pre_exact": 40.5370929655726,
+    "w_tp_pre_sliced": 8.967540804346763,
+    "w_tp_post_exact": 7.259292349170434,
+    "w_tp_post_sliced": 0.5037598853051162,
     "one_minus_tau": 0.5,
     "e_source": 0.0294921875,
     "e_target_pre": 0.6734375,
@@ -75,10 +75,10 @@ PINNED_CLI_SHA256 = {
     "model.gmm1.meta": "5d81f06672d06c9f6e39320c492fdfc3d4a020fd309ae2d7419f01166c089746",
     "adapted/adapted.mdl1": "6630e59bb5e5a1eded217315e5b179ddc381755db972ff66ea1464283bd8a66b",
     "adapted/report.csv": "3a45ebfdbfa2a706efaf01d779af2b700f81d0c17539f95a75523ee7bd5e9003",
-    "adapted/diagnostics.txt": "ccd40ece930f393919158bd8598c17fdaa45d52c35c3e7062194bca1e0588e9c",
+    "adapted/diagnostics.txt": "6608dbe4867942f67e52be60786ac771519d42fd313bf925a646b06851540cf4",
     "adapted/gmm_samples.emb1": "1d0aa64850617cb860c715f39a12ec1f7d15e2d695dd19dbcb8c0220a75dc2df",
-    "adapted/target_post.emb1": "7ec1533b4b1750753580ed5e394a93f0d591dcca0586af15f99adb872e742e5a",
-    "adapted/target_pre.emb1": "9da988035e48d41b47be09c9d6bee5a3a97e15f36eb1ac58c09b84881c5c3d72",
+    "adapted/target_post.emb1": "6bafa2bf5728463b891bd6140cecbaeebfec12adb162cc1fb99e7bfd05a865f8",
+    "adapted/target_pre.emb1": "0181fba2b73fc5ada473275c53241b8f7d2a104960672f95691db9a1cfd82921",
     "emb/data.emb1": "853797a3987f5d116f89ecb5aa165b7f596a58a9736183cf40db381595f50405",
     "emb/data_pre.emb1": "6fb07ab67f7f4f79dc5450cdf9b06a94ad85ea4c5f7b0fd82c559c9f8c4660a2",
     "emb/gmm_samples.emb1": "3ea0663b29c1136952ad76f82b10d3d0155735c63bef886da999e333de8d2636",
