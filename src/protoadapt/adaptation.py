@@ -56,6 +56,8 @@ class ExperimentConfig:
         ):
             if getattr(self, key) < low:
                 raise ConfigError(f"config {key} must be >= {low}, got {getattr(self, key)}")
+        if any(width < 1 for width in self.encoder_hidden):
+            raise ConfigError(f"config encoder_hidden widths must be >= 1, got {self.encoder_hidden}")
         for key in ("lr", "adapt_lr", "lambda_"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value < np.inf:
@@ -119,8 +121,7 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
     """
     rng = Rng(config.seed)
     images = np.asarray(images, dtype=np.float32)
-    n = images.shape[0]
-    if n < 1:
+    if images.shape[0] < 1:
         raise ValueError("source dataset is empty")
     model = ad.init_model(
         images.shape[-1],
@@ -129,26 +130,38 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
         rng=rng,
         neighborhood=config.neighborhood,
     )
-    params = model.parameters()
-    state = AdamState()
-    losses = []
-    flat_labels = np.asarray(labels).reshape(n, -1)
-    padded = ad.pad_images(images, model.neighborhood)
-    for step in range(config.source_steps):
-        idx = rng.integers(0, n, config.batch_source)
-        batch_labels = flat_labels[idx].reshape(-1)
-        feats = ad.feature_rows(padded[idx], model.neighborhood)
-        tape = Tape()
-        emb = ad.embed_flat(model, feats, tape)
+    flat_labels = np.asarray(labels).reshape(images.shape[0], -1)
+
+    def loss_fn(tape, emb, idx):
         probs = ad.classify_flat(model, emb, tape)
-        loss = ad.vcross_entropy(tape, probs, batch_labels)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise DivergenceError(f"training loss non-finite at step {step}", step=step)
-        grads = backward(tape, loss)
-        adam_step(params, grads, state, config.lr)
-        losses.append(value)
-    return model, losses
+        loss = ad.vcross_entropy(tape, probs, flat_labels[idx].reshape(-1))
+        return loss, float(loss.data)
+
+    return model, _descend(
+        model, images, config.batch_source, config.source_steps, config.lr, rng, loss_fn, "training"
+    )
+
+
+def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
+    """The Adam loop of training and adaptation; returns each step's record.
+
+    A step draws `batch` image indices, embeds their pixels on a fresh tape
+    and descends on the loss node of `loss_fn(tape, emb, idx) -> (loss,
+    record)`. `backward` and `adam_step` are module lookups, so patches see them.
+    """
+    params, state = model.parameters(), AdamState()
+    padded = ad.pad_images(images, model.neighborhood)
+    records = []
+    for step in range(steps):
+        idx = rng.integers(0, images.shape[0], batch)
+        tape = Tape()
+        emb = ad.embed_flat(model, ad.feature_rows(padded[idx], model.neighborhood), tape)
+        loss, record = loss_fn(tape, emb, idx)
+        if not np.isfinite(float(loss.data)):
+            raise DivergenceError(f"{what} loss non-finite at step {step}", step=step)
+        adam_step(params, backward(tape, loss), state, lr)
+        records.append(record)
+    return records
 
 
 # Images per `forward_embed` call in `pixel_embeddings`.
@@ -281,12 +294,39 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
 # ---------------------------------------------------------------- adaptation
 
 
+def adaptation_loss(tape, model, emb, gmm, probs_fn, config, rng):
+    """One adapt step's loss: pseudo-label CE + lambda * squared SWD between a
+    row subsample of the target embedding `emb` and the pseudo set. Returns
+    (total node, (ce, swd, total, kept_fraction)). Draws from `rng` in order:
+    the pseudo set, the row subsample, the SWD directions and equalizing
+    subsample."""
+    pseudo = generate_pseudo_dataset(gmm, probs_fn, config.pseudo_batch, config.tau_filter, rng)
+    probs = ad.classify_flat(model, tape.leaf(pseudo.Z), tape)
+    ce = ad.vcross_entropy(tape, probs, pseudo.Y)
+
+    n = emb.data.shape[0]
+    sub = rng.subsample(n, min(config.pseudo_batch, n))
+    swd_cfg = SlicedConfig(num_projections=config.num_projections)
+    swd_value, swd_grad = sliced_wasserstein_grad(emb.data[sub], pseudo.Z, swd_cfg, rng)
+
+    def scatter(g):
+        rows = g * swd_grad
+        out = np.zeros(emb.data.shape, dtype=rows.dtype)
+        out[sub] = rows
+        return (out,)
+
+    # A float64 0-d array, not a Python float, so that the float32 CE
+    # plus this term is promoted to a float64 total.
+    swd = tape.op(np.asarray(swd_value), (emb,), scatter)
+    total = ad.vsum2(tape, ce, ad.vscale(tape, swd, config.lambda_))
+    return total, (float(ce.data), float(swd.data), float(total.data), pseudo.kept_fraction)
+
+
 def adapt_source_free(
     model: SegModel, gmm: PrototypicalGMM, target_images: np.ndarray, config: ExperimentConfig
 ):
-    """Minimize pseudo-label cross-entropy + lambda * squared SWD between
-    target pixel embeddings and pseudo samples. Updates encoder, decoder
-    and classifier.
+    """Minimize `adaptation_loss` over batches of target images. Updates
+    encoder, decoder and classifier.
 
     Returns (adapted_model, AdaptationReport); the input model is left
     untouched. The report's diagnostics are left empty: callers fill them
@@ -297,68 +337,28 @@ def adapt_source_free(
             f"mixture K={gmm.K}, dim={gmm.dim} does not match "
             f"model K={model.K}, embed_dim={model.embed_dim}"
         )
-    rng = Rng(config.seed ^ 0xADAB7)
     target_images = np.asarray(target_images, dtype=np.float32)
-    n = target_images.shape[0]
-    report = AdaptationReport()
+    if target_images.shape[0] < 1:
+        raise ValueError("target dataset is empty")
+    rng = Rng(config.seed ^ 0xADAB7)
     start_time = time.perf_counter()
 
     # Pseudo labels come from the classifier as it stood at adaptation
     # start, so label semantics do not drift during the loop.
     frozen_probs_fn = partial(ad.forward_classify, model)
-
     model = _clone_model(model)
-    params = model.parameters()
-    state = AdamState()
-    swd_cfg = SlicedConfig(num_projections=config.num_projections)
-    kept = []
-    padded = ad.pad_images(target_images, model.neighborhood)
 
-    for step in range(config.adapt_steps):
-        idx = rng.integers(0, n, config.batch_target)
-        feats = ad.feature_rows(padded[idx], model.neighborhood)
-        tape = Tape()
-        emb = ad.embed_flat(model, feats, tape)
+    def loss_fn(tape, emb, idx):
+        return adaptation_loss(tape, model, emb, gmm, frozen_probs_fn, config, rng)
 
-        pseudo = generate_pseudo_dataset(
-            gmm, frozen_probs_fn, config.pseudo_batch, config.tau_filter, rng
-        )
-        kept.append(pseudo.kept_fraction)
-
-        pseudo_val = tape.leaf(pseudo.Z)
-        probs = ad.classify_flat(model, pseudo_val, tape)
-        ce = ad.vcross_entropy(tape, probs, pseudo.Y)
-
-        sub = rng.subsample(emb.data.shape[0], min(config.pseudo_batch, emb.data.shape[0]))
-        emb_sub = tape.op(emb.data[sub], (emb,), _gather_backward(sub, emb.data.shape))
-        swd_value, swd_grad = sliced_wasserstein_grad(
-            emb_sub.data, pseudo.Z, swd_cfg, rng
-        )
-        # A float64 0-d array, not a Python float, so that the float32 CE
-        # plus this term is promoted to a float64 total.
-        swd_node = tape.op(np.asarray(swd_value), (emb_sub,), lambda g, sg=swd_grad: (g * sg,))
-        total = ad.vsum2(tape, ce, ad.vscale(tape, swd_node, config.lambda_))
-
-        ce_v, swd_v, total_v = float(ce.data), float(swd_node.data), float(total.data)
-        if not np.isfinite(total_v):
-            raise DivergenceError(f"adaptation loss non-finite at step {step}", step=step)
-        grads = backward(tape, total)
-        lr = config.lr if config.adapt_lr is None else config.adapt_lr
-        adam_step(params, grads, state, lr)
-        report.steps.append((step, ce_v, swd_v, total_v))
-
-    report.kept_fraction = float(np.mean(kept)) if kept else float("nan")
+    lr = config.lr if config.adapt_lr is None else config.adapt_lr
+    records = _descend(
+        model, target_images, config.batch_target, config.adapt_steps, lr, rng, loss_fn, "adaptation"
+    )
+    report = AdaptationReport(steps=[(step, *r[:3]) for step, r in enumerate(records)])
+    report.kept_fraction = float(np.mean([r[3] for r in records])) if records else float("nan")
     report.wall_clock = time.perf_counter() - start_time
     return model, report
-
-
-def _gather_backward(indices, full_shape):
-    def bwd(g):
-        out = np.zeros(full_shape, dtype=g.dtype)
-        out[indices] = g
-        return (out,)
-
-    return bwd
 
 
 def _clone_model(model: SegModel) -> SegModel:

@@ -375,8 +375,8 @@ def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> 
 def load_split(directory):
     """Returns (images, labels-or-None, manifest dict).
 
-    Rejects a manifest whose format_version is not FORMAT_VERSION and
-    labels whose shape is not the images' [n, H, W].
+    Rejects a manifest whose format_version is not FORMAT_VERSION, a split
+    with no images, and labels whose shape is not the images' [n, H, W].
     """
     manifest = read_keyvalue(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -385,6 +385,8 @@ def load_split(directory):
             f"{directory}: format_version {version!r} is not {FORMAT_VERSION!r}"
         )
     images = load_tensor(os.path.join(directory, "images.tns1"))
+    if images.size == 0:
+        raise FileFormatError(f"{directory}: split has no images (shape {images.shape})")
     labels_path = os.path.join(directory, "labels.tns1")
     labels = None
     if os.path.exists(labels_path):

@@ -1,5 +1,6 @@
 """Pipeline pieces: metric, source training, estimation, adaptation loop."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -11,6 +12,7 @@ from protoadapt.adaptation import (
     PSEUDO_CLOUD,
     ExperimentConfig,
     adapt_source_free,
+    adaptation_loss,
     compute_bound_diagnostics,
     error_from_confusion,
     estimate_stage,
@@ -22,7 +24,7 @@ from protoadapt.adaptation import (
     wasserstein_estimates,
 )
 from protoadapt.datasets import DomainSpec, gen_blobs, gen_grid_seg
-from protoadapt.errors import ConfigError, DimensionError
+from protoadapt.errors import ConfigError, DimensionError, DivergenceError
 from protoadapt.rng import Rng
 
 
@@ -55,6 +57,16 @@ def blob_splits(seed=0, n=300, shifted_target=True):
     return xs, ys, xt, xe, ye
 
 
+@pytest.fixture(scope="module")
+def trained_blobs():
+    """(config, model, mixture, source images, source labels, target images)."""
+    cfg = blob_config()
+    xs, ys, xt, _, _ = blob_splits()
+    model, _ = train_source(cfg, xs, ys)
+    gmm, _ = estimate_stage(model, xs, ys, cfg)
+    return cfg, model, gmm, xs, ys, xt
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize(
         "key,value",
@@ -74,6 +86,8 @@ class TestConfigRanges:
             ("adapt_lr", float("inf")),
             ("lambda_", float("nan")),
             ("lambda_", -2.0),
+            ("encoder_hidden", (0,)),
+            ("encoder_hidden", (64, -3)),
         ],
     )
     def test_out_of_range_value_names_key(self, key, value):
@@ -93,6 +107,7 @@ class TestConfigRanges:
             lr=0.0,
             adapt_lr=0.0,
             lambda_=0.0,
+            encoder_hidden=(),
         )
         assert cfg.tau_fit == 0.0
 
@@ -330,6 +345,63 @@ class TestAdaptation:
 
         # the tiny override moves parameters far less than the default lr
         assert displacement(m2) < 0.05 * displacement(m1)
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_empty_target_named(self, trained_blobs, steps):
+        cfg, model, gmm, _, _, xt = trained_blobs
+        with pytest.raises(ValueError, match="target dataset is empty"):
+            adapt_source_free(model, gmm, xt[:0], replace(cfg, adapt_steps=steps))
+
+
+@pytest.mark.parametrize("stage", ["training", "adaptation"])
+def test_huge_step_diverges_at_step_1(trained_blobs, stage):
+    """The shared descent loop stops on the first non-finite loss, from
+    either caller."""
+    cfg, model, gmm, xs, ys, xt = trained_blobs
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+        if stage == "training":
+            train_source(replace(cfg, lr=1e30), xs, ys)
+        else:
+            adapt_source_free(model, gmm, xt, replace(cfg, adapt_lr=1e30))
+    assert str(exc.value) == f"{stage} loss non-finite at step 1"
+    assert exc.value.step == 1
+
+
+class TestAdaptationLoss:
+    def test_embedding_gradient_matches_finite_differences(self, trained_blobs):
+        """Float64 central differences through the pseudo-label CE, the SWD
+        tape op that gathers a row subsample and the float32 + float64 sum.
+        A fresh Rng(5) per evaluation freezes the pseudo set, the subsample
+        and the directions."""
+        _, model, gmm, _, _, xt = trained_blobs
+        cfg = blob_config(pseudo_batch=8)
+        feats = ad.feature_rows(ad.pad_images(xt[:24], model.neighborhood), model.neighborhood)
+        emb0 = ad.embed_flat(model, feats, ad.Tape()).data.astype(np.float64)
+        probs_fn = partial(ad.forward_classify, model)
+
+        def loss(emb):
+            tape = ad.Tape()
+            leaf = tape.leaf(emb)
+            total, _ = adaptation_loss(tape, model, leaf, gmm, probs_fn, cfg, Rng(5))
+            return tape, leaf, total
+
+        tape, leaf, total = loss(emb0)
+        assert total.data.dtype == np.float64
+        ad.backward(tape, total)
+        grad = leaf.grad
+        read = np.any(grad != 0, axis=1)
+        assert read.sum() == cfg.pseudo_batch
+
+        h = 1e-6
+        fd = np.zeros_like(emb0)
+        for i, j in np.ndindex(emb0.shape):
+            step = np.zeros_like(emb0)
+            step[i, j] = h
+            fd[i, j] = (float(loss(emb0 + step)[2].data) - float(loss(emb0 - step)[2].data)) / (2 * h)
+        assert np.all(grad[~read] == 0) and np.all(fd[~read] == 0)
+        rel = np.abs(fd[read] - grad[read]) / np.abs(grad[read])
+        assert rel.size >= 20
+        assert rel.max() <= 1e-3
 
 
 class TestRunExperiment:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from protoadapt.autodiff import (
     vsum2,
 )
 from protoadapt.autodiff import _column_sum, _row_max, _row_sum
-from protoadapt.adaptation import ExperimentConfig, _gather_backward, train_source
+from protoadapt.adaptation import ExperimentConfig, train_source
 from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from protoadapt.fileformats import MDL1_MAGIC, write_tns1, write_u32
@@ -286,6 +287,14 @@ def _reference_adam_step(params, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
         p.data = (p.data.astype(np.float64) - step).astype(np.float32)
 
 
+def _scatter_rows(rows, shape, g):
+    """Backward of the row gather `x[rows]`, as adaptation's SWD node
+    scatters its gradient: zeros of the full shape, `g` written at `rows`."""
+    out = np.zeros(shape, dtype=g.dtype)
+    out[rows] = g
+    return (out,)
+
+
 def _chain_dense(t, x, w, b, relu):
     x = vadd(t, vmatmul(t, x, w), b)
     return vrelu(t, x) if relu else x
@@ -351,7 +360,7 @@ class TestBitwiseOracle:
         inp = leaf
         if gather:
             sub = np.arange(0, 40, 2)
-            inp = t.op(x[sub], (leaf,), _gather_backward(sub, x.shape))
+            inp = t.op(x[sub], (leaf,), partial(_scatter_rows, sub, x.shape))
         w0, b0, w1, b1 = (t.watch(p, dtype) for p in params)
         hidden = dense(t, inp, w0, b0, True)
         out = dense(t, hidden, w1, b1, relu)

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from protoadapt.adaptation import ExperimentConfig, run_experiment
+from protoadapt.datasets import DomainSpec, gen_blobs
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
 
@@ -60,3 +63,27 @@ def test_positionally_read_arguments_stay_put(module, attr, expected):
 def test_forward_embed_takes_exactly_model_and_images():
     # StageClock's chunk timer wraps it as `timed(model, images)`.
     assert list(inspect.signature(_resolve("autodiff", "forward_embed")).parameters) == ["model", "images"]
+
+
+def test_stage_clock_sees_every_step():
+    """StageClock counts optimizer steps through the patched `adam_step`; a
+    step loop that bound it before the patch would record no windows."""
+    xs, ys = gen_blobs(DomainSpec(kind="blobs", K=3, n_images=200, seed=0), shifted=False)
+    xt, yt = gen_blobs(DomainSpec(kind="blobs", K=3, n_images=200, seed=1), shifted=True)
+    config = ExperimentConfig(
+        source_steps=100,
+        adapt_steps=20,
+        lr=1e-2,
+        batch_source=16,
+        pseudo_batch=64,
+        num_projections=25,
+        tau_fit=0.5,
+        tau_filter=0.5,
+        encoder_hidden=(32, 16),
+        neighborhood=False,
+    )
+    with tracer.StageClock(None) as clock:
+        run_experiment(config, xs, ys, xt, xt, yt)
+    # STEP_WINDOWS: 50 training steps and 10 adaptation steps per window.
+    assert len(clock.windows["train_source"]) == 2
+    assert len(clock.windows["adapt_source_free"]) == 2

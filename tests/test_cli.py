@@ -225,6 +225,8 @@ class TestTrain:
             "batch_source=0",
             "source_steps=-3",
             "tau_fit=1.0",
+            "encoder_hidden=0",
+            "encoder_hidden=64,-3",
         ],
     )
     def test_bad_config_value_names_key(self, workspace, tmp_path, capsys, line):
@@ -244,6 +246,15 @@ class TestTrain:
         assert code == 2
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "m.mdl1").exists()
+
+    def test_divergence_exit5(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "huge_lr.txt"
+        bad.write_text(CONFIG + "lr=1e30\n")
+        data, out = workspace / "data" / "source", tmp_path / "m.mdl1"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(bad), "--data", str(data), "--out", str(out)])
+        assert code == 5
+        assert "training loss non-finite at step 1" in capsys.readouterr().err
 
     def test_negative_steps_flag_rejected(self, workspace, tmp_path, capsys):
         argv = ["train", "--data", str(workspace / "data" / "source"), "--steps", "-3"]
@@ -451,6 +462,13 @@ class TestAdapt:
         assert run_adapt(workspace, tmp_path / "run", extra=["--config", str(bad)]) == 2
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
+    def test_divergence_exit5(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "huge_lr.txt"
+        bad.write_text(CONFIG + "adapt_lr=1e30\n")
+        with np.errstate(all="ignore"):
+            assert run_adapt(workspace, tmp_path / "run", extra=["--config", str(bad)]) == 5
+        assert "adaptation loss non-finite at step 1" in capsys.readouterr().err
 
     def test_mismatched_model_and_mixture_exit2(self, workspace, tmp_path, capsys):
         wider = tmp_path / "k5.mdl1"

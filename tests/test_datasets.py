@@ -391,6 +391,14 @@ class TestSplitsOnDisk:
             load_split(tmp_path / "s")
         assert str(tmp_path / "s") in str(exc.value)
 
+    def test_empty_split_names_directory(self, tmp_path):
+        spec = DomainSpec(n_images=3)
+        images, labels = gen_grid_seg(spec)
+        save_split(tmp_path / "s", spec, "source", images[:0], labels[:0])
+        with pytest.raises(FileFormatError, match="no images") as exc:
+            load_split(tmp_path / "s")
+        assert str(tmp_path / "s") in str(exc.value)
+
     def test_labels_shape_checked(self, tmp_path):
         labels = self.labeled_split(tmp_path / "s")
         save_tensor(tmp_path / "s" / "labels.tns1", labels[:, :8].astype(np.float32))
