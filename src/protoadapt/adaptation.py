@@ -132,8 +132,8 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
     )
     flat_labels = np.asarray(labels).reshape(images.shape[0], -1)
 
-    def loss_fn(tape, emb, idx):
-        probs = ad.classify_flat(model, emb, tape)
+    def loss_fn(tape, feats, idx):
+        probs = ad.classify_flat(model, ad.embed_flat(model, feats, tape), tape)
         loss = ad.vcross_entropy(tape, probs, flat_labels[idx].reshape(-1))
         return loss, float(loss.data)
 
@@ -145,22 +145,26 @@ def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarra
 def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
     """The Adam loop of training and adaptation; returns each step's record.
 
-    A step draws `batch` image indices, embeds their pixels on a fresh tape
-    and descends on the loss node of `loss_fn(tape, emb, idx) -> (loss,
-    record)`. `backward` and `adam_step` are module lookups, so patches see them.
+    A step draws `batch` image indices, cuts their pixels' feature rows and
+    descends on the loss node of `loss_fn(tape, feats, idx) -> (loss,
+    record)`, which embeds the rows it reads on the fresh tape. `backward`
+    and `adam_step` are module lookups, so patches see them.
     """
     params, state = model.parameters(), AdamState()
     padded = ad.pad_images(images, model.neighborhood)
     records = []
-    for step in range(steps):
-        idx = rng.integers(0, images.shape[0], batch)
-        tape = Tape()
-        emb = ad.embed_flat(model, ad.feature_rows(padded[idx], model.neighborhood), tape)
-        loss, record = loss_fn(tape, emb, idx)
-        if not np.isfinite(float(loss.data)):
-            raise DivergenceError(f"{what} loss non-finite at step {step}", step=step)
-        adam_step(params, backward(tape, loss), state, lr)
-        records.append(record)
+    # Diverging parameters overflow before the loss check below can name
+    # the step; that check, not a numpy warning, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            idx = rng.integers(0, images.shape[0], batch)
+            tape = Tape()
+            feats = ad.feature_rows(padded[idx], model.neighborhood)
+            loss, record = loss_fn(tape, feats, idx)
+            if not np.isfinite(float(loss.data)):
+                raise DivergenceError(f"{what} loss non-finite at step {step}", step=step)
+            adam_step(params, backward(tape, loss), state, lr)
+            records.append(record)
     return records
 
 
@@ -294,30 +298,30 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
 # ---------------------------------------------------------------- adaptation
 
 
-def adaptation_loss(tape, model, emb, gmm, probs_fn, config, rng):
-    """One adapt step's loss: pseudo-label CE + lambda * squared SWD between a
-    row subsample of the target embedding `emb` and the pseudo set. Returns
-    (total node, (ce, swd, total, kept_fraction)). Draws from `rng` in order:
-    the pseudo set, the row subsample, the SWD directions and equalizing
-    subsample."""
+def adaptation_loss(tape, model, feats, gmm, probs_fn, config, rng):
+    """One adapt step's loss: pseudo-label CE + lambda * squared SWD between
+    the embedded row subsample of the target feature rows `feats` and the
+    pseudo set. Returns (total node, (ce, swd, total, kept_fraction)). Draws
+    from `rng` in order: the pseudo set, the row subsample, the SWD
+    directions and equalizing subsample."""
     pseudo = generate_pseudo_dataset(gmm, probs_fn, config.pseudo_batch, config.tau_filter, rng)
     probs = ad.classify_flat(model, tape.leaf(pseudo.Z), tape)
     ce = ad.vcross_entropy(tape, probs, pseudo.Y)
 
-    n = emb.data.shape[0]
+    n = feats.shape[0]
     sub = rng.subsample(n, min(config.pseudo_batch, n))
+    # Only the rows the SWD term reads are embedded. On OpenBLAS 0.3.31's
+    # SkylakeX core (numpy's AVX-512 or AVX2 loops) a k-row sgemm gives the
+    # bits of those rows of the full call; on the Haswell core it does not.
+    # The parameter gradients sum k rows in draw order, not all rows with
+    # exact-zero padding (<= 2e-12 relative apart), and the float32
+    # parameters after Adam kept their bits in every pinned run.
+    emb = ad.embed_flat(model, feats[sub], tape)
     swd_cfg = SlicedConfig(num_projections=config.num_projections)
-    swd_value, swd_grad = sliced_wasserstein_grad(emb.data[sub], pseudo.Z, swd_cfg, rng)
-
-    def scatter(g):
-        rows = g * swd_grad
-        out = np.zeros(emb.data.shape, dtype=rows.dtype)
-        out[sub] = rows
-        return (out,)
-
+    swd_value, swd_grad = sliced_wasserstein_grad(emb.data, pseudo.Z, swd_cfg, rng)
     # A float64 0-d array, not a Python float, so that the float32 CE
     # plus this term is promoted to a float64 total.
-    swd = tape.op(np.asarray(swd_value), (emb,), scatter)
+    swd = tape.op(np.asarray(swd_value), (emb,), lambda g: (g * swd_grad,))
     total = ad.vsum2(tape, ce, ad.vscale(tape, swd, config.lambda_))
     return total, (float(ce.data), float(swd.data), float(total.data), pseudo.kept_fraction)
 
@@ -348,8 +352,8 @@ def adapt_source_free(
     frozen_probs_fn = partial(ad.forward_classify, model)
     model = _clone_model(model)
 
-    def loss_fn(tape, emb, idx):
-        return adaptation_loss(tape, model, emb, gmm, frozen_probs_fn, config, rng)
+    def loss_fn(tape, feats, idx):
+        return adaptation_loss(tape, model, feats, gmm, frozen_probs_fn, config, rng)
 
     lr = config.lr if config.adapt_lr is None else config.adapt_lr
     records = _descend(

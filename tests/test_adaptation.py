@@ -346,6 +346,24 @@ class TestAdaptation:
         # the tiny override moves parameters far less than the default lr
         assert displacement(m2) < 0.05 * displacement(m1)
 
+    @pytest.mark.parametrize("pseudo_batch", [8, 64])
+    def test_step_embeds_only_the_subsampled_rows(self, trained_blobs, monkeypatch, pseudo_batch):
+        """Each adapt step embeds min(pseudo_batch, rows in its batch) target
+        rows: a blobs image is one pixel, so a batch of 16 images is 16 rows."""
+        cfg, model, gmm, _, _, xt = trained_blobs
+        cfg = replace(cfg, pseudo_batch=pseudo_batch, adapt_steps=4)
+        rows = []
+        embed_flat = ad.embed_flat
+
+        def spy(model, feats, tape):
+            rows.append(feats.shape[0])
+            return embed_flat(model, feats, tape)
+
+        monkeypatch.setattr(ad, "embed_flat", spy)
+        adapt_source_free(model, gmm, xt, cfg)
+        n_rows = cfg.batch_target * xt.shape[1] * xt.shape[2]
+        assert rows == [min(pseudo_batch, n_rows)] * cfg.adapt_steps
+
     @pytest.mark.parametrize("steps", [0, 3])
     def test_empty_target_named(self, trained_blobs, steps):
         cfg, model, gmm, _, _, xt = trained_blobs
@@ -353,12 +371,14 @@ class TestAdaptation:
             adapt_source_free(model, gmm, xt[:0], replace(cfg, adapt_steps=steps))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("stage", ["training", "adaptation"])
 def test_huge_step_diverges_at_step_1(trained_blobs, stage):
     """The shared descent loop stops on the first non-finite loss, from
-    either caller."""
+    either caller, and the overflow on the way there raises no numpy
+    warning."""
     cfg, model, gmm, xs, ys, xt = trained_blobs
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+    with pytest.raises(DivergenceError) as exc:
         if stage == "training":
             train_source(replace(cfg, lr=1e30), xs, ys)
         else:
@@ -368,37 +388,51 @@ def test_huge_step_diverges_at_step_1(trained_blobs, stage):
 
 
 class TestAdaptationLoss:
-    def test_embedding_gradient_matches_finite_differences(self, trained_blobs):
+    def test_embedding_gradient_matches_finite_differences(self, trained_blobs, monkeypatch):
         """Float64 central differences through the pseudo-label CE, the SWD
-        tape op that gathers a row subsample and the float32 + float64 sum.
-        A fresh Rng(5) per evaluation freezes the pseudo set, the subsample
-        and the directions."""
+        tape op on the embedded row subsample and the float32 + float64 sum.
+        `embed_flat` is swapped for a float64 leaf of the rows it is handed,
+        so the loss is a function of target embeddings. A fresh Rng(5) per
+        evaluation freezes the pseudo set, the subsample and the directions."""
         _, model, gmm, _, _, xt = trained_blobs
         cfg = blob_config(pseudo_batch=8)
         feats = ad.feature_rows(ad.pad_images(xt[:24], model.neighborhood), model.neighborhood)
         emb0 = ad.embed_flat(model, feats, ad.Tape()).data.astype(np.float64)
         probs_fn = partial(ad.forward_classify, model)
+        leaves = []
+
+        def embed_leaf(model, rows, tape):
+            leaves.append(tape.leaf(rows))
+            return leaves[-1]
+
+        monkeypatch.setattr(ad, "embed_flat", embed_leaf)
 
         def loss(emb):
             tape = ad.Tape()
-            leaf = tape.leaf(emb)
-            total, _ = adaptation_loss(tape, model, leaf, gmm, probs_fn, cfg, Rng(5))
-            return tape, leaf, total
+            total, _ = adaptation_loss(tape, model, emb, gmm, probs_fn, cfg, Rng(5))
+            return tape, total
 
-        tape, leaf, total = loss(emb0)
+        tape, total = loss(emb0)
         assert total.data.dtype == np.float64
         ad.backward(tape, total)
-        grad = leaf.grad
-        read = np.any(grad != 0, axis=1)
-        assert read.sum() == cfg.pseudo_batch
+        (leaf,) = leaves
+        # which row of emb0 each embedded row is
+        match = (leaf.data[:, None, :] == emb0[None, :, :]).all(axis=2)
+        assert np.all(match.sum(axis=1) == 1)
+        sub = match.argmax(axis=1)
+        assert len(set(sub.tolist())) == cfg.pseudo_batch
+        grad = np.zeros_like(emb0)
+        grad[sub] = leaf.grad
+        read = np.zeros(emb0.shape[0], dtype=bool)
+        read[sub] = True
 
         h = 1e-6
         fd = np.zeros_like(emb0)
         for i, j in np.ndindex(emb0.shape):
             step = np.zeros_like(emb0)
             step[i, j] = h
-            fd[i, j] = (float(loss(emb0 + step)[2].data) - float(loss(emb0 - step)[2].data)) / (2 * h)
-        assert np.all(grad[~read] == 0) and np.all(fd[~read] == 0)
+            fd[i, j] = (float(loss(emb0 + step)[1].data) - float(loss(emb0 - step)[1].data)) / (2 * h)
+        assert np.all(fd[~read] == 0)
         rel = np.abs(fd[read] - grad[read]) / np.abs(grad[read])
         assert rel.size >= 20
         assert rel.max() <= 1e-3

@@ -41,7 +41,7 @@ from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from protoadapt.fileformats import MDL1_MAGIC, write_tns1, write_u32
 from protoadapt.rng import Rng
-from test_fingerprint import numpy_stack
+from test_fingerprint import PINNED_STACK, blas_stack, numpy_stack
 
 
 class TestForwardOps:
@@ -288,8 +288,8 @@ def _reference_adam_step(params, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def _scatter_rows(rows, shape, g):
-    """Backward of the row gather `x[rows]`, as adaptation's SWD node
-    scatters its gradient: zeros of the full shape, `g` written at `rows`."""
+    """Backward of the row gather `x[rows]`: zeros of the full shape, `g`
+    written at `rows`."""
     out = np.zeros(shape, dtype=g.dtype)
     out[rows] = g
     return (out,)
@@ -344,7 +344,7 @@ class TestBitwiseOracle:
 
         Returns (input leaf, first-layer input, output node, parameter
         gradients); with `gather` the first layer reads a row gather of the
-        leaf, as adaptation's SWD branch does.
+        leaf, so its input has a parent and gets a gradient.
         """
         rng = np.random.default_rng(20)
         x = rng.normal(size=(40, 6)).astype(dtype)
@@ -397,6 +397,25 @@ class TestBitwiseOracle:
         assert inp.grad is not None and leaf.grad is not None
         assert np.array_equal(inp.grad, ref_inp.grad)
         assert np.array_equal(leaf.grad, ref_leaf.grad)
+
+    # Adaptation embeds only its subsampled target rows. On the pinned
+    # OpenBLAS core (SkylakeX) a k-row sgemm gives the bits of those rows of
+    # the full call, under numpy's AVX-512 or AVX2 loops alike, and the
+    # forced Sandybridge core kept them too. The forced Haswell core does
+    # not (0 of 20 random batches), so this runs on the pinned core only.
+    @pytest.mark.skipif(
+        blas_stack() != {k: PINNED_STACK[k] for k in ("openblas", "openblas_core")},
+        reason="row bits of a partial sgemm are pinned on one OpenBLAS core",
+    )
+    @pytest.mark.parametrize("k", [384, 1024])
+    def test_subsample_embedding_is_rows_of_full_embedding(self, k):
+        images, _ = gen_grid_seg(DomainSpec(K=5, n_images=8, seed=k))
+        model = init_model(3, 5, rng=Rng(k), neighborhood=True)
+        feats = pixel_features(images, model.neighborhood)
+        sub = Rng(k + 1).subsample(feats.shape[0], k)
+        full = embed_flat(model, feats, Tape()).data
+        assert feats.shape[0] == 2048
+        assert _same_bits(embed_flat(model, feats[sub], Tape()).data, full[sub])
 
     def test_train_source_matches_reference_loop(self):
         images, labels = gen_grid_seg(DomainSpec(K=5, n_images=40, seed=3))
@@ -596,18 +615,22 @@ class TestShortAxisKernels:
 
 # Stacks the oracles above must also hold on, each forced for one child
 # process: numpy's AVX2 loops in place of the AVX-512 ones this CPU runs
-# (float64 rows reduce in 4 lanes, not 8), and OpenBLAS's Haswell kernels.
+# (float64 rows reduce in 4 lanes, not 8), OpenBLAS's Haswell kernels, and
+# the AVX2 loops with OpenBLAS's Sandybridge kernels.
 AVX512_TARGETS = {"X86_V4", "AVX512_ICL", "AVX512_SPR"}
+AVX2_LOOPS = {"NPY_DISABLE_CPU_FEATURES": ",".join(sorted(AVX512_TARGETS))}
+RUNS_AVX512 = pytest.mark.skipif(
+    not AVX512_TARGETS <= set(numpy_stack()["simd"].split(",")),
+    reason="numpy runs no AVX-512 loops here to switch off",
+)
 FORCED_STACKS = [
-    pytest.param(
-        {"NPY_DISABLE_CPU_FEATURES": ",".join(sorted(AVX512_TARGETS))},
-        id="avx2-loops",
-        marks=pytest.mark.skipif(
-            not AVX512_TARGETS <= set(numpy_stack()["simd"].split(",")),
-            reason="numpy runs no AVX-512 loops here to switch off",
-        ),
-    ),
+    pytest.param(AVX2_LOOPS, id="avx2-loops", marks=RUNS_AVX512),
     pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="haswell-blas"),
+    pytest.param(
+        {**AVX2_LOOPS, "OPENBLAS_CORETYPE": "Sandybridge"},
+        id="sandybridge-blas-avx2-loops",
+        marks=RUNS_AVX512,
+    ),
 ]
 
 

@@ -247,12 +247,12 @@ class TestTrain:
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "m.mdl1").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_exit5(self, workspace, tmp_path, capsys):
         bad = tmp_path / "huge_lr.txt"
         bad.write_text(CONFIG + "lr=1e30\n")
         data, out = workspace / "data" / "source", tmp_path / "m.mdl1"
-        with np.errstate(all="ignore"):
-            code = main(["train", "--config", str(bad), "--data", str(data), "--out", str(out)])
+        code = main(["train", "--config", str(bad), "--data", str(data), "--out", str(out)])
         assert code == 5
         assert "training loss non-finite at step 1" in capsys.readouterr().err
 
@@ -463,11 +463,11 @@ class TestAdapt:
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_exit5(self, workspace, tmp_path, capsys):
         bad = tmp_path / "huge_lr.txt"
         bad.write_text(CONFIG + "adapt_lr=1e30\n")
-        with np.errstate(all="ignore"):
-            assert run_adapt(workspace, tmp_path / "run", extra=["--config", str(bad)]) == 5
+        assert run_adapt(workspace, tmp_path / "run", extra=["--config", str(bad)]) == 5
         assert "adaptation loss non-finite at step 1" in capsys.readouterr().err
 
     def test_mismatched_model_and_mixture_exit2(self, workspace, tmp_path, capsys):
