@@ -237,7 +237,7 @@ DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
 class EstimateInfo:
     """Source-phase facts persisted in the GMM `.meta` sidecar; the only
     numbers about the source domain that survive into the adaptation phase.
-    The defaults stand for a sidecar that is missing or lacks the field."""
+    The defaults stand for a sidecar that lacks the field."""
 
     w_sp_exact: float = float("nan")
     w_sp_sliced: float = float("nan")

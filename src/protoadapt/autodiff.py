@@ -22,14 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
-from .fileformats import (
-    MDL1_MAGIC,
-    _read_exact,
-    read_tns1,
-    read_u32,
-    write_tns1,
-    write_u32,
-)
+from .fileformats import MDL1_MAGIC, read_framed, read_tns1, read_u32, write_tns1, write_u32
 from .rng import Rng
 
 
@@ -61,10 +54,9 @@ class Tape:
         self.consumed = False
 
     def leaf(self, data, param: Parameter | None = None, dtype=None) -> Value:
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        node = Value(arr, param=param)
+        """A node over `data`, cast to `dtype` if given. An array that
+        already has that dtype is not copied: no op writes into its inputs."""
+        node = Value(np.asarray(data, dtype=dtype), param=param)
         self.nodes.append(node)
         return node
 
@@ -82,7 +74,8 @@ def _accumulate(node: Value, grad: np.ndarray) -> None:
 
 
 def backward(tape: Tape, loss: Value) -> dict:
-    """Propagate from `loss`; returns {Parameter: gradient array}."""
+    """Propagate from `loss`; returns {Parameter: gradient array}. A
+    parameter watched more than once gets the sum of its leaves' gradients."""
     if tape.consumed:
         raise TapeError("backward already invoked for this tape")
     tape.consumed = True
@@ -97,7 +90,7 @@ def backward(tape: Tape, loss: Value) -> dict:
     for node in tape.nodes:
         if node.param is not None:
             g = node.grad if node.grad is not None else np.zeros_like(node.data)
-            grads[node.param] = g
+            grads[node.param] = grads[node.param] + g if node.param in grads else g
     return grads
 
 
@@ -537,14 +530,13 @@ def load_model(path) -> SegModel:
     """Read an MDL1 checkpoint, rejecting trailing bytes, layers that do not
     chain, an empty encoder+decoder or classifier, a neighborhood flag other
     than 0 or 1, and a trailer whose sizes differ from the weights'."""
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != MDL1_MAGIC:
-            raise FileFormatError("bad model magic")
-        count = read_u32(f)
-        tensors = [read_tns1(f) for _ in range(count)]
-        K, embed_dim, n_enc, n_dec, n_cls, in_channels, flag = (read_u32(f) for _ in range(7))
-        if f.read(1):
-            raise FileFormatError("trailing bytes after model trailer")
+    return read_framed(path, MDL1_MAGIC, _read_model)
+
+
+def _read_model(f) -> SegModel:
+    count = read_u32(f)
+    tensors = [read_tns1(f) for _ in range(count)]
+    K, embed_dim, n_enc, n_dec, n_cls, in_channels, flag = (read_u32(f) for _ in range(7))
     if count != 2 * (n_enc + n_dec + n_cls):
         raise FileFormatError("tensor count does not match layer counts")
     if n_enc + n_dec == 0 or n_cls == 0:

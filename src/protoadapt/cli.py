@@ -112,11 +112,15 @@ _INFO_TYPES = typing.get_type_hints(EstimateInfo)
 def read_sidecar(path: str) -> tuple[str, EstimateInfo]:
     """(source data path, EstimateInfo) from a mixture's `.meta` sidecar.
 
-    A missing sidecar gives ("", EstimateInfo()), whose source terms are
-    NaN. `tau_fit` is skipped: the mixture file holds it.
+    One that is missing or lacks `source_data` is refused: the source-free
+    check needs it. `tau_fit` is skipped: the mixture file holds it.
     """
-    meta = read_keyvalue(path) if os.path.exists(path) else {}
+    if not os.path.isfile(path):
+        raise CliError(f"mixture sidecar not found: {path}")
+    meta = read_keyvalue(path)
     source = meta.pop("source_data", "")
+    if not source:
+        raise CliError(f"{path}: no source_data line")
     meta.pop("tau_fit", None)
     return source, EstimateInfo(**_parse_values(_INFO_TYPES, meta, "sidecar"))
 
@@ -201,8 +205,6 @@ def cmd_estimate(args) -> int:
 
 
 def _check_source_freedom(target_dir: str, source: str) -> None:
-    if not source:
-        return
     target = os.path.realpath(target_dir)
     src = os.path.realpath(source)
     if target == src or target.startswith(src + os.sep) or src.startswith(target + os.sep):
@@ -222,12 +224,12 @@ def cmd_adapt(args) -> int:
     target_dir = _require_dir(args.target, "target")
     source, info = read_sidecar(args.gmm + ".meta")
     _check_source_freedom(target_dir, source)
-    if os.path.exists(os.path.join(target_dir, "labels.tns1")):
+    images, labels, _ = ds.load_split(target_dir)
+    if labels is not None:
         raise CliError("target directory must not contain a labels file")
 
     model = ad.load_model(args.ckpt)
     gmm = load_gmm(args.gmm)
-    images, _, _ = ds.load_split(target_dir)
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
     os.makedirs(args.out, exist_ok=True)

@@ -11,8 +11,9 @@ EMB1 embedding export:
     magic "EMB1" | one TNS1 block of shape [n, d+2]
     Columns: d embedding coordinates, true label, predicted label.
 
-MDL1 and GMM1 are framed on top of TNS1 blocks by the model and gmm
-modules; see their save/load functions.
+Every loader is one `read_framed` call: it checks the magic and rejects
+trailing bytes, and its errors name the file. The MDL1 and GMM1 layouts
+stay with their types, in the autodiff and gmm modules.
 """
 
 from __future__ import annotations
@@ -82,17 +83,32 @@ def read_tns1(f) -> np.ndarray:
         raise FileFormatError(f"tensor shape {shape} is not a valid array shape") from None
 
 
+def read_framed(path, magic: bytes, parse):
+    """`parse(f)` of the file at `path` after its 4-byte `magic`.
+
+    A bare TNS1 file is handed to `parse` from its first byte, since
+    `read_tns1` checks that magic itself. Bytes left after `parse` are
+    rejected, and every FileFormatError raised here names `path`.
+    """
+    try:
+        with open(path, "rb") as f:
+            if magic != TNS1_MAGIC and (found := _read_exact(f, 4)) != magic:
+                raise FileFormatError(f"bad magic {found!r}, expected {magic!r}")
+            out = parse(f)
+            if f.read(1):
+                raise FileFormatError("trailing bytes after payload")
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    return out
+
+
 def save_tensor(path, arr: np.ndarray) -> None:
     with open(path, "wb") as f:
         write_tns1(f, arr)
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        out = read_tns1(f)
-        if f.read(1):
-            raise FileFormatError("trailing bytes after tensor payload")
-    return out
+    return read_framed(path, TNS1_MAGIC, read_tns1)
 
 
 def save_embeddings(path, embeddings: np.ndarray, true_labels, pred_labels) -> None:
@@ -112,14 +128,7 @@ def save_embeddings(path, embeddings: np.ndarray, true_labels, pred_labels) -> N
 
 
 def load_embeddings(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4)
-        if magic != EMB1_MAGIC:
-            raise FileFormatError(f"bad embedding magic {magic!r}")
-        out = read_tns1(f)
-        if f.read(1):
-            raise FileFormatError("trailing bytes after embedding payload")
-    return out
+    return read_framed(path, EMB1_MAGIC, read_tns1)
 
 
 def write_keyvalue(path, mapping: dict) -> None:
@@ -137,7 +146,7 @@ def read_keyvalue(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise FileFormatError(f"malformed key=value line: {line!r}")
+                raise FileFormatError(f"{path}: malformed key=value line: {line!r}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .fileformats import (
     GMM1_MAGIC,
-    _read_exact,
     read_f32,
+    read_framed,
     read_tns1,
     read_u32,
     write_f32,
@@ -207,17 +207,12 @@ def save_gmm(path, gmm: PrototypicalGMM) -> None:
 
 
 def load_gmm(path) -> PrototypicalGMM:
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != GMM1_MAGIC:
-            raise FileFormatError("bad GMM magic")
-        K = read_u32(f)
-        d = read_u32(f)
-        tau_fit = read_f32(f)
-        alpha = read_tns1(f)
-        mu = read_tns1(f)
-        sigma = read_tns1(f)
-        if f.read(1):
-            raise FileFormatError("trailing bytes after GMM payload")
+    return read_framed(path, GMM1_MAGIC, _read_gmm)
+
+
+def _read_gmm(f) -> PrototypicalGMM:
+    K, d, tau_fit = read_u32(f), read_u32(f), read_f32(f)
+    alpha, mu, sigma = read_tns1(f), read_tns1(f), read_tns1(f)
     if K < 1 or alpha.shape != (K,) or mu.shape != (K, d) or sigma.shape != (K, d, d):
         raise FileFormatError("GMM tensor shapes inconsistent with header")
     if not 0.0 <= tau_fit < 1.0:  # also rejects NaN
@@ -225,4 +220,4 @@ def load_gmm(path) -> PrototypicalGMM:
     try:
         return PrototypicalGMM(alpha, mu, sigma, tau_fit)
     except (DimensionError, FactorizationError) as exc:
-        raise FileFormatError(f"{path}: invalid sigma: {exc}") from exc
+        raise FileFormatError(f"invalid sigma: {exc}") from exc

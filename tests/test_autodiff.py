@@ -178,6 +178,40 @@ class TestBackward:
         with pytest.raises(TapeError):
             backward(t, out)
 
+    def test_parameter_watched_twice_gets_the_sum(self):
+        # Two watches of one parameter give what one watch read twice gives.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 3))
+        w = Parameter(rng.normal(size=(3, 2)))
+        lab = np.array([0, 1, 1, 0])
+
+        def loss(t, first, second):
+            a = vcross_entropy(t, vsoftmax(t, vmatmul(t, t.leaf(x), first)), lab)
+            b = vcross_entropy(t, vsoftmax(t, vmatmul(t, t.leaf(x), second)), lab)
+            return vsum2(t, a, vscale(t, b, 10.0))
+
+        t1 = Tape()
+        node = t1.watch(w, np.float64)
+        once = backward(t1, loss(t1, node, node))[w]
+        t2 = Tape()
+        twice = backward(t2, loss(t2, t2.watch(w, np.float64), t2.watch(w, np.float64)))[w]
+        np.testing.assert_array_equal(twice, once)
+
+    def test_leaf_of_its_own_dtype_is_not_copied(self):
+        w, b = Parameter(np.ones((3, 2))), Parameter(np.full(2, -0.5))
+        feats = np.random.default_rng(6).normal(size=(5, 3)).astype(np.float32)
+        kept = [feats.copy(), w.data.copy(), b.data.copy()]
+        t = Tape()
+        leaves = [t.leaf(feats, dtype=np.float32), t.watch(w, np.float32), t.watch(b, np.float32)]
+        for leaf, arr in zip(leaves, (feats, w.data, b.data)):
+            assert np.shares_memory(leaf.data, arr)
+        assert t.leaf(feats, dtype=np.float64).data.dtype == np.float64
+        # no forward or backward step writes into the shared arrays
+        out = vsoftmax(t, vdense(t, *leaves, relu=True))
+        backward(t, vcross_entropy(t, out, np.zeros(5, int)))
+        for arr, before in zip((feats, w.data, b.data), kept):
+            np.testing.assert_array_equal(arr, before)
+
     def test_unreached_parameter_gets_zeros(self):
         t = Tape()
         x = t.leaf(np.ones((2, 2), np.float32))

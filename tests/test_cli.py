@@ -355,6 +355,14 @@ def run_adapt(workspace, out, seed=None, target=None, extra=()):
     return main(argv)
 
 
+def copy_mixture(workspace, tmp_path):
+    """A copy of the workspace mixture and its sidecar, to damage freely."""
+    gmm = tmp_path / "model.gmm1"
+    for suffix in ("", ".meta"):
+        shutil.copy(str(workspace / "model.gmm1") + suffix, str(gmm) + suffix)
+    return gmm
+
+
 class TestAdapt:
     def test_artifacts(self, workspace, tmp_path):
         out = tmp_path / "run"
@@ -435,13 +443,26 @@ class TestAdapt:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
-    def test_missing_sidecar_gives_nan_source_terms(self, workspace, tmp_path):
-        gmm = tmp_path / "model.gmm1"
-        shutil.copy(workspace / "model.gmm1", gmm)
-        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 0
-        diag = read_keyvalue(tmp_path / "run" / "diagnostics.txt")
-        assert [diag[k] for k in ("w_sp_exact", "w_sp_sliced", "e_source", "N")] == ["nan"] * 3 + ["0"]
-        assert float(diag["w_tp_post_exact"]) >= 0.0
+    @pytest.mark.parametrize("damage", ["deleted", "no-source-data"])
+    def test_missing_sidecar_exit2(self, workspace, tmp_path, capsys, damage):
+        # Without the recorded source path the source-free check cannot run.
+        gmm = copy_mixture(workspace, tmp_path)
+        meta = Path(str(gmm) + ".meta")
+        if damage == "deleted":
+            meta.unlink()
+        else:
+            del (values := read_keyvalue(meta))["source_data"]
+            write_keyvalue(meta, values)
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
+        assert str(meta) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
+    def test_truncated_mixture_exit2_names_file(self, workspace, tmp_path, capsys):
+        gmm = copy_mixture(workspace, tmp_path)
+        gmm.write_bytes(gmm.read_bytes()[:-1])
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
+        assert f"error: {gmm}: " in capsys.readouterr().err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
     @pytest.mark.parametrize(
         "line",
@@ -479,13 +500,13 @@ class TestAdapt:
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
     def test_corrupt_mixture_sigma_exit2(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "flipped.gmm1"
-        data = bytearray((workspace / "model.gmm1").read_bytes())
-        n_sigma = load_gmm(workspace / "model.gmm1").sigma.size
+        bad = copy_mixture(workspace, tmp_path)
+        data = bytearray(bad.read_bytes())
+        n_sigma = load_gmm(bad).sigma.size
         data[len(data) - 4 * n_sigma + 4 + 3] ^= 0x40  # exponent bit of sigma[0, 0, 1]
         bad.write_bytes(bytes(data))
         assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(bad)]) == 2
-        assert str(bad) in capsys.readouterr().err
+        assert f"error: {bad}: invalid sigma" in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
     def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys):
@@ -493,10 +514,11 @@ class TestAdapt:
         assert code == 4
         assert "source data forbidden" in capsys.readouterr().err
 
-    def test_labeled_target_rejected(self, workspace, tmp_path):
+    def test_labeled_target_rejected(self, workspace, tmp_path, capsys):
         # a labeled split that is not the source still violates the contract
         code = run_adapt(workspace, tmp_path / "x", target=workspace / "data" / "target_eval")
         assert code == 2
+        assert "must not contain a labels file" in capsys.readouterr().err
 
     def test_source_files_not_needed(self, workspace, tmp_path):
         # copy artifacts, delete all source data, adaptation still works

@@ -1,6 +1,7 @@
 """Binary formats: TNS1 framing, EMB1 exports, key=value sidecars."""
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -107,6 +108,18 @@ def test_every_truncation_and_one_extra_byte_rejected(tmp_path, fmt):
             load(bad)
 
 
+@pytest.mark.parametrize("damage", ["wrong-magic", "truncated", "trailing-byte"])
+@pytest.mark.parametrize("fmt", ["tns1", "mdl1", "gmm1", "emb1"])
+def test_loader_error_names_the_file(tmp_path, fmt, damage):
+    path, load = _tiny_files(tmp_path)[fmt]
+    data = path.read_bytes()
+    damaged = {"wrong-magic": b"XXXX" + data[4:], "truncated": data[:-1], "trailing-byte": data + b"\x00"}
+    path.write_bytes(damaged[damage])
+    with pytest.raises(FileFormatError) as exc:
+        load(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def _tns1_header(data: bytes, at: int):
     """(bytes of the magic, rank and dims of the TNS1 block at `at`, its end)."""
     rank = struct.unpack_from("<I", data, at + 4)[0]
@@ -202,5 +215,5 @@ def test_keyvalue_comments_and_blanks(tmp_path):
 def test_keyvalue_malformed(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("not-a-pair\n")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: malformed"):
         read_keyvalue(path)
