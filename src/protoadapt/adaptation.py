@@ -253,8 +253,6 @@ def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projection
     matching cost. Sliced: projection estimator on subsamples of at most
     2048 rows of each cloud.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     m = min(64, a.shape[0], b.shape[0])
     vals = []
     for _ in range(10):
@@ -319,11 +317,14 @@ def adaptation_loss(tape, model, feats, gmm, probs_fn, config, rng):
     emb = ad.embed_flat(model, feats[sub], tape)
     swd_cfg = SlicedConfig(num_projections=config.num_projections)
     swd_value, swd_grad = sliced_wasserstein_grad(emb.data, pseudo.Z, swd_cfg, rng)
-    # A float64 0-d array, not a Python float, so that the float32 CE
-    # plus this term is promoted to a float64 total.
-    swd = tape.op(np.asarray(swd_value), (emb,), lambda g: (g * swd_grad,))
-    total = ad.vsum2(tape, ce, ad.vscale(tape, swd, config.lambda_))
-    return total, (float(ce.data), float(swd.data), float(total.data), pseudo.kept_fraction)
+    # CE + lambda * SWD^2 as one node. The SWD value is a float64 0-d array,
+    # not a Python float, so that the float32 CE is promoted to a float64
+    # total. The embedding gradient is `(g * lam) * swd_grad`, in that order.
+    lam = config.lambda_
+    total = tape.op(
+        ce.data + np.asarray(swd_value) * lam, (ce, emb), lambda g: (g, g * lam * swd_grad)
+    )
+    return total, (float(ce.data), float(swd_value), float(total.data), pseudo.kept_fraction)
 
 
 def adapt_source_free(

@@ -213,9 +213,9 @@ def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
     arithmetic as long as `b` does not promote the output's dtype, which
     holds for the float32 stacks `_dense_stack` builds and for an all-
     float64 layer. The bias gradient is `_column_sum`. The backward never
-    writes into the incoming gradient, which `vsum2` hands to two parents.
-    The input gradient is skipped when `x` is a leaf that is not a
-    parameter.
+    writes into the incoming gradient, which an op may also hand to its
+    other parents. The input gradient is skipped when `x` is a leaf that
+    is not a parameter.
     """
     if x.data.shape[-1] != w.data.shape[0]:
         raise DimensionError(f"matmul: {x.data.shape} x {w.data.shape}")
@@ -276,14 +276,6 @@ def vcross_entropy(tape: Tape, probs: Value, labels: np.ndarray) -> Value:
         return (gp.reshape(probs.data.shape),)
 
     return tape.op(np.asarray(loss, dtype=p.dtype), (probs,), bwd)
-
-
-def vscale(tape: Tape, a: Value, c: float) -> Value:
-    return tape.op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def vsum2(tape: Tape, a: Value, b: Value) -> Value:
-    return tape.op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 # ---------------------------------------------------------------- model

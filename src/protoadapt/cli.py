@@ -75,16 +75,17 @@ def _parse_values(types: dict, raw_values: dict, what: str) -> dict:
 
 
 _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+# Config-file key -> ExperimentConfig field: `lambda` is a Python keyword.
+_CONFIG_KEYS = {("lambda" if f == "lambda_" else f): f for f in _CONFIG_TYPES}
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
+    """The file's values, then every `overrides` entry that names a field
+    and is not None."""
     raw = read_keyvalue(path) if path else {}
-    values = _parse_values({**_CONFIG_TYPES, "lambda": float}, raw, "config")
-    if "lambda" in values:
-        values["lambda_"] = values.pop("lambda")
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
+    types = {key: _CONFIG_TYPES[f] for key, f in _CONFIG_KEYS.items()}
+    values = {_CONFIG_KEYS[k]: v for k, v in _parse_values(types, raw, "config").items()}
+    values.update((k, v) for k, v in overrides.items() if k in _CONFIG_TYPES and v is not None)
     return ExperimentConfig(**values)
 
 
@@ -102,7 +103,8 @@ def _format_values(record) -> dict:
 def echo_config(config: ExperimentConfig, out_dir: str) -> None:
     """Write resolved_config.txt so that `--config` reads it back as `config`."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = {("lambda" if k == "lambda_" else k): v for k, v in _format_values(config).items()}
+    keys = {f: key for key, f in _CONFIG_KEYS.items()}
+    payload = {keys[f]: v for f, v in _format_values(config).items()}
     write_keyvalue(os.path.join(out_dir, "resolved_config.txt"), payload)
 
 
@@ -172,7 +174,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, {"seed": args.seed, "source_steps": args.steps})
+    config = load_config(args.config, vars(args))
     images, labels, _ = _load_labeled(_require_dir(args.data, "data"))
     model, losses = adapt_mod.train_source(config, images, labels)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -189,7 +191,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = load_config(args.config, {"seed": args.seed, "tau_fit": args.tau})
+    config = load_config(args.config, vars(args))
     model = ad.load_model(args.ckpt)
     data_dir = _require_dir(args.data, "data")
     images, labels, _ = _load_labeled(data_dir)
@@ -212,15 +214,7 @@ def _check_source_freedom(target_dir: str, source: str) -> None:
 
 
 def cmd_adapt(args) -> int:
-    config = load_config(
-        args.config,
-        {
-            "seed": args.seed,
-            "adapt_steps": args.iters,
-            "lambda_": getattr(args, "lambda"),
-            "tau_filter": args.tau,
-        },
-    )
+    config = load_config(args.config, vars(args))
     target_dir = _require_dir(args.target, "target")
     source, info = read_sidecar(args.gmm + ".meta")
     _check_source_freedom(target_dir, source)
@@ -339,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--threads", type=int, default=1, help="worker threads; only 1 is accepted")
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag that sets a config value stores under its ExperimentConfig
+    # field, and `load_config` takes `vars(args)` as its overrides.
 
     p = sub.add_parser("gen-data", help="write source/target/eval splits")
     p.add_argument("--spec", help="key=value domain spec file")
@@ -351,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, dest="source_steps")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_train)
 
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--tau", type=float)
+    p.add_argument("--tau", type=float, dest="tau_fit")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_estimate)
@@ -369,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--gmm", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--lambda", type=float, dest="lambda")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--iters", type=int)
+    p.add_argument("--lambda", type=float, dest="lambda_")
+    p.add_argument("--tau", type=float, dest="tau_filter")
+    p.add_argument("--iters", type=int, dest="adapt_steps")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_adapt)

@@ -376,7 +376,8 @@ def load_split(directory):
     """Returns (images, labels-or-None, manifest dict).
 
     Rejects a manifest whose format_version is not FORMAT_VERSION, a split
-    with no images, and labels whose shape is not the images' [n, H, W].
+    with no images, labels whose shape is not the images' [n, H, W], and a
+    label that is not an integer in [0, K) for the manifest's K.
     """
     manifest = read_keyvalue(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -390,12 +391,21 @@ def load_split(directory):
     labels_path = os.path.join(directory, "labels.tns1")
     labels = None
     if os.path.exists(labels_path):
-        labels = load_tensor(labels_path).astype(np.int64)
+        labels = load_tensor(labels_path)
         if images.ndim != 4 or labels.shape != images.shape[:3]:
             raise FileFormatError(
                 f"{directory}: labels shape {labels.shape} does not match "
                 f"images shape {images.shape}"
             )
+        K = manifest.get("K", "")
+        if not K.isdigit():
+            raise FileFormatError(f"{directory}: manifest K {K!r} is not a class count")
+        # NaN fails every comparison, so it is refused too.
+        ok = (labels >= 0) & (labels < int(K)) & (labels == np.floor(labels))
+        if not ok.all():
+            bad = labels[~ok][0]
+            raise FileFormatError(f"{directory}: label {bad:g} is not an integer in [0, {K})")
+        labels = labels.astype(np.int64)
     return images, labels, manifest
 
 

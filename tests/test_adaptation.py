@@ -437,6 +437,45 @@ class TestAdaptationLoss:
         assert rel.size >= 20
         assert rel.max() <= 1e-3
 
+    def test_total_node_matches_scale_and_sum_chain(self, trained_blobs, monkeypatch):
+        """CE + lambda * SWD^2 is one tape node over (CE, embedded rows). Its
+        value and the gradients it sends equal, bit for bit, those of the
+        chain it replaced: an SWD node, a scale by lambda, and a sum whose
+        backward hands `g` to both parents."""
+        _, model, gmm, _, _, xt = trained_blobs
+        cfg = blob_config(lambda_=0.3)
+        feats = ad.feature_rows(ad.pad_images(xt, model.neighborhood), model.neighborhood)
+        swd_calls = []
+        real_grad = adaptation.sliced_wasserstein_grad
+
+        def spy(*args):
+            swd_calls.append(real_grad(*args))
+            return swd_calls[-1]
+
+        monkeypatch.setattr(adaptation, "sliced_wasserstein_grad", spy)
+        tape = ad.Tape()
+        probs_fn = partial(ad.forward_classify, model)
+        total, record = adaptation_loss(tape, model, feats, gmm, probs_fn, cfg, Rng(5))
+        ad.backward(tape, total)
+        ce, emb = total.parents
+        ((value, swd_grad),) = swd_calls
+
+        lam = cfg.lambda_
+        t = ad.Tape()
+        ce_leaf, emb_leaf = t.leaf(ce.data), t.leaf(emb.data)
+        swd = t.op(np.asarray(value), (emb_leaf,), lambda g: (g * swd_grad,))
+        scaled = t.op(swd.data * lam, (swd,), lambda g: (g * lam,))
+        chain = t.op(ce_leaf.data + scaled.data, (ce_leaf, scaled), lambda g: (g, g))
+        ad.backward(t, chain)
+
+        pairs = ((total.data, chain.data), (ce.grad, ce_leaf.grad), (emb.grad, emb_leaf.grad))
+        for new, old in pairs:
+            new, old = np.asarray(new), np.asarray(old)
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+        assert np.asarray(total.data).dtype == np.float64
+        assert record[1:3] == (value, float(chain.data))
+
 
 class TestRunExperiment:
     def test_blobs_shifted_improves(self):

@@ -13,7 +13,13 @@ from protoadapt import autodiff as ad
 from protoadapt.adaptation import EstimateInfo, ExperimentConfig, compute_bound_diagnostics
 from protoadapt.cli import load_config, main, read_sidecar
 from protoadapt.datasets import load_split
-from protoadapt.fileformats import load_embeddings, read_keyvalue, write_keyvalue
+from protoadapt.fileformats import (
+    load_embeddings,
+    load_tensor,
+    read_keyvalue,
+    save_tensor,
+    write_keyvalue,
+)
 from protoadapt.gmm import load_gmm
 from protoadapt.rng import Rng
 
@@ -215,6 +221,14 @@ class TestTrain:
         )
         assert code == 2
         assert "not_a_key" in capsys.readouterr().err
+
+    def test_lambda_has_one_spelling(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("source_steps=1\nlambda_=0.9\n")
+        argv = ["train", "--config", str(bad), "--data", str(workspace / "data" / "source")]
+        assert main(argv + ["--out", str(tmp_path / "m.mdl1")]) == 2
+        assert "unknown config key: lambda_" in capsys.readouterr().err
+        assert not (tmp_path / "m.mdl1").exists()
 
     @pytest.mark.parametrize(
         "line",
@@ -644,6 +658,51 @@ class TestEvalDiagnoseExport:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", [7.0, -1.0, 1.5, float("nan")])
+def test_label_outside_classes_exit2_names_split(workspace, tmp_path, capsys, command, value):
+    split = "source" if command == "train" else "target_eval"
+    data = tmp_path / split
+    shutil.copytree(workspace / "data" / split, data)
+    labels = load_tensor(data / "labels.tns1")
+    labels[0, 0, 0] = value
+    save_tensor(data / "labels.tns1", labels)
+    if command == "train":
+        argv = ["train", "--data", str(data), "--steps", "1", "--out", str(tmp_path / "m.mdl1")]
+    else:
+        argv = ["eval", "--ckpt", str(workspace / "model.mdl1"), "--data", str(data)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and f"label {value:g} is not an integer in [0, 3)" in err
+    assert not (tmp_path / "m.mdl1").exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,key",
+    [
+        ("train", "--steps", "3", "source_steps"),
+        ("estimate", "--tau", "0.25", "tau_fit"),
+        ("adapt", "--tau", "0.25", "tau_filter"),
+        ("adapt", "--iters", "3", "adapt_steps"),
+        ("adapt", "--lambda", "0.25", "lambda"),
+    ],
+)
+def test_flag_overrides_its_config_field(workspace, tmp_path, command, flag, value, key):
+    """Each flag replaces the config file's value of its field; `estimate`
+    records `tau_fit` in the mixture's sidecar."""
+    assert read_keyvalue(workspace / "config.txt")[key] != value
+    if command == "adapt":
+        assert run_adapt(workspace, tmp_path, extra=(flag, value)) == 0
+    else:
+        argv = [command, "--config", str(workspace / "config.txt"), flag, value]
+        argv += ["--data", str(workspace / "data" / "source"), "--out", str(tmp_path / "m")]
+        if command == "estimate":
+            argv += ["--ckpt", str(workspace / "model.mdl1")]
+        assert main(argv) == 0
+    written = tmp_path / ("m.meta" if command == "estimate" else "resolved_config.txt")
+    assert read_keyvalue(written)[key] == value
 
 
 def test_readme_config_keys_match_experiment_config():

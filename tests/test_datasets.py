@@ -391,6 +391,19 @@ class TestSplitsOnDisk:
             load_split(tmp_path / "s")
         assert str(tmp_path / "s") in str(exc.value)
 
+    @pytest.mark.parametrize("K", ["abc", None])
+    def test_manifest_class_count_checked(self, tmp_path, K):
+        self.labeled_split(tmp_path / "s")
+        manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
+        if K is None:
+            del manifest["K"]
+        else:
+            manifest["K"] = K
+        write_keyvalue(tmp_path / "s" / "manifest.txt", manifest)
+        with pytest.raises(FileFormatError, match="manifest K") as exc:
+            load_split(tmp_path / "s")
+        assert str(tmp_path / "s") in str(exc.value)
+
     def test_empty_split_names_directory(self, tmp_path):
         spec = DomainSpec(n_images=3)
         images, labels = gen_grid_seg(spec)
