@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
-from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
+from .fileformats import format_values, parse_values, read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
 from .rng import Rng
 
@@ -43,37 +43,6 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- config
 
-_BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _parse_scalar(kind, key: str, raw: str):
-    try:
-        return _BOOL_VALUES[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
-        raise CliError(f"invalid value for {key}: {raw!r}") from None
-
-
-def _parse_values(types: dict, raw_values: dict, what: str) -> dict:
-    """Coerce key=value strings to the annotated field types in `types`.
-
-    `types` maps keys to annotations as `typing.get_type_hints` returns
-    them: scalars, `X | None` (parsed as X) and `tuple[X, ...]` (comma
-    separated). Unknown keys and values that fail to parse raise CliError
-    naming the key.
-    """
-    values = {}
-    for key, raw in raw_values.items():
-        if key not in types:
-            raise CliError(f"unknown {what} key: {key}")
-        kind = types[key]
-        args = [a for a in typing.get_args(kind) if a is not type(None)]
-        if typing.get_origin(kind) is tuple:
-            values[key] = tuple(_parse_scalar(args[0], key, x) for x in raw.split(",") if x)
-        else:
-            values[key] = _parse_scalar(args[0] if args else kind, key, raw)
-    return values
-
-
 _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 # Config-file key -> ExperimentConfig field: `lambda` is a Python keyword.
 _CONFIG_KEYS = {("lambda" if f == "lambda_" else f): f for f in _CONFIG_TYPES}
@@ -84,27 +53,16 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     and is not None."""
     raw = read_keyvalue(path) if path else {}
     types = {key: _CONFIG_TYPES[f] for key, f in _CONFIG_KEYS.items()}
-    values = {_CONFIG_KEYS[k]: v for k, v in _parse_values(types, raw, "config").items()}
+    values = {_CONFIG_KEYS[k]: v for k, v in parse_values(types, raw, "config").items()}
     values.update((k, v) for k, v in overrides.items() if k in _CONFIG_TYPES and v is not None)
     return ExperimentConfig(**values)
-
-
-def _format_values(record) -> dict:
-    """A dataclass's fields as `_parse_values` reads them back: tuples as
-    comma lists, and fields at None omitted (key=value has no spelling
-    for None)."""
-    return {
-        k: ",".join(str(x) for x in v) if isinstance(v, tuple) else v
-        for k, v in record.__dict__.items()
-        if v is not None
-    }
 
 
 def echo_config(config: ExperimentConfig, out_dir: str) -> None:
     """Write resolved_config.txt so that `--config` reads it back as `config`."""
     os.makedirs(out_dir, exist_ok=True)
     keys = {f: key for key, f in _CONFIG_KEYS.items()}
-    payload = {keys[f]: v for f, v in _format_values(config).items()}
+    payload = {keys[f]: v for f, v in format_values(vars(config)).items()}
     write_keyvalue(os.path.join(out_dir, "resolved_config.txt"), payload)
 
 
@@ -124,7 +82,7 @@ def read_sidecar(path: str) -> tuple[str, EstimateInfo]:
     if not source:
         raise CliError(f"{path}: no source_data line")
     meta.pop("tau_fit", None)
-    return source, EstimateInfo(**_parse_values(_INFO_TYPES, meta, "sidecar"))
+    return source, EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
 
 
 def _require_dir(path: str, what: str) -> str:
@@ -144,11 +102,8 @@ def _load_labeled(path: str):
 
 
 def cmd_gen_data(args) -> int:
-    shift_types = typing.get_type_hints(ds.Shift)
-    spec_types = typing.get_type_hints(ds.DomainSpec)
-    del spec_types["shift"]
-    values = _parse_values(
-        {**spec_types, **shift_types, "n_eval": int, "preset": str},
+    values = parse_values(
+        ds.SPEC_TYPES | {"n_eval": int, "preset": str},
         read_keyvalue(args.spec) if args.spec else {},
         "spec",
     )
@@ -161,8 +116,7 @@ def cmd_gen_data(args) -> int:
                 raise CliError(f"spec key {key} cannot be combined with preset=standard")
         spec = ds.standard_shift_spec(seed=values.get("seed", 0))
     else:
-        shift = ds.Shift(**{k: values.pop(k) for k in shift_types if k in values})
-        spec = ds.DomainSpec(shift=shift, **values)
+        spec = ds.spec_from_values(values)
 
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
         raise CliError(f"output directory {args.out} is not empty (use --force)")
@@ -198,7 +152,7 @@ def cmd_estimate(args) -> int:
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(data_dir), "tau_fit": config.tau_fit}
-    write_keyvalue(args.out + ".meta", sidecar | _format_values(info))
+    write_keyvalue(args.out + ".meta", sidecar | format_values(vars(info)))
     print(
         f"gmm: {args.out} K={gmm.K} d={gmm.dim} tau_fit={gmm.tau_fit} "
         f"w_sp_exact={info.w_sp_exact:.6g} w_sp_sliced={info.w_sp_sliced:.6g}"
@@ -279,20 +233,9 @@ def cmd_diagnose(args) -> int:
     path = os.path.join(args.report, "diagnostics.txt")
     if not os.path.exists(path):
         raise CliError(f"no diagnostics.txt under {args.report}")
-    diag = read_keyvalue(path)
-    for key in (
-        "w_sp_exact",
-        "w_sp_sliced",
-        "w_tp_pre_exact",
-        "w_tp_pre_sliced",
-        "w_tp_post_exact",
-        "w_tp_post_sliced",
-        "one_minus_tau",
-        "e_source",
-        "kept_fraction",
-    ):
-        if key in diag:
-            print(f"{key}={diag[key]}")
+    for key, value in read_keyvalue(path).items():
+        if key != "wall_clock":
+            print(f"{key}={value}")
     return 0
 
 

@@ -16,12 +16,13 @@ bytes equal the source bytes for equal seeds.
 from __future__ import annotations
 
 import os
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import FileFormatError
-from .fileformats import load_tensor, read_keyvalue, save_tensor, write_keyvalue
+from .fileformats import format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
 from .rng import Rng, box_muller
 
 FORMAT_VERSION = "1"
@@ -151,6 +152,20 @@ def standard_shift_spec(seed: int = 0) -> DomainSpec:
         shift=Shift(channel_gain=(1.4, 0.7, 1.0), noise_sigma=0.1),
         seed=seed,
     )
+
+
+# A spec's flat key=value form, as spec files and manifests spell it:
+# DomainSpec's fields with the shift's fields in place of `shift`.
+SPEC_TYPES = typing.get_type_hints(DomainSpec) | typing.get_type_hints(Shift)
+del SPEC_TYPES["shift"]
+
+
+def spec_from_values(values: dict) -> DomainSpec:
+    """The DomainSpec whose flat form (parsed SPEC_TYPES values) is `values`;
+    absent keys keep their defaults."""
+    shift = {k: values[k] for k in typing.get_type_hints(Shift) if k in values}
+    rest = {k: v for k, v in values.items() if k not in shift}
+    return DomainSpec(shift=Shift(**shift), **rest)
 
 
 def blob_centers(spec: DomainSpec) -> np.ndarray:
@@ -342,23 +357,11 @@ def generate(spec: DomainSpec, shifted: bool = False):
 # ---------------------------------------------------------------- on disk
 
 
-def _manifest(spec: DomainSpec, split: str, labeled: bool, n: int) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": spec.kind,
-        "K": spec.K,
-        "split": split,
-        "labeled": int(labeled),
-        "n_images": n,
-        "height": spec.height,
-        "width": spec.width,
-        "channels": spec.channels,
-        "mean_shift": spec.shift.mean_shift,
-        "rotation": spec.shift.rotation,
-        "channel_gain": ",".join(str(g) for g in spec.shift.channel_gain),
-        "noise_sigma": spec.shift.noise_sigma,
-        "seed": spec.seed,
-    }
+def _manifest(spec: DomainSpec, split: str, labeled: bool) -> dict:
+    fields = vars(spec) | vars(spec.shift)
+    del fields["shift"]
+    header = {"format_version": FORMAT_VERSION, "split": split, "labeled": int(labeled)}
+    return header | format_values(fields)
 
 
 def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> None:
@@ -366,9 +369,10 @@ def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> 
     save_tensor(os.path.join(directory, "images.tns1"), images)
     if labels is not None:
         save_tensor(os.path.join(directory, "labels.tns1"), np.asarray(labels, np.float32))
+    # The manifest states the shape written: blobs images are 1x1.
+    shape = dict(zip(("n_images", "height", "width"), images.shape))
     write_keyvalue(
-        os.path.join(directory, "manifest.txt"),
-        _manifest(spec, split, labels is not None, images.shape[0]),
+        os.path.join(directory, "manifest.txt"), _manifest(spec, split, labels is not None) | shape
     )
 
 

@@ -14,6 +14,10 @@ EMB1 embedding export:
 Every loader is one `read_framed` call: it checks the magic and rejects
 trailing bytes, and its errors name the file. The MDL1 and GMM1 layouts
 stay with their types, in the autodiff and gmm modules.
+
+Text records (configs, sidecars, manifests, diagnostics) are key=value
+lines; `parse_values` and `format_values` map them to and from typed
+dataclass fields.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 import math
 import os
 import struct
+import typing
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 
 TNS1_MAGIC = b"TNS1"
 MDL1_MAGIC = b"MDL1"
@@ -150,3 +155,44 @@ def read_keyvalue(path) -> dict:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
+
+
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_scalar(kind, key: str, raw: str):
+    try:
+        return _BOOL_VALUES[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"invalid value for {key}: {raw!r}") from None
+
+
+def parse_values(types: dict, raw_values: dict, what: str) -> dict:
+    """Coerce key=value strings to the annotated field types in `types`.
+
+    `types` maps keys to annotations as `typing.get_type_hints` returns
+    them: scalars, `X | None` (parsed as X) and `tuple[X, ...]` (comma
+    separated). Unknown keys and values that fail to parse raise
+    ConfigError naming the key.
+    """
+    values = {}
+    for key, raw in raw_values.items():
+        if key not in types:
+            raise ConfigError(f"unknown {what} key: {key}")
+        kind = types[key]
+        args = [a for a in typing.get_args(kind) if a is not type(None)]
+        if typing.get_origin(kind) is tuple:
+            values[key] = tuple(_parse_scalar(args[0], key, x) for x in raw.split(",") if x)
+        else:
+            values[key] = _parse_scalar(args[0] if args else kind, key, raw)
+    return values
+
+
+def format_values(values: dict) -> dict:
+    """Field values as `parse_values` reads them back: tuples as comma
+    lists, and values at None omitted (key=value has no spelling for None)."""
+    return {
+        k: ",".join(str(x) for x in v) if isinstance(v, tuple) else v
+        for k, v in values.items()
+        if v is not None
+    }

@@ -32,7 +32,8 @@ class Rng:
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
     def spawn(self, index: int) -> "Rng":
-        """Derived independent stream (seed XOR index), for parallel work."""
+        """The child stream seeded `seed ^ (index + 0x9E3779B97F4A7C15)`. It
+        does not advance this stream, so it does not depend on its draws."""
         return Rng(self.seed ^ (int(index) + 0x9E3779B97F4A7C15))
 
     def uniform(self, size=None) -> np.ndarray:

@@ -618,7 +618,8 @@ class TestEvalDiagnoseExport:
         capsys.readouterr()
         assert main(["diagnose", "--report", str(out)]) == 0
         text = capsys.readouterr().out
-        for key in ("w_tp_pre_exact", "w_tp_post_exact", "one_minus_tau", "kept_fraction"):
+        keys = ("w_tp_pre_exact", "w_tp_post_exact", "one_minus_tau", "kept_fraction", "N", "M", "N_p")
+        for key in keys:
             assert f"{key}=" in text
 
     def test_diagnose_missing_report(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from protoadapt.datasets import (
+    SPEC_TYPES,
     BOUNDARY_BLEND,
     EDGE_COLOR,
     EDGE_DARKEN_MAX,
@@ -19,11 +20,12 @@ from protoadapt.datasets import (
     generate,
     load_split,
     save_split,
+    spec_from_values,
     standard_shift_spec,
     write_dataset,
 )
 from protoadapt.errors import FileFormatError
-from protoadapt.fileformats import read_keyvalue, save_tensor, write_keyvalue
+from protoadapt.fileformats import parse_values, read_keyvalue, save_tensor, write_keyvalue
 from protoadapt.rng import Rng
 
 
@@ -433,6 +435,23 @@ class TestSplitsOnDisk:
         # manifest preserves the shift description
         assert tgt_m["channel_gain"] == "1.4,0.7,1.0"
         assert float(tgt_m["noise_sigma"]) == pytest.approx(0.1)
+
+    def test_manifest_reads_back_as_the_split_spec(self, tmp_path):
+        spec = DomainSpec(K=4, n_images=3, height=6, width=5, seed=7)
+        spec.shift = Shift(channel_gain=(1.25, 0.5, 1.0), noise_sigma=0.2)
+        images, labels = gen_grid_seg(spec, shifted=True)
+        save_split(tmp_path / "s", spec, "target_eval", images, labels)
+        manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
+        values = {k: v for k, v in manifest.items() if k in SPEC_TYPES}
+        assert spec_from_values(parse_values(SPEC_TYPES, values, "spec")) == spec
+
+    def test_blobs_manifest_states_the_written_shape(self, tmp_path):
+        spec = DomainSpec(kind="blobs", K=3, n_images=7, channels=2)
+        images, labels = gen_blobs(spec)
+        save_split(tmp_path / "s", spec, "source", images, labels)
+        manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
+        assert (manifest["n_images"], manifest["height"], manifest["width"]) == ("7", "1", "1")
+        assert manifest["channels"] == "2"
 
     def test_write_dataset_source_unshifted(self, tmp_path):
         spec = standard_shift_spec(5)
