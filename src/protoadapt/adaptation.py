@@ -89,8 +89,6 @@ class BoundDiagnostics:
     w_tp_post_sliced: float = float("nan")
     one_minus_tau: float = float("nan")
     e_source: float = float("nan")
-    e_target_pre: float = float("nan")
-    e_target_post: float = float("nan")
     N: int = 0
     M: int = 0
     N_p: int = 0
@@ -439,7 +437,9 @@ class ExperimentResult:
     post_miou: float
     pre_iou: np.ndarray
     post_iou: np.ndarray
-    estimate_info: EstimateInfo
+    # Pixel error rates of the source and adapted models on the eval labels.
+    e_target_pre: float
+    e_target_post: float
 
 
 def run_experiment(
@@ -465,6 +465,7 @@ def run_experiment(
     report.diagnostics, *_ = compute_bound_diagnostics(
         gmm, model, adapted, target_images, config, info
     )
-    report.diagnostics.e_target_pre = error_from_confusion(conf_pre)
-    report.diagnostics.e_target_post = error_from_confusion(conf_post)
-    return ExperimentResult(adapted, gmm, report, pre_miou, post_miou, pre_iou, post_iou, info)
+    e_pre, e_post = error_from_confusion(conf_pre), error_from_confusion(conf_post)
+    return ExperimentResult(
+        adapted, gmm, report, pre_miou, post_miou, pre_iou, post_iou, e_pre, e_post
+    )

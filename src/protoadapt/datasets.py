@@ -2,15 +2,15 @@
 
 Two families:
 
-* blobs: K Gaussian clusters in R^C, emitted as [n,1,1,C] "images" so the
+* blobs: K Gaussian clusters in R^3, emitted as [n,1,1,3] "images" so the
   per-pixel pipeline applies unchanged.
 * grid-seg: small RGB images composed of colored rectangles/ellipses over
   a background class, with per-pixel labels.
 
 The target variant of either family reuses the same latent scene generator
-and applies a global photometric transform (channel gains, rotation for
-blobs, additive noise, smooth texture field). With a zero shift the target
-bytes equal the source bytes for equal seeds.
+and applies one global photometric shift: a gain per channel and additive
+noise (grid-seg also scales by a smooth texture field). With a zero shift
+the target bytes equal the source bytes for equal seeds.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .fileformats import format_values, load_tensor, read_keyvalue, save_tensor,
 from .rng import Rng, box_muller
 
 FORMAT_VERSION = "1"
+
+# Both kinds write 3-channel images (RGB for grid-seg), one gain each.
+CHANNELS = 3
 
 # Per-pixel color jitter shared by both domains; large enough that class
 # colors overlap near boundaries and classifier confidence varies.
@@ -72,18 +75,11 @@ CLASS_COLORS = np.array(
 
 @dataclass
 class Shift:
-    mean_shift: float = 0.0
-    rotation: float = 0.0
     channel_gain: tuple[float, ...] = (1.0, 1.0, 1.0)
     noise_sigma: float = 0.0
 
     def is_zero(self) -> bool:
-        return (
-            self.mean_shift == 0.0
-            and self.rotation == 0.0
-            and all(g == 1.0 for g in self.channel_gain)
-            and self.noise_sigma == 0.0
-        )
+        return all(g == 1.0 for g in self.channel_gain) and self.noise_sigma == 0.0
 
 
 @dataclass
@@ -93,7 +89,6 @@ class DomainSpec:
     n_images: int = 2000
     height: int = 16
     width: int = 16
-    channels: int = 3
     shift: Shift = field(default_factory=Shift)
     seed: int = 0
 
@@ -102,43 +97,19 @@ class DomainSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
-        for key in ("n_images", "height", "width", "channels"):
+        for key in ("n_images", "height", "width"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.shift.noise_sigma >= 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.shift.noise_sigma}")
-        for key in ("mean_shift", "rotation", "channel_gain"):
-            if not np.all(np.isfinite(getattr(self.shift, key))):
-                raise ValueError(f"{key} must be finite, got {getattr(self.shift, key)}")
-        if self.kind == "grid-seg":
-            # grid-seg images are RGB, and its shift has no rotation or mean
-            # shift: a spec that sets them would describe data never written.
-            for key, value, allowed in (
-                ("channels", self.channels, 3),
-                ("rotation", self.shift.rotation, 0.0),
-                ("mean_shift", self.shift.mean_shift, 0.0),
-            ):
-                if value != allowed:
-                    raise ValueError(f"grid-seg requires {key}={allowed}, got {value}")
-            # One gain per RGB channel; blobs pad missing gains with 1.0.
-            if len(self.shift.channel_gain) != 3:
-                raise ValueError(
-                    f"grid-seg requires 3 channel_gain values, got {self.shift.channel_gain}"
-                )
-            # A negative gain would paint a negative color intensity.
-            if min(self.shift.channel_gain) < 0.0:
-                raise ValueError(
-                    f"grid-seg channel_gain must be >= 0, got {self.shift.channel_gain}"
-                )
-        # blobs would ignore a gain past its last channel, and a rotation
-        # when it has one channel.
-        elif any(g != 1.0 for g in self.shift.channel_gain[self.channels :]):
-            raise ValueError(
-                f"blobs with channels={self.channels} cannot apply "
-                f"channel_gain={self.shift.channel_gain}"
-            )
-        elif self.shift.rotation != 0.0 and self.channels < 2:
-            raise ValueError(f"blobs rotation needs channels >= 2, got channels={self.channels}")
+        gains = self.shift.channel_gain
+        if len(gains) != CHANNELS:
+            raise ValueError(f"a spec needs {CHANNELS} channel_gain values, got {gains}")
+        if not np.all(np.isfinite(gains)):
+            raise ValueError(f"channel_gain must be finite, got {gains}")
+        # A negative gain would paint a negative color intensity.
+        if min(gains) < 0.0:
+            raise ValueError(f"channel_gain must be >= 0, got {gains}")
 
 
 def standard_shift_spec(seed: int = 0) -> DomainSpec:
@@ -168,40 +139,29 @@ def spec_from_values(values: dict) -> DomainSpec:
     return DomainSpec(shift=Shift(**shift), **rest)
 
 
-def blob_centers(spec: DomainSpec) -> np.ndarray:
-    """Deterministic cluster centers, spread by a seeded draw."""
-    rng = Rng(spec.seed ^ 0xC0FFEE)
-    centers = rng.normal((spec.K, spec.channels)) * 2.0
-    return centers
+def blob_centers(K: int) -> np.ndarray:
+    """The K cluster centers. Like `class_colors`, they come from a fixed
+    stream, not the split seed: every split of a domain shares them."""
+    return Rng(0xC0FFEE).normal((K, CHANNELS)) * 2.0
 
 
 def _apply_shift_points(points: np.ndarray, shift: Shift, rng: Rng) -> np.ndarray:
-    out = points.copy()
-    if shift.rotation != 0.0:
-        c, s = np.cos(shift.rotation), np.sin(shift.rotation)
-        xy = out[:, :2].copy()
-        out[:, 0] = c * xy[:, 0] - s * xy[:, 1]
-        out[:, 1] = s * xy[:, 0] + c * xy[:, 1]
-    gains = np.asarray(shift.channel_gain[: out.shape[1]])
-    if gains.shape[0] < out.shape[1]:
-        gains = np.concatenate([gains, np.ones(out.shape[1] - gains.shape[0])])
-    out = out * gains
-    out[:, 0] += shift.mean_shift
+    out = points * np.asarray(shift.channel_gain)
     if shift.noise_sigma > 0.0:
         out = out + shift.noise_sigma * rng.normal(out.shape)
     return out
 
 
 def gen_blobs(spec: DomainSpec, shifted: bool = False):
-    """Labeled cluster points as ([n,1,1,C] images, [n,1,1] labels)."""
+    """Labeled cluster points as ([n,1,1,3] images, [n,1,1] labels)."""
     rng = Rng(spec.seed)
-    n, K, c = spec.n_images, spec.K, spec.channels
-    labels = np.arange(n, dtype=np.int64) % K  # balanced within +-1
-    centers = blob_centers(spec)
-    points = centers[labels] + 0.35 * rng.normal((n, c))
+    n = spec.n_images
+    labels = np.arange(n, dtype=np.int64) % spec.K  # balanced within +-1
+    centers = blob_centers(spec.K)
+    points = centers[labels] + 0.35 * rng.normal((n, CHANNELS))
     if shifted:
         points = _apply_shift_points(points, spec.shift, rng)
-    images = points.astype(np.float32).reshape(n, 1, 1, c)
+    images = points.astype(np.float32).reshape(n, 1, 1, CHANNELS)
     return images, labels.reshape(n, 1, 1)
 
 
@@ -283,11 +243,11 @@ def _box_blur(img: np.ndarray, weight: float) -> np.ndarray:
     return (1.0 - weight) * img + weight * (acc / 9.0)
 
 
-def class_colors(K: int, seed: int = 0) -> np.ndarray:
+def class_colors(K: int) -> np.ndarray:
+    """CLASS_COLORS, with classes past the eighth drawn from a fixed stream."""
     if K <= CLASS_COLORS.shape[0]:
         return CLASS_COLORS[:K]
-    rng = Rng(seed ^ 0xC01045)
-    extra = rng.uniform((K - CLASS_COLORS.shape[0], 3)) * 0.7 + 0.15
+    extra = Rng(0xC01045).uniform((K - CLASS_COLORS.shape[0], 3)) * 0.7 + 0.15
     return np.concatenate([CLASS_COLORS, extra])
 
 
@@ -331,7 +291,7 @@ def gen_grid_seg(spec: DomainSpec, shifted: bool = False):
     Painting and rendering run over GEN_CHUNK images at a time.
     """
     rng = Rng(spec.seed)
-    colors = class_colors(spec.K, spec.seed)
+    colors = class_colors(spec.K)
     n, h, w = spec.n_images, spec.height, spec.width
     images = np.empty((n, h, w, 3), dtype=np.float32)
     labels = np.empty((n, h, w), dtype=np.int64)
@@ -370,7 +330,7 @@ def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> 
     if labels is not None:
         save_tensor(os.path.join(directory, "labels.tns1"), np.asarray(labels, np.float32))
     # The manifest states the shape written: blobs images are 1x1.
-    shape = dict(zip(("n_images", "height", "width"), images.shape))
+    shape = dict(zip(("n_images", "height", "width", "channels"), images.shape))
     write_keyvalue(
         os.path.join(directory, "manifest.txt"), _manifest(spec, split, labels is not None) | shape
     )

@@ -16,18 +16,9 @@ class DimensionError(ProtoAdaptError):
 class FactorizationError(ProtoAdaptError):
     """Cholesky factorization failed even after jitter retries."""
 
-    def __init__(self, message, class_index=None):
-        super().__init__(message)
-        self.class_index = class_index
-
 
 class EstimationError(ProtoAdaptError):
     """A mixture component cannot be estimated (support set too small)."""
-
-    def __init__(self, message, class_index=None, count=None):
-        super().__init__(message)
-        self.class_index = class_index
-        self.count = count
 
 
 class GenerationError(ProtoAdaptError):

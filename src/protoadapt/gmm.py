@@ -114,9 +114,7 @@ def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> Prot
         if support.counts[j] <= d:
             raise EstimationError(
                 f"class {j} has only {int(support.counts[j])} support points "
-                f"(need > {d}); lower tau",
-                class_index=j,
-                count=int(support.counts[j]),
+                f"(need > {d}); lower tau"
             )
     total = float(support.counts.sum())
     # Parameters stay in float64 so the estimates agree with a direct

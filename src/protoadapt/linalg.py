@@ -40,9 +40,7 @@ def cholesky(sigma: np.ndarray, class_index=None) -> np.ndarray:
         except np.linalg.LinAlgError:
             eps = eps * 10.0 if eps > 0.0 else max(default_jitter(s), 1e-12)
     label = "" if class_index is None else f" (class {class_index})"
-    raise FactorizationError(
-        f"matrix not positive definite after jitter retries{label}", class_index
-    )
+    raise FactorizationError(f"matrix not positive definite after jitter retries{label}")
 
 
 def sample_gaussian(mu: np.ndarray, chol: np.ndarray, n: int, rng: Rng) -> np.ndarray:

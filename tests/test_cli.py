@@ -121,11 +121,13 @@ class TestGenData:
 
     @pytest.mark.parametrize("line", ["channels=4", "rotation=1.0", "mean_shift=5.0"])
     def test_grid_seg_spec_field_it_cannot_honour(self, tmp_path, capsys, line):
+        # No kind has these knobs any more, so each is an unknown spec key.
         spec = tmp_path / "spec.txt"
-        spec.write_text(f"kind=grid-seg\nn_images=2\n{line}\n")
-        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-        assert line.split("=")[0] in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for kind in ("grid-seg", "blobs"):
+            spec.write_text(f"kind={kind}\nn_images=2\n{line}\n")
+            assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+            assert f"unknown spec key: {line.split('=')[0]}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "line", ["n_images=0", "height=0", "width=0", "n_images=-2", "n_eval=0"]
@@ -147,7 +149,8 @@ class TestGenData:
             ("blobs", "channels=0"),
             ("grid-seg", "noise_sigma=-1"),
             ("blobs", "noise_sigma=-1"),
-            ("blobs", "channel_gain=1,1,5\nchannels=2"),
+            ("blobs", "channel_gain=1.4,0.7"),
+            ("blobs", "channel_gain=1.4,-0.7,1"),
             ("blobs", "rotation=0.7\nchannels=1"),
             ("blobs", "mean_shift=nan"),
             ("blobs", "rotation=inf"),
@@ -388,6 +391,8 @@ class TestAdapt:
         diag = read_keyvalue(out / "diagnostics.txt")
         for key in ("w_tp_pre_exact", "w_tp_post_exact", "one_minus_tau", "kept_fraction"):
             assert key in diag
+        # adapt sees no target labels, so it writes no labelled target error.
+        assert not [key for key in diag if key.startswith("e_target_")]
         for name in ("gmm_samples.emb1", "target_pre.emb1", "target_post.emb1"):
             data = load_embeddings(out / name)  # [n, d+2]: embedding|label|pred
             assert data.ndim == 2 and data.shape[0] > 0 and data.shape[1] >= 3

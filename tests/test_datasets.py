@@ -1,5 +1,7 @@
 """Synthetic domain generators, shift semantics, and on-disk splits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from protoadapt.datasets import (
     standard_shift_spec,
     write_dataset,
 )
-from protoadapt.errors import FileFormatError
+from protoadapt.errors import ConfigError, FileFormatError
 from protoadapt.fileformats import parse_values, read_keyvalue, save_tensor, write_keyvalue
 from protoadapt.rng import Rng
 
@@ -34,8 +36,6 @@ class TestShift:
         assert Shift().is_zero()
 
     def test_any_component_breaks_zero(self):
-        assert not Shift(mean_shift=0.1).is_zero()
-        assert not Shift(rotation=0.1).is_zero()
         assert not Shift(channel_gain=(1.0, 2.0, 1.0)).is_zero()
         assert not Shift(noise_sigma=0.1).is_zero()
 
@@ -54,20 +54,22 @@ class TestSpecValidation:
         "field,kwargs",
         [
             ("channels", {"channels": 4}),
-            ("rotation", {"shift": Shift(rotation=1.0)}),
-            ("mean_shift", {"shift": Shift(mean_shift=5.0)}),
+            ("rotation", {"rotation": 1.0}),
+            ("mean_shift", {"mean_shift": 5.0}),
         ],
     )
     def test_grid_seg_rejects_fields_it_cannot_honour(self, field, kwargs):
-        with pytest.raises(ValueError, match=field):
-            DomainSpec(kind="grid-seg", **kwargs)
-        DomainSpec(kind="blobs", **kwargs)  # blobs honour all three
+        # Neither kind has these knobs, so their keys are not spec keys.
+        for kind in ("grid-seg", "blobs"):
+            raw = {"kind": kind} | {k: str(v) for k, v in kwargs.items()}
+            with pytest.raises(ConfigError, match=f"unknown spec key: {field}"):
+                parse_values(SPEC_TYPES, raw, "spec")
 
     @pytest.mark.parametrize("gains", [(1.4,), (1.4, 0.7), (1.4, 0.7, 1.0, 1.0)])
     def test_grid_seg_needs_one_gain_per_channel(self, gains):
-        with pytest.raises(ValueError, match="3 channel_gain values"):
-            DomainSpec(kind="grid-seg", shift=Shift(channel_gain=gains))
-        DomainSpec(kind="blobs", shift=Shift(channel_gain=gains))  # blobs pad with 1.0
+        for kind in ("grid-seg", "blobs"):
+            with pytest.raises(ValueError, match="3 channel_gain values"):
+                DomainSpec(kind=kind, shift=Shift(channel_gain=gains))
 
     @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
     @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan")])
@@ -79,8 +81,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "field,shift",
         [
-            ("mean_shift", Shift(mean_shift=float("nan"))),
-            ("rotation", Shift(rotation=float("-inf"))),
+            ("channel_gain", Shift(channel_gain=(float("nan"), 0.7, 1.0))),
+            ("channel_gain", Shift(channel_gain=(1.4, 0.7, float("-inf")))),
             ("channel_gain", Shift(channel_gain=(1.4, float("inf"), 1.0))),
         ],
     )
@@ -89,17 +91,17 @@ class TestSpecValidation:
             DomainSpec(kind=kind, shift=shift)
 
     def test_grid_seg_rejects_negative_gain(self):
-        with pytest.raises(ValueError, match="channel_gain must be >= 0"):
-            DomainSpec(kind="grid-seg", shift=Shift(channel_gain=(1.4, -0.7, 1.0)))
-        DomainSpec(kind="grid-seg", shift=Shift(channel_gain=(1.4, 0.0, 1.0)))
-        DomainSpec(kind="blobs", shift=Shift(channel_gain=(1.4, -0.7, 1.0)))  # a reflection
+        for kind in ("grid-seg", "blobs"):
+            with pytest.raises(ValueError, match="channel_gain must be >= 0"):
+                DomainSpec(kind=kind, shift=Shift(channel_gain=(1.4, -0.7, 1.0)))
+            DomainSpec(kind=kind, shift=Shift(channel_gain=(1.4, 0.0, 1.0)))
 
     def test_bad_K(self):
         with pytest.raises(ValueError):
             DomainSpec(K=1)
 
     @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
-    @pytest.mark.parametrize("field", ["n_images", "height", "width", "channels"])
+    @pytest.mark.parametrize("field", ["n_images", "height", "width"])
     def test_sizes_below_one_rejected(self, kind, field):
         for value in (0, -2):
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
@@ -113,9 +115,9 @@ class TestSpecValidation:
 
 class TestBlobs:
     def test_shapes_and_label_range(self):
-        spec = DomainSpec(kind="blobs", K=3, n_images=90, channels=2)
+        spec = DomainSpec(kind="blobs", K=3, n_images=90)
         images, labels = gen_blobs(spec)
-        assert images.shape == (90, 1, 1, 2)
+        assert images.shape == (90, 1, 1, 3)
         assert labels.shape == (90, 1, 1)
         assert labels.min() >= 0 and labels.max() < 3
 
@@ -128,7 +130,7 @@ class TestBlobs:
     def test_points_cluster_near_centers(self):
         spec = DomainSpec(kind="blobs", K=4, n_images=400)
         images, labels = gen_blobs(spec)
-        centers = blob_centers(spec)
+        centers = blob_centers(spec.K)
         pts = images.reshape(400, -1)
         for j in range(4):
             mean = pts[labels.reshape(-1) == j].mean(axis=0)
@@ -141,12 +143,16 @@ class TestBlobs:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_missing_gains_padded_with_one(self):
-        spec = DomainSpec(kind="blobs", K=3, n_images=60, shift=Shift(channel_gain=(2.0,)))
-        plain, _ = gen_blobs(spec, shifted=False)
-        shifted, _ = gen_blobs(spec, shifted=True)
-        np.testing.assert_array_equal(shifted[..., 0], 2 * plain[..., 0])
-        np.testing.assert_array_equal(shifted[..., 1:], plain[..., 1:])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_splits_share_class_centers(self, tmp_path, seed):
+        spec = DomainSpec(kind="blobs", K=3, n_images=1200, seed=seed)
+        paths = write_dataset(tmp_path, spec, n_eval=600)
+        means = []
+        for split in ("source", "target_eval"):
+            images, labels, _ = load_split(paths[split])
+            pts, lab = images.reshape(-1, 3), labels.reshape(-1)
+            means.append(np.array([pts[lab == j].mean(axis=0) for j in range(3)]))
+        assert np.linalg.norm(means[0] - means[1], axis=1).max() < 0.2
 
     def test_gain_shift_scales_channel(self):
         spec = DomainSpec(
@@ -213,6 +219,19 @@ class TestGridSeg:
             _, labels = gen_grid_seg(spec)
             f.append(np.bincount(labels.reshape(-1), minlength=5) / labels.size)
         np.testing.assert_allclose(f[0], f[1], rtol=0.10, atol=0.003)
+
+    def test_splits_share_extra_class_colors(self, tmp_path):
+        # K=10 draws colors for classes 8 and 9; every split must draw the same.
+        spec = DomainSpec(K=10, n_images=40, seed=3)
+        paths = write_dataset(tmp_path, spec, n_eval=40)
+        medians = []
+        for i, split in enumerate(("source", "target_train", "target_eval")):
+            images, labels, _ = load_split(paths[split])
+            if labels is None:  # target_train is written unlabeled
+                labels = gen_grid_seg(replace(spec, seed=spec.seed + i))[1]
+            px, lab = images.reshape(-1, 3), labels.reshape(-1)
+            medians.append([np.median(px[lab == j], axis=0) for j in range(spec.K)])
+        assert np.abs(np.array(medians) - medians[0]).max() < 0.05
 
     def test_images_bounded(self):
         spec = DomainSpec(n_images=10)
@@ -302,7 +321,7 @@ def _ref_box_blur(img, weight):
 
 def _ref_gen_grid_seg(spec, shifted=False):
     rng = Rng(spec.seed)
-    colors = class_colors(spec.K, spec.seed)
+    colors = class_colors(spec.K)
     h, w = spec.height, spec.width
     images = np.empty((spec.n_images, h, w, 3), dtype=np.float32)
     labels = np.empty((spec.n_images, h, w), dtype=np.int64)
@@ -446,12 +465,21 @@ class TestSplitsOnDisk:
         assert spec_from_values(parse_values(SPEC_TYPES, values, "spec")) == spec
 
     def test_blobs_manifest_states_the_written_shape(self, tmp_path):
-        spec = DomainSpec(kind="blobs", K=3, n_images=7, channels=2)
+        spec = DomainSpec(kind="blobs", K=3, n_images=7)
         images, labels = gen_blobs(spec)
         save_split(tmp_path / "s", spec, "source", images, labels)
         manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
         assert (manifest["n_images"], manifest["height"], manifest["width"]) == ("7", "1", "1")
-        assert manifest["channels"] == "2"
+        assert manifest["channels"] == "3"
+
+    def test_manifest_with_retired_spec_lines_loads(self, tmp_path):
+        # Earlier versions also wrote the spec keys mean_shift and rotation.
+        labels = self.labeled_split(tmp_path / "s")
+        path = tmp_path / "s" / "manifest.txt"
+        write_keyvalue(path, read_keyvalue(path) | {"mean_shift": "0.0", "rotation": "0.0"})
+        _, loaded, manifest = load_split(tmp_path / "s")
+        np.testing.assert_array_equal(loaded, labels)
+        assert manifest["channels"] == "3" and manifest["rotation"] == "0.0"
 
     def test_write_dataset_source_unshifted(self, tmp_path):
         spec = standard_shift_spec(5)

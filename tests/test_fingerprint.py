@@ -73,14 +73,14 @@ PINNED_CLI_SHA256 = {
     "model.mdl1.trainlog.csv": "ecbb13abda95a7d0645bc30ad0d0c721687b663d50529c4dc6d61eaf8be2600c",
     "model.gmm1": "fa8539c7962d61e85275c461b4bac6c78e75904882f06ba5650d62041076a2a4",
     "model.gmm1.meta": "5d81f06672d06c9f6e39320c492fdfc3d4a020fd309ae2d7419f01166c089746",
-    "adapted/adapted.mdl1": "6630e59bb5e5a1eded217315e5b179ddc381755db972ff66ea1464283bd8a66b",
-    "adapted/report.csv": "3a45ebfdbfa2a706efaf01d779af2b700f81d0c17539f95a75523ee7bd5e9003",
-    "adapted/diagnostics.txt": "6608dbe4867942f67e52be60786ac771519d42fd313bf925a646b06851540cf4",
+    "adapted/adapted.mdl1": "5214efe345059e34a622eed0ec7c60e7812ac2dbe94b4b080bae9490bb254175",
+    "adapted/report.csv": "36b97caf730acddfaade40996d0430532ac62fd39acffe411c67f7b3abd8fd9b",
+    "adapted/diagnostics.txt": "2b77ad3a539bda59144e81b9c627fa3256137a50994b929e09f6b199bfb74a24",
     "adapted/gmm_samples.emb1": "1d0aa64850617cb860c715f39a12ec1f7d15e2d695dd19dbcb8c0220a75dc2df",
-    "adapted/target_post.emb1": "6bafa2bf5728463b891bd6140cecbaeebfec12adb162cc1fb99e7bfd05a865f8",
-    "adapted/target_pre.emb1": "0181fba2b73fc5ada473275c53241b8f7d2a104960672f95691db9a1cfd82921",
-    "emb/data.emb1": "853797a3987f5d116f89ecb5aa165b7f596a58a9736183cf40db381595f50405",
-    "emb/data_pre.emb1": "6fb07ab67f7f4f79dc5450cdf9b06a94ad85ea4c5f7b0fd82c559c9f8c4660a2",
+    "adapted/target_post.emb1": "a1734e1ee25b3694a6fd5c0e65f8b7945b9d55e732c79ed249392a6b59e82ed6",
+    "adapted/target_pre.emb1": "19c2eebff93efdf542b42d420358424c1a326bf101ec8415cb98361df6dcd415",
+    "emb/data.emb1": "5984cc9976bd7725e6781e9463a5a0e6ddd5f5c7485c2d242fbb94ec324f48ed",
+    "emb/data_pre.emb1": "98a3c8f33f56bfed6da259471a5cf145ea50deb99872b047834e7479099654ed",
     "emb/gmm_samples.emb1": "3ea0663b29c1136952ad76f82b10d3d0155735c63bef886da999e333de8d2636",
 }
 
@@ -160,6 +160,8 @@ def test_small_run_experiment(tmp_path, monkeypatch):
         "pre_miou": result.pre_miou,
         "post_miou": result.post_miou,
         "final_train_loss": train_losses[-1],
+        "e_target_pre": result.e_target_pre,
+        "e_target_post": result.e_target_post,
         **result.report.diagnostics.as_dict(),
     }
     assert_pinned("small run_experiment values", got, PINNED_RUN)
