@@ -112,19 +112,25 @@ def _flat_labels(labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels).reshape(-1).astype(np.int64)
 
 
-def train_source(config: ExperimentConfig, images: np.ndarray, labels: np.ndarray):
+def train_source(
+    config: ExperimentConfig, images: np.ndarray, labels: np.ndarray, K: int | None = None
+):
     """Cross-entropy training on the labeled source split.
 
-    Returns (model, per-step loss list). Losses must stay finite; a NaN
-    aborts with the offending step index.
+    The model has K classes, the split's class count; None takes the
+    largest label + 1. Returns (model, per-step loss list). Losses must
+    stay finite; a NaN aborts with the offending step index.
     """
     rng = Rng(config.seed)
     images = np.asarray(images, dtype=np.float32)
     if images.shape[0] < 1:
         raise ValueError("source dataset is empty")
+    top = int(np.max(labels))
+    if K is not None and top >= K:
+        raise ValueError(f"source label {top} is not below the class count K={K}")
     model = ad.init_model(
         images.shape[-1],
-        int(np.max(labels)) + 1,
+        top + 1 if K is None else K,
         encoder_hidden=config.encoder_hidden,
         rng=rng,
         neighborhood=config.neighborhood,

@@ -98,6 +98,15 @@ def _load_labeled(path: str):
     return images, labels, manifest
 
 
+def _check_classes(path: str, manifest: dict, *models) -> None:
+    """Refuse a split whose manifest K is not each model's class count."""
+    for model in models:
+        if manifest.get("K") != str(model.K):
+            raise CliError(
+                f"{path}: split K={manifest.get('K')} does not match the model's K={model.K}"
+            )
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -129,8 +138,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, vars(args))
-    images, labels, _ = _load_labeled(_require_dir(args.data, "data"))
-    model, losses = adapt_mod.train_source(config, images, labels)
+    images, labels, manifest = _load_labeled(_require_dir(args.data, "data"))
+    # load_split has checked every label against the manifest's K.
+    model, losses = adapt_mod.train_source(config, images, labels, K=int(manifest["K"]))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     ad.save_model(args.out, model)
     log_path = args.out + ".trainlog.csv"
@@ -148,7 +158,8 @@ def cmd_estimate(args) -> int:
     config = load_config(args.config, vars(args))
     model = ad.load_model(args.ckpt)
     data_dir = _require_dir(args.data, "data")
-    images, labels, _ = _load_labeled(data_dir)
+    images, labels, manifest = _load_labeled(data_dir)
+    _check_classes(data_dir, manifest, model)
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(data_dir), "tau_fit": config.tau_fit}
@@ -172,11 +183,12 @@ def cmd_adapt(args) -> int:
     target_dir = _require_dir(args.target, "target")
     source, info = read_sidecar(args.gmm + ".meta")
     _check_source_freedom(target_dir, source)
-    images, labels, _ = ds.load_split(target_dir)
+    images, labels, manifest = ds.load_split(target_dir)
     if labels is not None:
         raise CliError("target directory must not contain a labels file")
 
     model = ad.load_model(args.ckpt)
+    _check_classes(target_dir, manifest, model)
     gmm = load_gmm(args.gmm)
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
@@ -215,7 +227,9 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     model = ad.load_model(args.ckpt)
-    images, labels, _ = _load_labeled(_require_dir(args.data, "data"))
+    data_dir = _require_dir(args.data, "data")
+    images, labels, manifest = _load_labeled(data_dir)
+    _check_classes(data_dir, manifest, model)
     iou, miou = adapt_mod.evaluate_miou(model, images, labels)
     for k, value in enumerate(iou):
         shown = "undefined" if np.isnan(value) else f"{value:.4f}"
@@ -244,7 +258,9 @@ def cmd_export_embeddings(args) -> int:
     models = [("data.emb1", model)]
     if args.ckpt_pre:
         models.append(("data_pre.emb1", ad.load_model(args.ckpt_pre)))
-    images, labels, _ = ds.load_split(_require_dir(args.data, "data"))
+    data_dir = _require_dir(args.data, "data")
+    images, labels, manifest = ds.load_split(data_dir)
+    _check_classes(data_dir, manifest, *(m for _, m in models))
     true = labels.reshape(-1) if labels is not None else -np.ones(np.prod(images.shape[:3]))
     os.makedirs(args.out, exist_ok=True)
     written = []

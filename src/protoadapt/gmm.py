@@ -43,6 +43,7 @@ class SupportSets:
 
     indices: list  # K arrays of int64 indices, disjoint
     counts: np.ndarray  # [K]
+    labeled: np.ndarray  # [K] pixels labeled j, confident or not
 
     @property
     def K(self) -> int:
@@ -98,18 +99,24 @@ def build_support_sets(embeddings, labels, probs, tau: float) -> SupportSets:
     keep = (pred == lab) & (conf > tau)
     indices = [np.flatnonzero(keep & (lab == j)) for j in range(K)]
     counts = np.array([len(ix) for ix in indices], dtype=np.int64)
-    return SupportSets(indices, counts)
+    labeled = np.array([np.count_nonzero(lab == j) for j in range(K)], dtype=np.int64)
+    return SupportSets(indices, counts, labeled)
 
 
 def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> PrototypicalGMM:
     """Closed-form per-class weights, means, covariances from support sets.
 
     Covariance uses the 1/|S_j| normalization; every class needs at least
-    d+1 support points.
+    d+1 support points. A class no pixel is labeled with is named as absent
+    from the split, since no tau could give it support.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     d = emb.shape[1]
     K = support.K
+    absent = [str(j) for j in range(K) if support.labeled[j] == 0]
+    if absent:
+        which = f"class {absent[0]} is" if len(absent) == 1 else f"classes {', '.join(absent)} are"
+        raise EstimationError(f"{which} absent from the split: no pixel has that label")
     for j in range(K):
         if support.counts[j] <= d:
             raise EstimationError(
@@ -145,10 +152,17 @@ def generate_pseudo_dataset(
 ) -> PseudoDataset:
     """Rejection-sample labeled embedding points from the mixture.
 
-    Each draw picks a component by alpha, samples the Gaussian, then keeps
-    the point iff the classifier's max softmax exceeds tau; the retained
-    label is the classifier argmax, not the drawing component. Sampling
-    stops after MAX_DRAW_FACTOR * n_target draws.
+    Draws come in chunks. Per chunk, one categorical block picks each row's
+    component by alpha, then `sample_gaussian` draws one [chunk, d] normal
+    block and maps every row through its own component's mean and factor.
+    A point is kept iff the classifier's max softmax exceeds tau; the
+    retained label is the classifier argmax, not the drawing component.
+
+    The first chunk is n_target. Each refill is sized to the shortfall at
+    the keep rate seen so far: ceil(1.1 * (n_target - kept) / rate) + 8,
+    with rate = max(kept / drawn, 1 / MAX_DRAW_FACTOR). Sampling stops once
+    n_target points are kept or MAX_DRAW_FACTOR * n_target have been drawn;
+    `kept_fraction` is kept / drawn over every chunk.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -158,13 +172,11 @@ def generate_pseudo_dataset(
     drawn = 0
     kept = 0
     cap = MAX_DRAW_FACTOR * n_target
+    chunk = n_target
     while kept < n_target and drawn < cap:
-        chunk = min(n_target, cap - drawn)
+        chunk = min(chunk, cap - drawn)
         comps = rng.categorical(gmm.alpha, chunk)
-        z = np.empty((chunk, gmm.dim), np.float32)
-        for j in np.unique(comps):
-            sel = comps == j
-            z[sel] = sample_gaussian(gmm.mu[j], gmm.chol[j], int(sel.sum()), rng)
+        z = sample_gaussian(gmm.mu[comps], gmm.chol[comps], chunk, rng)
         probs = classifier_fn(z)
         pred = probs.argmax(axis=1)
         conf = probs[np.arange(chunk), pred]
@@ -173,7 +185,9 @@ def generate_pseudo_dataset(
         kept_y.append(pred[ok])
         kept += int(ok.sum())
         drawn += chunk
-    kept_fraction = kept / drawn if drawn else 0.0
+        rate = max(kept / drawn, 1.0 / MAX_DRAW_FACTOR)
+        chunk = int(np.ceil(1.1 * (n_target - kept) / rate)) + 8
+    kept_fraction = kept / drawn
     if kept < max(1, n_target / 2):
         raise GenerationError(
             f"retained {kept}/{n_target} after {drawn} draws "

@@ -216,6 +216,14 @@ class TestTrainSource:
         with pytest.raises(ValueError):
             train_source(blob_config(), np.zeros((0, 1, 1, 3)), np.zeros((0, 1, 1)))
 
+    def test_class_count_given_or_from_labels(self):
+        xs, ys, *_ = blob_splits()
+        cfg = blob_config(source_steps=2)
+        assert train_source(cfg, xs, ys)[0].K == int(ys.max()) + 1
+        assert train_source(cfg, xs, ys, K=7)[0].K == 7
+        with pytest.raises(ValueError, match="not below the class count K=2"):
+            train_source(cfg, xs, ys, K=2)
+
 
 class TestEstimateStage:
     def test_counts_and_distances(self):

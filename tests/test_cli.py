@@ -685,6 +685,55 @@ def test_label_outside_classes_exit2_names_split(workspace, tmp_path, capsys, co
     assert not (tmp_path / "m.mdl1").exists()
 
 
+@pytest.fixture(scope="module")
+def grid8(tmp_path_factory):
+    """A K=8 grid-seg workspace whose source labels only use classes 0-5."""
+    root = tmp_path_factory.mktemp("grid8")
+    (root / "spec.txt").write_text("kind=grid-seg\nK=8\nn_images=2\nn_eval=4\nseed=0\n")
+    (root / "config.txt").write_text(CONFIG)
+    assert main(["gen-data", "--spec", str(root / "spec.txt"), "--out", str(root / "data")]) == 0
+    labels_path = root / "data" / "source" / "labels.tns1"
+    save_tensor(labels_path, np.minimum(load_tensor(labels_path), 5))
+    argv = ["train", "--config", str(root / "config.txt"), "--data", str(root / "data" / "source")]
+    assert main([*argv, "--steps", "20", "--out", str(root / "model.mdl1")]) == 0
+    return root
+
+
+class TestClassCount:
+    """The model's K is the manifest's, and a split with another K is refused."""
+
+    def test_train_takes_k_from_the_manifest(self, grid8, capsys):
+        assert ad.load_model(grid8 / "model.mdl1").K == 8
+        data = grid8 / "data" / "target_eval"
+        assert main(["eval", "--ckpt", str(grid8 / "model.mdl1"), "--data", str(data)]) == 0
+        assert "iou_class_7=" in capsys.readouterr().out
+
+    def test_estimate_names_the_absent_classes(self, grid8, tmp_path, capsys):
+        argv = ["estimate", "--config", str(grid8 / "config.txt")]
+        argv += ["--ckpt", str(grid8 / "model.mdl1"), "--data", str(grid8 / "data" / "source")]
+        argv += ["--out", str(tmp_path / "m.gmm1")]
+        assert main(argv) == 3
+        present = np.unique(load_tensor(grid8 / "data" / "source" / "labels.tns1")).astype(int)
+        absent = ", ".join(str(j) for j in range(8) if j not in present)
+        assert f"classes {absent} are absent from the split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "estimate", "export-embeddings", "adapt"])
+    def test_split_with_another_k_exit2_names_both(self, workspace, tmp_path, capsys, command):
+        split = {"eval": "target_eval", "estimate": "source"}.get(command, "target_train")
+        data = tmp_path / split
+        shutil.copytree(workspace / "data" / split, data)
+        write_keyvalue(data / "manifest.txt", {**read_keyvalue(data / "manifest.txt"), "K": "4"})
+        out = str(tmp_path / "out")
+        if command == "adapt":
+            assert run_adapt(workspace, out, target=data) == 2
+        else:
+            argv = [command, "--ckpt", str(workspace / "model.mdl1"), "--data", str(data)]
+            assert main(argv + ([] if command == "eval" else ["--out", out])) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: split K=4 does not match the model's K=3" in err
+        assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "command,flag,value,key",
     [

@@ -46,25 +46,25 @@ PINNED_SHA256 = {
 
 PINNED_RUN = {
     "pre_miou": 0.22794345406215574,
-    "post_miou": 0.6535361124452842,
+    "post_miou": 0.6743244297883647,
     "final_train_loss": 0.08229777961969376,
-    "w_sp_exact": 6.505860584795042,
-    "w_sp_sliced": 0.08224120623533564,
-    "w_tp_pre_exact": 40.5370929655726,
-    "w_tp_pre_sliced": 8.967540804346763,
-    "w_tp_post_exact": 7.259292349170434,
-    "w_tp_post_sliced": 0.5037598853051162,
+    "w_sp_exact": 6.631535065634836,
+    "w_sp_sliced": 0.06953244481190804,
+    "w_tp_pre_exact": 44.703871473078564,
+    "w_tp_pre_sliced": 9.249456105359235,
+    "w_tp_post_exact": 9.826011301604856,
+    "w_tp_post_sliced": 0.5887008553775529,
     "one_minus_tau": 0.5,
     "e_source": 0.0294921875,
     "e_target_pre": 0.6734375,
-    "e_target_post": 0.1623828125,
+    "e_target_post": 0.1591796875,
     "N": 76800,
     "M": 8192,
     "N_p": 4096,
 }
 
 PINNED_RUN_SHA256 = {
-    "adapted.mdl1": "d9b4a6557c206e13c13690b87bcca14db55c4f6d39512d452f78ecac560e2a60",
+    "adapted.mdl1": "79a2b59f87879c6fdcbb0b53d44051db8b2e96777873eea58382e57dbfd0439f",
     "model.gmm1": "adf19541dde87db8d313c1a891d60f48bb854cbe4b0893122b6da6ffe98514e5",
 }
 
@@ -72,16 +72,16 @@ PINNED_CLI_SHA256 = {
     "model.mdl1": "55d1242b28e3364c5e51150b6d8ba3de435fbb96c79da3642c6727e9712a6d2e",
     "model.mdl1.trainlog.csv": "ecbb13abda95a7d0645bc30ad0d0c721687b663d50529c4dc6d61eaf8be2600c",
     "model.gmm1": "fa8539c7962d61e85275c461b4bac6c78e75904882f06ba5650d62041076a2a4",
-    "model.gmm1.meta": "5d81f06672d06c9f6e39320c492fdfc3d4a020fd309ae2d7419f01166c089746",
-    "adapted/adapted.mdl1": "5214efe345059e34a622eed0ec7c60e7812ac2dbe94b4b080bae9490bb254175",
-    "adapted/report.csv": "36b97caf730acddfaade40996d0430532ac62fd39acffe411c67f7b3abd8fd9b",
-    "adapted/diagnostics.txt": "2b77ad3a539bda59144e81b9c627fa3256137a50994b929e09f6b199bfb74a24",
-    "adapted/gmm_samples.emb1": "1d0aa64850617cb860c715f39a12ec1f7d15e2d695dd19dbcb8c0220a75dc2df",
-    "adapted/target_post.emb1": "a1734e1ee25b3694a6fd5c0e65f8b7945b9d55e732c79ed249392a6b59e82ed6",
-    "adapted/target_pre.emb1": "19c2eebff93efdf542b42d420358424c1a326bf101ec8415cb98361df6dcd415",
-    "emb/data.emb1": "5984cc9976bd7725e6781e9463a5a0e6ddd5f5c7485c2d242fbb94ec324f48ed",
+    "model.gmm1.meta": "dfeb7e960a2cae92f098d641f6a2e84d14a5b373aa51d771e1c8a86408baa074",
+    "adapted/adapted.mdl1": "ec074a46a7c5d080214592e30010f2c32bfc6e3bcac424e95e79c94791c41377",
+    "adapted/report.csv": "28a37667f1fd78dc6812e690ce238ed8256d152ba134fa813eb93ac32881b3c5",
+    "adapted/diagnostics.txt": "63cd805ff36db99154319bdd3b460d1c01bf8cae9ce055219c24da2290e81efb",
+    "adapted/gmm_samples.emb1": "8573ea381aea313673bde73d3b2e274f1e259306ea643635388489957986ddc6",
+    "adapted/target_post.emb1": "b68808c9cb956ad0a927c941e8c394385f3df49a24ad43d13937d1db5bf83279",
+    "adapted/target_pre.emb1": "cb19af251eed76690ca0950d109db05da53e3c96e9b4203e70ac81b474974967",
+    "emb/data.emb1": "b90b779e04837032a7eb238785f3563266ef641a6a4e6626e6be11a0f995a02f",
     "emb/data_pre.emb1": "98a3c8f33f56bfed6da259471a5cf145ea50deb99872b047834e7479099654ed",
-    "emb/gmm_samples.emb1": "3ea0663b29c1136952ad76f82b10d3d0155735c63bef886da999e333de8d2636",
+    "emb/gmm_samples.emb1": "c1427936127e1fd5e2ec11e38109b3b2d8897bd368f836c9d1d93541da00c560",
 }
 
 

@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from protoadapt import gmm as gmm_mod
 from protoadapt.errors import DimensionError, EstimationError, FileFormatError, GenerationError
 from protoadapt.gmm import (
+    MAX_DRAW_FACTOR,
     PrototypicalGMM,
     build_support_sets,
     estimate_gmm,
@@ -135,6 +137,22 @@ class TestEstimate:
             self.fit(emb, lab, 2)
         assert "class 1" in str(e.value)
 
+    def test_absent_class_named_as_absent(self):
+        emb = np.random.default_rng(8).normal(size=(30, 2))
+        lab = np.array([0, 2] * 15)  # no pixel of class 1
+        with pytest.raises(EstimationError) as e:
+            self.fit(emb, lab, 3)
+        assert "class 1 is absent from the split" in str(e.value)
+        assert "lower tau" not in str(e.value)
+
+    def test_present_class_without_support_says_lower_tau(self):
+        emb = np.random.default_rng(9).normal(size=(30, 2))
+        lab = np.arange(30) % 2
+        probs = one_hotish(lab, 2, [0.99, 0.6] * 15)  # class 1 only at confidence 0.6
+        with pytest.raises(EstimationError) as e:
+            estimate_gmm(emb, build_support_sets(emb, lab, probs, 0.9))
+        assert "class 1" in str(e.value) and "lower tau" in str(e.value)
+
     def test_tau_fit_recorded(self):
         emb = np.random.default_rng(7).normal(size=(10, 2))
         gmm = self.fit(emb, np.zeros(10, dtype=int), 1, tau=0.0)
@@ -228,6 +246,61 @@ class TestGenerate:
         b = generate_pseudo_dataset(gmm, sharp_classifier(), 300, 0.5, Rng(6))
         np.testing.assert_array_equal(a.Z, b.Z)
         np.testing.assert_array_equal(a.Y, b.Y)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every `sample_gaussian` call the sampler makes: (n, rows drawn)."""
+    calls = []
+    sample = gmm_mod.sample_gaussian
+
+    def spy(mu, chol, n, rng):
+        out = sample(mu, chol, n, rng)
+        calls.append((n, out))
+        return out
+
+    monkeypatch.setattr(gmm_mod, "sample_gaussian", spy)
+    return calls
+
+
+def band_classifier(z, bound=2.326):
+    """Confident (0.99) where |z0| < bound: about 98% of N(0, 1) in z0."""
+    conf = np.where(np.abs(np.asarray(z)[:, 0]) < bound, 0.99, 0.5)
+    return np.stack([conf, 1.0 - conf], axis=1)
+
+
+def standard_gmm(d=2):
+    return PrototypicalGMM(np.array([0.5, 0.5]), np.zeros((2, d)), np.stack([np.eye(d)] * 2), 0.0)
+
+
+class TestDrawCount:
+    """Refills are sized to the shortfall; the cap and kept_fraction keep their meaning."""
+
+    def test_keep_rate_near_098_draws_at_most_11_tenths(self, draws):
+        ds = generate_pseudo_dataset(standard_gmm(), band_classifier, 1024, 0.9, Rng(0))
+        assert 0.96 < ds.kept_fraction < 0.995
+        assert ds.Z.shape == (1024, 2)
+        assert sum(n for n, _ in draws) <= 1.1 * 1024
+
+    def test_tau_zero_draws_n_target_in_one_chunk(self, draws):
+        generate_pseudo_dataset(two_blob_gmm(), sharp_classifier(), 777, 0.0, Rng(1))
+        assert [n for n, _ in draws] == [777]
+
+    def test_never_confident_draws_the_cap_then_raises(self, draws):
+        def wishy(z):
+            return np.full((len(z), 2), 0.5)
+
+        with pytest.raises(GenerationError) as e:
+            generate_pseudo_dataset(two_blob_gmm(), wishy, 50, 0.9, Rng(2))
+        assert sum(n for n, _ in draws) == MAX_DRAW_FACTOR * 50
+        assert e.value.kept_fraction == 0.0
+
+    @pytest.mark.parametrize("tau,seed", [(0.0, 3), (0.9, 4), (0.95, 5)])
+    def test_kept_fraction_is_kept_over_drawn(self, draws, tau, seed):
+        ds = generate_pseudo_dataset(standard_gmm(), band_classifier, 300, tau, Rng(seed))
+        rows = np.concatenate([out for _, out in draws])
+        kept = int((band_classifier(rows).max(axis=1) > tau).sum())
+        assert kept >= 300 and ds.kept_fraction == kept / len(rows)
 
 
 class TestGmmFile:

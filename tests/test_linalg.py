@@ -78,6 +78,51 @@ class TestSampleGaussian:
         np.testing.assert_allclose(emp, L @ L.T, atol=0.1)
 
 
+class TestSampleGaussianPerRow:
+    """Per-row means [n, d] and factors [n, d, d]: row i is drawn from its own Gaussian."""
+
+    def test_mixture_rows_follow_their_component(self):
+        mus = np.array([[0.0, 0.0], [5.0, -3.0], [-4.0, 6.0]])
+        chols = np.array(
+            [[[1.0, 0.0], [0.5, 0.5]], [[0.3, 0.0], [-0.2, 2.0]], [[2.0, 0.0], [1.0, 0.1]]]
+        )
+        comps = np.random.default_rng(0).integers(0, 3, 60000)
+        out = sample_gaussian(mus[comps], chols[comps], len(comps), Rng(11))
+        assert out.dtype == np.float32 and out.shape == (60000, 2)
+        for j in range(3):
+            rows = out[comps == j].astype(np.float64)
+            np.testing.assert_allclose(rows.mean(axis=0), mus[j], atol=0.06)
+            emp = np.cov(rows.T, bias=True)
+            np.testing.assert_allclose(emp, chols[j] @ chols[j].T, atol=0.12)
+
+    def test_shared_rows_give_the_shared_draw(self):
+        mu = np.array([1.0, -2.0, 0.5], dtype=np.float32)
+        L = np.array([[1.0, 0.0, 0.0], [0.2, 0.7, 0.0], [-0.4, 0.1, 0.3]], dtype=np.float32)
+        shared = sample_gaussian(mu, L, 40, Rng(3))
+        per_row = sample_gaussian(np.tile(mu, (40, 1)), np.tile(L, (40, 1, 1)), 40, Rng(3))
+        assert shared.tobytes() == per_row.tobytes()
+
+    def test_float64_oracle(self):
+        rng = np.random.default_rng(5)
+        n, d = 50, 4
+        mu = rng.normal(size=(n, d))
+        chol = np.tril(rng.normal(size=(n, d, d)))
+        out = sample_gaussian(mu, chol, n, Rng(8))
+        eps = Rng(8).normal((n, d))
+        mu32, chol32 = mu.astype(np.float32), chol.astype(np.float32)
+        want = mu32 + np.einsum("nij,nj->ni", chol32.astype(np.float64), eps)
+        np.testing.assert_allclose(out, want, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "mu_shape,chol_shape",
+        [((5, 3), (3, 3)), ((3,), (5, 3, 3)), ((4, 3), (4, 3, 3)), ((5, 3), (5, 2, 2))],
+    )
+    def test_shape_mismatch_names_both_shapes(self, mu_shape, chol_shape):
+        with pytest.raises(DimensionError) as exc:
+            sample_gaussian(np.zeros(mu_shape), np.zeros(chol_shape), 5, Rng(0))
+        assert str(mu_shape) in str(exc.value) and str(chol_shape) in str(exc.value)
+
+
 class TestSampleUnitSphere:
     def test_dim1_is_sign(self):
         out = sample_unit_sphere(1, 100, Rng(0))
