@@ -231,10 +231,12 @@ def pixel_error(model: SegModel, images: np.ndarray, labels: np.ndarray) -> floa
 # ---------------------------------------------------------------- estimation
 
 
-# Draws in the pseudo cloud of each transport term, capped at the pixels
-# measured: w_sp (estimate_stage) and w_tp compare only at one cloud size.
+# w_sp (estimate_stage, source pixels) and w_tp (compute_bound_diagnostics,
+# target pixels) are measured one way, so the two terms compare at one
+# sample size: one draw of at most DIAG_SUBSAMPLE pixels against a cloud of
+# at most PSEUDO_CLOUD pseudo points, each capped at the pixels there are.
 PSEUDO_CLOUD = 4096
-DIAG_SUBSAMPLE = 8192  # target pixels both w_tp terms embed and measure
+DIAG_SUBSAMPLE = 8192
 DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
 
 
@@ -278,7 +280,11 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     """Fit the prototypical mixture on confident source pixels.
 
     Returns (gmm, EstimateInfo); the info carries the source-side distance
-    diagnostic so adaptation never needs source data again.
+    diagnostic so adaptation never needs source data again. w_sp is
+    measured as `compute_bound_diagnostics` measures w_tp, drawing in order
+    the pseudo cloud, one min(DIAG_SUBSAMPLE, N) draw of source pixels, then
+    the estimates between those pixels' embeddings and the cloud;
+    `n_pixels` is N, every source pixel.
     """
     rng = Rng(config.seed ^ 0xE57)
     emb = pixel_embeddings(model, images)
@@ -290,8 +296,9 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     n_pseudo = min(PSEUDO_CLOUD, emb.shape[0])
     probs_fn = partial(ad.forward_classify, model)
     pseudo = generate_pseudo_dataset(gmm, probs_fn, n_pseudo, config.tau_filter, rng)
+    pixels = rng.subsample(emb.shape[0], min(DIAG_SUBSAMPLE, emb.shape[0]))
     w_exact, w_sliced = wasserstein_estimates(
-        emb, pseudo.Z, rng, num_projections=config.num_projections
+        emb[pixels], pseudo.Z, rng, num_projections=config.num_projections
     )
     e_source = float(np.mean(probs.argmax(axis=1) != flat))
     counts = tuple(support.counts.tolist())

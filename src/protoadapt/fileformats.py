@@ -61,12 +61,15 @@ def write_f32(f, value: float) -> None:
 
 
 def write_tns1(f, arr: np.ndarray) -> None:
-    a = np.ascontiguousarray(arr, dtype=np.float32)
+    """One TNS1 block of `arr` at its own rank (0-d included), written from
+    its C-order little-endian float32 buffer, converted only if it is not
+    one already."""
+    a = np.asarray(arr, dtype="<f4", order="C")
     f.write(TNS1_MAGIC)
     write_u32(f, a.ndim)
     for dim in a.shape:
         write_u32(f, dim)
-    f.write(a.astype("<f4").tobytes())
+    f.write(a.data)
 
 
 def read_tns1(f) -> np.ndarray:

@@ -110,7 +110,7 @@ def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> Prot
     d+1 support points. A class no pixel is labeled with is named as absent
     from the split, since no tau could give it support.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
+    emb = np.asarray(embeddings)
     d = emb.shape[1]
     K = support.K
     absent = [str(j) for j in range(K) if support.labeled[j] == 0]
@@ -125,15 +125,17 @@ def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> Prot
             )
     total = float(support.counts.sum())
     # Parameters stay in float64 so the estimates agree with a direct
-    # double-precision computation; files round to float32 on save.
+    # double-precision computation; files round to float32 on save. Rows
+    # are converted after each class's gather, so no float64 copy of all
+    # n rows is made.
     alpha = support.counts / total
     mu = np.zeros((K, d))
     sigma = np.zeros((K, d, d))
     for j in range(K):
-        pts = emb[support.indices[j]]
+        pts = emb[support.indices[j]].astype(np.float64)
         mean = pts.mean(axis=0)
-        centered = pts - mean
-        cov = (centered.T @ centered) / pts.shape[0]
+        pts -= mean
+        cov = (pts.T @ pts) / pts.shape[0]
         jit = default_jitter(cov)
         if jit <= 0.0:  # fully degenerate support (all points identical)
             jit = 1e-6

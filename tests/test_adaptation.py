@@ -9,6 +9,7 @@ import pytest
 from protoadapt import adaptation
 from protoadapt import autodiff as ad
 from protoadapt.adaptation import (
+    DIAG_SUBSAMPLE,
     PSEUDO_CLOUD,
     ExperimentConfig,
     adapt_source_free,
@@ -25,6 +26,7 @@ from protoadapt.adaptation import (
 )
 from protoadapt.datasets import DomainSpec, gen_blobs, gen_grid_seg
 from protoadapt.errors import ConfigError, DimensionError, DivergenceError
+from protoadapt.gmm import generate_pseudo_dataset
 from protoadapt.rng import Rng
 
 
@@ -507,7 +509,6 @@ class TestRunExperiment:
         model, _ = train_source(cfg, xs, ys)
         gmm, info = estimate_stage(model, xs, ys, cfg)
         emb = pixel_embeddings(model, xs)
-        from protoadapt.gmm import generate_pseudo_dataset
 
         n_pseudo = min(PSEUDO_CLOUD, emb.shape[0])  # same draw size as estimate_stage
         vals = []
@@ -522,8 +523,8 @@ class TestRunExperiment:
 
 
 class TestBoundDiagnostics:
-    """The target-side bound terms on a small grid-seg target with more
-    pixels (10,240) than the diagnostics subsample, so the gather is real."""
+    """The bound terms on small grid-seg splits with more pixels (10,240)
+    than the diagnostics subsample, so the gather is real."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -573,6 +574,30 @@ class TestBoundDiagnostics:
         monkeypatch.setattr(ad, "forward_embed", forbidden)
         diag, _, pre_rows, post_rows = compute_bound_diagnostics(gmm, model, adapted, xt, cfg, info)
         assert np.isfinite(diag.w_tp_post_exact) and pre_rows.shape == post_rows.shape
+
+    def test_w_sp_measures_one_pixel_draw(self, run, monkeypatch):
+        cfg, model, *_ = run
+        xs, ys = gen_grid_seg(DomainSpec(K=3, n_images=40, seed=1))
+        rows = []
+        estimates = adaptation.wasserstein_estimates
+
+        def spy(a, b, rng, **kw):
+            rows.append(a)
+            return estimates(a, b, rng, **kw)
+
+        monkeypatch.setattr(adaptation, "wasserstein_estimates", spy)
+        gmm, info = estimate_stage(model, xs, ys, cfg)
+        assert [len(a) for a in rows] == [DIAG_SUBSAMPLE] and info.n_pixels == 10240
+        # the draw order: the pseudo cloud, the pixels, then the estimates
+        rng = Rng(cfg.seed ^ 0xE57)
+        pseudo = generate_pseudo_dataset(
+            gmm, partial(ad.forward_classify, model), PSEUDO_CLOUD, cfg.tau_filter, rng
+        )
+        emb = pixel_embeddings(model, xs)[rng.subsample(10240, DIAG_SUBSAMPLE)]
+        assert np.array_equal(rows[0], emb)
+        assert (info.w_sp_exact, info.w_sp_sliced) == estimates(
+            emb, pseudo.Z, rng, num_projections=cfg.num_projections
+        )
 
     def test_run_experiment_embeds_three_times(self, monkeypatch):
         calls = []

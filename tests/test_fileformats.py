@@ -32,6 +32,33 @@ def test_tns1_roundtrip(tmp_path):
     assert out.tobytes() == arr.tobytes()
 
 
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.float32(3.5),
+        np.array([1.5, -0.0, np.inf], dtype=np.float32),
+        np.arange(12, dtype=np.float32).reshape(3, 4),
+        np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+        np.zeros((2, 0, 4), dtype=np.float32),
+        np.linspace(-1.0, 1.0, 15).reshape(3, 5),
+        np.arange(24, dtype=np.float32).reshape(2, 3, 4)[:, ::2, ::-1],
+        np.arange(12.0).reshape(3, 4).T,
+    ],
+    ids=["rank0", "rank1", "rank2", "rank3", "zero-size", "float64", "strided", "transposed-float64"],
+)
+def test_tns1_roundtrip_keeps_rank_and_payload(tmp_path, arr):
+    path = tmp_path / "t.tns1"
+    save_tensor(path, arr)
+    data = path.read_bytes()
+    rank = np.ndim(arr)
+    assert struct.unpack_from(f"<{rank + 1}I", data, 4) == (rank, *np.shape(arr))
+    # the payload is the float32 values' little-endian bytes in C order
+    assert data[8 + 4 * rank :] == np.ascontiguousarray(arr, dtype=np.float32).astype("<f4").tobytes()
+    out = load_tensor(path)
+    assert out.shape == np.shape(arr) and out.dtype == np.float32
+    assert out.tobytes() == np.asarray(arr, dtype=np.float32).tobytes()
+
+
 def test_tns1_exact_byte_layout():
     arr = np.array([[1.0, 2.0]], dtype=np.float32)
     buf = io.BytesIO()

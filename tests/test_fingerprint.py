@@ -48,8 +48,8 @@ PINNED_RUN = {
     "pre_miou": 0.22794345406215574,
     "post_miou": 0.6743244297883647,
     "final_train_loss": 0.08229777961969376,
-    "w_sp_exact": 6.631535065634836,
-    "w_sp_sliced": 0.06953244481190804,
+    "w_sp_exact": 7.574695581519822,
+    "w_sp_sliced": 0.05962888434748922,
     "w_tp_pre_exact": 44.703871473078564,
     "w_tp_pre_sliced": 9.249456105359235,
     "w_tp_post_exact": 9.826011301604856,
@@ -72,10 +72,10 @@ PINNED_CLI_SHA256 = {
     "model.mdl1": "55d1242b28e3364c5e51150b6d8ba3de435fbb96c79da3642c6727e9712a6d2e",
     "model.mdl1.trainlog.csv": "ecbb13abda95a7d0645bc30ad0d0c721687b663d50529c4dc6d61eaf8be2600c",
     "model.gmm1": "fa8539c7962d61e85275c461b4bac6c78e75904882f06ba5650d62041076a2a4",
-    "model.gmm1.meta": "dfeb7e960a2cae92f098d641f6a2e84d14a5b373aa51d771e1c8a86408baa074",
+    "model.gmm1.meta": "9e42ac8788afee33ab3a7574d9a6342d0e9f337c75e13c56f42c85e639223bb7",
     "adapted/adapted.mdl1": "ec074a46a7c5d080214592e30010f2c32bfc6e3bcac424e95e79c94791c41377",
     "adapted/report.csv": "28a37667f1fd78dc6812e690ce238ed8256d152ba134fa813eb93ac32881b3c5",
-    "adapted/diagnostics.txt": "63cd805ff36db99154319bdd3b460d1c01bf8cae9ce055219c24da2290e81efb",
+    "adapted/diagnostics.txt": "587f5c42f70f50d980587d28dea7f9a8d794681bff8be5f16bebc38d1ed80f40",
     "adapted/gmm_samples.emb1": "8573ea381aea313673bde73d3b2e274f1e259306ea643635388489957986ddc6",
     "adapted/target_post.emb1": "b68808c9cb956ad0a927c941e8c394385f3df49a24ad43d13937d1db5bf83279",
     "adapted/target_pre.emb1": "cb19af251eed76690ca0950d109db05da53e3c96e9b4203e70ac81b474974967",
@@ -117,9 +117,11 @@ def this_stack() -> dict:
 
 
 def assert_pinned(what: str, got: dict, pinned: dict) -> None:
-    changed = sorted(k for k in {**pinned, **got} if got.get(k) != pinned.get(k))
+    """One failure naming every moved pin, with its pinned and new value."""
+    keys = sorted({**pinned, **got})
+    changed = {k: (pinned.get(k), got.get(k)) for k in keys if got.get(k) != pinned.get(k)}
     assert not changed, (
-        f"{what} differ from the pinned ones in {changed}; "
+        f"{what} differ from the pinned ones, as name: (pinned, got), in {changed}; "
         f"pinned on {PINNED_STACK}, this stack is {this_stack()}"
     )
 
@@ -156,6 +158,8 @@ def test_small_run_experiment(tmp_path, monkeypatch):
 
     monkeypatch.setattr(adaptation, "train_source", recording_train_source)
     result = run_experiment(config, xs, ys, xt, xe, ye)
+    save_model(tmp_path / "adapted.mdl1", result.model)
+    save_gmm(tmp_path / "model.gmm1", result.gmm)
     got = {
         "pre_miou": result.pre_miou,
         "post_miou": result.post_miou,
@@ -163,12 +167,11 @@ def test_small_run_experiment(tmp_path, monkeypatch):
         "e_target_pre": result.e_target_pre,
         "e_target_post": result.e_target_post,
         **result.report.diagnostics.as_dict(),
+        **{name: sha256((tmp_path / name).read_bytes()) for name in ("adapted.mdl1", "model.gmm1")},
     }
-    assert_pinned("small run_experiment values", got, PINNED_RUN)
-    save_model(tmp_path / "adapted.mdl1", result.model)
-    save_gmm(tmp_path / "model.gmm1", result.gmm)
-    got = {name: sha256((tmp_path / name).read_bytes()) for name in ("adapted.mdl1", "model.gmm1")}
-    assert_pinned("small run_experiment artifact bytes", got, PINNED_RUN_SHA256)
+    # Values and artifact bytes are compared at once, so one run names
+    # every pin a change moved.
+    assert_pinned("small run_experiment values and artifact bytes", got, {**PINNED_RUN, **PINNED_RUN_SHA256})
 
 
 def _without(path: Path, key: str) -> bytes:

@@ -17,6 +17,7 @@ from protoadapt.gmm import (
     load_gmm,
     save_gmm,
 )
+from protoadapt.linalg import default_jitter
 from protoadapt.rng import Rng
 
 
@@ -110,6 +111,41 @@ class TestEstimate:
                 off = gmm.sigma[j] - cov
                 assert np.abs(off - off[0, 0] * np.eye(d)).max() < 1e-9
                 assert 0.0 < off[0, 0] < 1e-4 * max(1.0, np.abs(cov).max())
+
+    @staticmethod
+    def _float64_upfront(embeddings, support, tau_fit):
+        """Reference estimator: one float64 copy of every row, then
+        per-class gathers centred out of place."""
+        emb = np.asarray(embeddings, dtype=np.float64)
+        K, d = support.K, emb.shape[1]
+        mu, sigma = np.zeros((K, d)), np.zeros((K, d, d))
+        for j in range(K):
+            pts = emb[support.indices[j]]
+            mean = pts.mean(axis=0)
+            centered = pts - mean
+            cov = (centered.T @ centered) / pts.shape[0]
+            jit = default_jitter(cov)
+            if jit <= 0.0:
+                jit = 1e-6
+            mu[j], sigma[j] = mean, cov + jit * np.eye(d)
+        return PrototypicalGMM(support.counts / float(support.counts.sum()), mu, sigma, tau_fit)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,d,K", [(60, 1, 2), (500, 3, 3), (4000, 5, 5)])
+    def test_per_class_gathers_match_float64_upfront_bitwise(self, dtype, n, d, K):
+        rng = np.random.default_rng(n + d)
+        emb = (rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0, d) + 7.0).astype(dtype)
+        lab = rng.permutation(np.arange(n) % K)
+        emb[lab == K - 1] = -1.25  # all-equal support, exactly centred: the 1e-6 jitter path
+        probs = one_hotish(lab, K, [0.99] * n)
+        support = build_support_sets(emb, lab, probs, 0.5)
+        got = estimate_gmm(emb, support, tau_fit=0.5)
+        want = self._float64_upfront(emb, support, 0.5)
+        assert np.array_equal(got.sigma[K - 1], 1e-6 * np.eye(d))
+        for part in ("alpha", "mu", "sigma", "chol"):
+            a, b = getattr(got, part), getattr(want, part)
+            uint = np.uint64 if a.dtype.itemsize == 8 else np.uint32
+            assert a.dtype == b.dtype and np.array_equal(a.view(uint), b.view(uint)), part
 
     def test_alpha_proportions(self):
         emb = np.random.default_rng(3).normal(size=(40, 2))
