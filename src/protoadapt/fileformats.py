@@ -84,11 +84,14 @@ def read_tns1(f) -> np.ndarray:
     f.seek(here)
     if nbytes > left:
         raise FileFormatError(f"tensor payload of {nbytes} bytes exceeds the {left} bytes left")
-    data = np.frombuffer(_read_exact(f, nbytes), dtype="<f4")
     try:
-        return data.reshape(shape).astype(np.float32)
+        data = np.empty(shape, "<f4")
     except ValueError:  # a zero dim next to dims numpy cannot index
         raise FileFormatError(f"tensor shape {shape} is not a valid array shape") from None
+    got = f.readinto(data)  # the payload's one copy
+    if got != nbytes:
+        raise FileFormatError(f"truncated file: wanted {nbytes} bytes, got {got}")
+    return data.astype(np.float32, copy=False)
 
 
 def read_framed(path, magic: bytes, parse):

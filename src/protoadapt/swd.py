@@ -9,14 +9,17 @@ diagnostics and tests.
 The sliced estimator works on all projections at once: the projections
 are an [L, m] array with one contiguous row per direction, sorted by
 numpy's default sort. Only the gradient reads a sorting order, that of x:
-it comes from one integer sort of packed keys (the float's
-order-preserving int64 bits with the column index in the low bits), which
-is accepted only when every sorted row is strictly increasing; a tie, a
-signed zero, a NaN or two keys that collide fall back to a stable argsort.
-The sum over ranks and the gradient's accumulation keep the order of the
-per-projection loop (stable column argsort, np.add.at per direction), so
-value and gradient equal that loop's bit for bit (tests/test_swd.py keeps
-the loop as an oracle).
+it comes from one float64 sort of packed keys (the value's sign and its
+magnitude bits shifted right by one, with the column index in the low
+bits), which is accepted only when every sorted row is strictly
+increasing; a tie, a signed zero, a NaN or two keys that collide fall
+back to a stable argsort. The sum over ranks keeps the order of the
+per-projection loop (stable column argsort, np.add.at per direction), and
+the gradient is one einsum that adds the projections in that loop's
+order. Value and gradient equal that loop's bit for bit on the
+numpy 2.4.6 x86-64 wheel, whose einsum kernels are built for its X86_V2
+baseline and so fuse no multiply-add (tests/test_swd.py keeps the loop as
+an oracle and would catch a build that does, with FMA or NEON).
 """
 
 from __future__ import annotations
@@ -155,22 +158,16 @@ def _sliced_impl(x, y, cfg, rng, directions, want_grad):
     by_row = proj_x
     by_row.reshape(-1)[order_x] = diff
     # grad_t[j, i] adds dirs[l, j] * by_row[l, i] over l in projection
-    # order, starting from +0.0, as a per-projection scatter does. A reduce
-    # over the first axis of a C-contiguous [L, m] array adds whole rows
-    # one after another, so it makes those adds in that order. initial=0.0
-    # pins the +0.0 start, so a column of -0.0 products sums to +0.0 as in
-    # the loop, whether or not a numpy version starts a reduce from its
-    # first row. At m = 1 that axis is contiguous and numpy sums it
-    # pairwise, so one row takes the projection loop instead.
-    grad_t = np.zeros((d, m))
-    if m == 1:
-        for l in range(L):
-            grad_t += dirs[l][:, None] * by_row[l][None, :]
+    # order from +0.0, as a per-projection scatter does: the einsum (no
+    # optimize, so no BLAS) loops along i and adds one rounded product per l
+    # to a zeroed output, so -0.0 products sum to +0.0 as in the loop. Its
+    # kernels in the numpy 2.4.6 x86-64 wheel are built for X86_V2, with no
+    # FMA; a build that fuses the multiply-add (FMA baseline, NEON) would not
+    # match. At m = d = 1 only l is left, which einsum sums in SIMD lanes.
+    if m == d == 1:
+        grad_t = sum((dirs[l] * by_row[l] for l in range(L)), np.zeros((1, 1)))
     else:
-        products = np.empty_like(by_row)
-        for j in range(d):
-            np.multiply(by_row, dirs[:, j : j + 1], out=products)
-            np.add.reduce(products, axis=0, initial=0.0, out=grad_t[j])
+        grad_t = np.einsum("lj,li->ji", dirs, by_row)
     grad = np.zeros_like(x)
     grad[x_idx] = grad_t.T
     return value, grad
@@ -182,7 +179,8 @@ def _sort_rows(p: np.ndarray):
 
     The order is _packed_order's if its rows come out strictly increasing;
     otherwise (a tie, -0.0 next to 0.0, a NaN, or a packed-key collision)
-    it comes from a stable argsort.
+    it comes from a stable argsort. No input moves a bit: an order under
+    which the values are strictly increasing is the only sorting order.
     """
     flat = _packed_order(p)
     s = p.take(flat)
@@ -196,24 +194,22 @@ def _sort_rows(p: np.ndarray):
 def _packed_order(p: np.ndarray) -> np.ndarray:
     """A candidate row-wise sorting order of p as flat indices into p.
 
-    Each float64 is mapped to an int64 with the same order (negative
-    values get their magnitude bits flipped), its low b bits are replaced
-    by the column index (b = bits needed for m - 1), and each row of keys
-    is sorted as integers; the low bits then give the order. Keys that
-    agree above the low b bits tie and are ordered by column, which may be
-    wrong, so the caller accepts the order only when the sorted values are
-    strictly increasing: a strictly increasing order is the only sorting
-    order, hence the stable one.
+    Each key is a float64 that keeps the value's sign and its magnitude
+    bits shifted right by one, so the exponent stays below 0x400 and no key
+    is NaN or inf while the order of non-NaN values holds; its low b bits
+    are replaced by the column index (b = bits needed for m - 1), and each
+    row of keys is sorted as float64. Keys are then distinct non-NaN floats
+    (only column 0 can give a zero), so every row of the result is a
+    permutation of that row's columns, whatever p holds. Values that agree
+    above the low bits are ordered by column, in reverse for negative ones,
+    which may be wrong; _sort_rows then falls back.
     """
     n, m = p.shape
     low = (1 << (m - 1).bit_length()) - 1
-    bits = p.view(np.int64)
-    keys = bits >> 63
-    keys &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
-    keys ^= bits
-    keys &= ~low
+    keys = p.view(np.int64) >> 1
+    keys &= ~((1 << 62) | low)
     keys |= np.arange(m)
-    keys.sort(axis=1)
+    keys.view(np.float64).sort(axis=1)
     keys &= low
     keys += np.arange(0, n * m, m)[:, None]
     return keys

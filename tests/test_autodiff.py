@@ -646,14 +646,33 @@ FORCED_STACKS = [
 ]
 
 
+# A child first checks, through this_stack(), that it runs the stack it was
+# given, so a variable that gets ignored cannot pass vacuously.
+CHECK_STACK_THEN_TEST = """
+import sys, pytest
+from test_fingerprint import this_stack
+core, avx2_loops, avx512 = sys.argv[1], sys.argv[2] == "1", set(sys.argv[3].split(","))
+stack = this_stack()
+simd = set(stack["simd"].split(","))
+assert not core or stack["openblas_core"].lower() == core.lower(), stack
+assert not avx2_loops or ("X86_V3" in simd and not simd & avx512), stack
+sys.exit(pytest.main(sys.argv[4:]))
+"""
+
+
 @pytest.mark.parametrize("forced", FORCED_STACKS)
 def test_bitwise_oracles_hold_on_forced_stack(forced):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    tests = Path(__file__).resolve().parent
     env = {**os.environ, **forced}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    paths = (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    avx2_loops = "1" if "NPY_DISABLE_CPU_FEATURES" in forced else "0"
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=",
-         f"{__file__}::TestShortAxisKernels", f"{__file__}::TestBitwiseOracle"],
+        [sys.executable, "-c", CHECK_STACK_THEN_TEST, forced.get("OPENBLAS_CORETYPE", ""),
+         avx2_loops, ",".join(sorted(AVX512_TARGETS)),
+         "-q", "-p", "no:cacheprovider", "-o", "addopts=",
+         f"{__file__}::TestShortAxisKernels", f"{__file__}::TestBitwiseOracle",
+         f"{tests / 'test_swd.py'}::TestBitwiseOracle"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]

@@ -3,6 +3,7 @@
 import io
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,35 @@ def test_tns1_truncated_payload():
     data = buf.getvalue()[:-3]
     with pytest.raises(FileFormatError):
         read_tns1(io.BytesIO(data))
+
+
+class _ShortStream(io.BytesIO):
+    """A stream whose end, as seek reports it, lies 8 bytes past its last
+    byte, so a short payload passes the size check and meets the read."""
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        return super().seek(pos, whence) + (8 if whence == io.SEEK_END else 0)
+
+
+def test_tns1_short_read_names_wanted_and_got():
+    buf = io.BytesIO()
+    write_tns1(buf, np.ones((4, 4), dtype=np.float32))
+    with pytest.raises(FileFormatError, match="truncated file: wanted 64 bytes, got 61"):
+        read_tns1(_ShortStream(buf.getvalue()[:-3]))
+
+
+def test_load_tensor_holds_one_payload(tmp_path):
+    arr = np.arange(1 << 20, dtype=np.float32).reshape(1024, 1024)  # a 4 MiB payload
+    path = tmp_path / "t.tns1"
+    save_tensor(path, arr)
+    tracemalloc.start()
+    try:
+        out = load_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * arr.nbytes, f"loading peaked at {peak / arr.nbytes:.2f}x the payload"
+    assert out.dtype == np.float32 and out.flags.writeable and np.array_equal(out, arr)
 
 
 def test_tns1_trailing_bytes_rejected(tmp_path):

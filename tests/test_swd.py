@@ -11,6 +11,7 @@ from protoadapt.linalg import sample_unit_sphere
 from protoadapt.rng import Rng
 from protoadapt.swd import (
     SlicedConfig,
+    _packed_order,
     exact_wasserstein_sq_small,
     sliced_wasserstein_grad,
     sliced_wasserstein_sq,
@@ -289,6 +290,9 @@ class TestSlicedGrad:
         assert v1 < v0 / 3
 
 
+EQUAL_COUNTS_M = [1, 2, 3, 10, 384, 1024, 1025, 4097]
+
+
 class TestBitwiseOracle:
     """The batched estimator against _loop_reference: equal bits, not close."""
 
@@ -309,7 +313,7 @@ class TestBitwiseOracle:
 
     # 2, 3, 1025 and 4097 sit just past a power of two: the packed sort key
     # gives the column index one more bit there.
-    @pytest.mark.parametrize("m", [1, 2, 3, 10, 384, 1024, 1025, 4097])
+    @pytest.mark.parametrize("m", EQUAL_COUNTS_M)
     def test_equal_counts(self, m):
         rng = np.random.default_rng(20 + m)
         cfg = SlicedConfig(num_projections=100)
@@ -370,6 +374,43 @@ class TestBitwiseOracle:
         y = rng.normal(size=(400, 1))
         self._check(x, y, SlicedConfig(num_projections=1), directions=np.array([[1.0]]))
 
+    def test_negative_key_collision_matches(self):
+        # The mirror of test_key_collision_matches: negative values 1 ulp
+        # apart with the larger magnitude in the earlier column, which the
+        # float keys order by column, in reverse for negative values.
+        rng = np.random.default_rng(32)
+        base = -np.abs(rng.normal(size=(200, 1)))
+        x = np.concatenate([np.nextafter(base, -np.inf), base])
+        y = rng.normal(size=(400, 1))
+        self._check(x, y, SlicedConfig(num_projections=1), directions=np.array([[1.0]]))
+
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["inf", "inf-and-nan"])
+    def test_rows_holding_inf_and_nan(self, with_nan):
+        # Non-negative directions keep an all-inf row at +-inf on every
+        # projection; a NaN coordinate makes its row NaN everywhere. The
+        # -inf rows of x and y pair up on every projection, and their
+        # inf - inf gap is NaN.
+        rng = np.random.default_rng(33)
+        dirs = np.abs(sample_unit_sphere(3, 20, Rng(14)))
+        x = rng.normal(size=(50, 3))
+        y = rng.normal(size=(50, 3))
+        x[3], x[10], x[30, 0], y[7] = np.inf, -np.inf, np.inf, -np.inf
+        if with_nan:
+            x[20, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            grad = self._check(x, y, SlicedConfig(num_projections=20), directions=dirs)
+        assert np.isinf(grad).any() and np.isnan(grad).any()
+        assert np.isnan(grad[20]).all() == with_nan
+
+    # (m, d, L): a single projection of several rows; 16 dimensions; and
+    # m = d = 1, where the gradient adds one projection at a time.
+    @pytest.mark.parametrize("m,d,L", [(2, 5, 1), (384, 5, 1), (384, 16, 100), (1, 16, 1), (1, 1, 100)])
+    def test_shapes(self, m, d, L):
+        rng = np.random.default_rng(34 + m + d + L)
+        cfg = SlicedConfig(num_projections=L)
+        for seed in range(3):
+            self._check(rng.normal(size=(m, d)), rng.normal(size=(m, d)), cfg, seed)
+
     @pytest.mark.parametrize("scale", [-1.0, 1e-310, -1e-310, 1e30, -1e-30])
     def test_rows_of_one_sign_and_extreme_magnitude(self, scale):
         # Non-negative directions and same-sign points give projection rows
@@ -414,6 +455,31 @@ class TestBitwiseOracle:
         monkeypatch.undo()
         self._check(x, y, cfg)
 
+    @pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
+    @pytest.mark.parametrize("m", EQUAL_COUNTS_M)
+    def test_tie_free_rows_never_sort_stably(self, monkeypatch, m, sign):
+        # Non-negative directions and points of one sign give projection
+        # rows of that sign; random points give rows of mixed sign.
+        kinds = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        rng = np.random.default_rng(35 + m)
+        x, y = rng.normal(size=(m, 5)), rng.normal(size=(m, 5))
+        dirs = sample_unit_sphere(5, 100, Rng(15))
+        if sign != "mixed":
+            s = 1.0 if sign == "positive" else -1.0
+            x, y, dirs = s * np.abs(x), s * np.abs(y), np.abs(dirs)
+        cfg = SlicedConfig(num_projections=100)
+        monkeypatch.setattr(np, "argsort", spy)
+        sliced_wasserstein_grad(x, y, cfg, directions=dirs)
+        assert "stable" not in kinds
+        monkeypatch.undo()
+        self._check(x, y, cfg, directions=dirs)
+
     def test_value_only_call_never_sorts_stably(self, monkeypatch):
         # The value reads sorted values, never an order, so signed zeros
         # and repeated rows, which give every projection row equal
@@ -441,3 +507,21 @@ class TestBitwiseOracle:
         monkeypatch.undo()
         for seed in range(3):
             self._check(x, y, cfg, seed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 1025])
+def test_packed_order_rows_are_permutations(m):
+    # Any bit pattern (NaNs with payloads, +-inf, signed zeros, subnormals)
+    # and rows of ties, near-ties and repeated values.
+    rng = np.random.default_rng(36 + m)
+    rows = [
+        rng.integers(0, 2**64, size=(50, m), dtype=np.uint64).view(np.float64),
+        rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 5e-324], size=(50, m)),
+        np.nextafter(rng.normal(size=(50, 1)), rng.choice([np.inf, -np.inf], size=(50, m))),
+    ]
+    for p in rows:
+        p = np.ascontiguousarray(p)
+        flat = _packed_order(p)
+        assert flat.shape == p.shape
+        cols = flat - np.arange(0, p.size, m)[:, None]
+        assert np.array_equal(np.sort(cols, axis=1), np.broadcast_to(np.arange(m), p.shape))
