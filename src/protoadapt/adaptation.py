@@ -24,7 +24,7 @@ from .gmm import (
     estimate_gmm,
     generate_pseudo_dataset,
 )
-from .rng import Rng
+from .rng import Rng, seed_in_range
 from .swd import SlicedConfig, exact_wasserstein_sq_small, sliced_wasserstein_grad, sliced_wasserstein_sq
 
 
@@ -70,6 +70,8 @@ class ExperimentConfig:
         # up to 1 there could not be loaded back.
         if np.float32(self.tau_fit) >= 1.0:
             raise ConfigError(f"config tau_fit must stay below 1 as float32, got {self.tau_fit}")
+        if not seed_in_range(self.seed):
+            raise ConfigError(f"config seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -135,11 +137,12 @@ def train_source(
         rng=rng,
         neighborhood=config.neighborhood,
     )
-    flat_labels = np.asarray(labels).reshape(images.shape[0], -1)
+    flat_labels = np.asarray(labels).reshape(images.shape[0], -1).astype(np.int64, copy=False)
 
-    def loss_fn(tape, feats, idx):
-        probs = ad.classify_flat(model, ad.embed_flat(model, feats, tape), tape)
-        loss = ad.vcross_entropy(tape, probs, flat_labels[idx].reshape(-1))
+    def loss_fn(tape, batch, idx):
+        emb = ad.embed_flat(model, ad.feature_rows(batch, model.neighborhood), tape)
+        logits = ad.classifier_logits(model, emb, tape)
+        loss = ad.vsoftmax_cross_entropy(tape, logits, flat_labels[idx].reshape(-1))
         return loss, float(loss.data)
 
     return model, _descend(
@@ -150,10 +153,11 @@ def train_source(
 def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
     """The Adam loop of training and adaptation; returns each step's record.
 
-    A step draws `batch` image indices, cuts their pixels' feature rows and
-    descends on the loss node of `loss_fn(tape, feats, idx) -> (loss,
-    record)`, which embeds the rows it reads on the fresh tape. `backward`
-    and `adam_step` are module lookups, so patches see them.
+    A step draws `batch` image indices and descends on the loss node of
+    `loss_fn(tape, batch, idx) -> (loss, record)`, handed those images cut
+    from the split padded once (`pad_images`); the loss cuts the feature
+    rows it embeds on the fresh tape. `backward` and `adam_step` are module
+    lookups, so patches see them.
     """
     params, state = model.parameters(), AdamState()
     padded = ad.pad_images(images, model.neighborhood)
@@ -164,8 +168,7 @@ def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
         for step in range(steps):
             idx = rng.integers(0, images.shape[0], batch)
             tape = Tape()
-            feats = ad.feature_rows(padded[idx], model.neighborhood)
-            loss, record = loss_fn(tape, feats, idx)
+            loss, record = loss_fn(tape, padded[idx], idx)
             if not np.isfinite(float(loss.data)):
                 raise DivergenceError(f"{what} loss non-finite at step {step}", step=step)
             adam_step(params, backward(tape, loss), state, lr)
@@ -184,13 +187,15 @@ def predict_labels(model: SegModel, images: np.ndarray) -> np.ndarray:
 
 
 def pixel_embeddings(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """All pixel embeddings as one [n_pixels, d] array."""
+    """All pixel embeddings as one [n_pixels, d] array, each chunk's rows
+    written into it in place."""
     images = np.asarray(images, dtype=np.float32)
-    parts = []
+    per_image, d = int(np.prod(images.shape[1:3])), model.embed_dim
+    out = np.empty((images.shape[0] * per_image, d), np.float32)
     for start in range(0, images.shape[0], EMBED_CHUNK):
-        emb = ad.forward_embed(model, images[start : start + EMBED_CHUNK])
-        parts.append(emb.reshape(-1, model.embed_dim))
-    return np.concatenate(parts)
+        rows = ad.forward_embed(model, images[start : start + EMBED_CHUNK]).reshape(-1, d)
+        out[start * per_image : start * per_image + rows.shape[0]] = rows
+    return out
 
 
 def confusion_matrix(model: SegModel, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -308,25 +313,27 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
 # ---------------------------------------------------------------- adaptation
 
 
-def adaptation_loss(tape, model, feats, gmm, probs_fn, config, rng):
+def adaptation_loss(tape, model, batch, gmm, probs_fn, config, rng):
     """One adapt step's loss: pseudo-label CE + lambda * squared SWD between
-    the embedded row subsample of the target feature rows `feats` and the
-    pseudo set. Returns (total node, (ce, swd, total, kept_fraction)). Draws
-    from `rng` in order: the pseudo set, the row subsample, the SWD
-    directions and equalizing subsample."""
+    the embedded pixel subsample of the target image batch `batch` (padded
+    by `pad_images`) and the pseudo set. Returns (total node, (ce, swd,
+    total, kept_fraction)). Draws from `rng` in order: the pseudo set, the
+    pixel subsample, the SWD directions and equalizing subsample."""
     pseudo = generate_pseudo_dataset(gmm, probs_fn, config.pseudo_batch, config.tau_filter, rng)
-    probs = ad.classify_flat(model, tape.leaf(pseudo.Z), tape)
-    ce = ad.vcross_entropy(tape, probs, pseudo.Y)
+    logits = ad.classifier_logits(model, tape.leaf(pseudo.Z), tape)
+    ce = ad.vsoftmax_cross_entropy(tape, logits, pseudo.Y)
 
-    n = feats.shape[0]
+    nb = model.neighborhood
+    b, h, w = batch.shape[:3]
+    n = b * (h - 2 * nb) * (w - 2 * nb)  # pixels inside the padding
     sub = rng.subsample(n, min(config.pseudo_batch, n))
-    # Only the rows the SWD term reads are embedded. On OpenBLAS 0.3.31's
+    # Only the rows the SWD term reads are cut and embedded. On OpenBLAS 0.3.31's
     # SkylakeX core (numpy's AVX-512 or AVX2 loops) a k-row sgemm gives the
     # bits of those rows of the full call; on the Haswell core it does not.
     # The parameter gradients sum k rows in draw order, not all rows with
     # exact-zero padding (<= 2e-12 relative apart), and the float32
     # parameters after Adam kept their bits in every pinned run.
-    emb = ad.embed_flat(model, feats[sub], tape)
+    emb = ad.embed_flat(model, ad.feature_rows(batch, nb, sub), tape)
     swd_cfg = SlicedConfig(num_projections=config.num_projections)
     swd_value, swd_grad = sliced_wasserstein_grad(emb.data, pseudo.Z, swd_cfg, rng)
     # CE + lambda * SWD^2 as one node. The SWD value is a float64 0-d array,
@@ -365,8 +372,8 @@ def adapt_source_free(
     frozen_probs_fn = partial(ad.forward_classify, model)
     model = _clone_model(model)
 
-    def loss_fn(tape, feats, idx):
-        return adaptation_loss(tape, model, feats, gmm, frozen_probs_fn, config, rng)
+    def loss_fn(tape, batch, idx):
+        return adaptation_loss(tape, model, batch, gmm, frozen_probs_fn, config, rng)
 
     lr = config.lr if config.adapt_lr is None else config.adapt_lr
     records = _descend(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from .fileformats import MDL1_MAGIC, read_framed, read_tns1, read_u32, write_tns1, write_u32
@@ -240,14 +240,20 @@ def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
     return tape.op(out, (x, w, b), bwd)
 
 
-def vsoftmax(tape: Tape, a: Value) -> Value:
+def _softmax(a: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis. The row max and sums are `_row_max`
     and `_row_sum`, and the elementwise steps run in place; the bits are
     those of the plain numpy expression
     `e = exp(a - a.max(-1)); e / e.sum(-1)`."""
-    p = a.data - _row_max(a.data)
+    p = a - _row_max(a)
     np.exp(p, out=p)
     p /= _row_sum(p)
+    return p
+
+
+def vsoftmax(tape: Tape, a: Value) -> Value:
+    """Row softmax over the last axis (`_softmax`)."""
+    p = _softmax(a.data)
 
     def bwd(g):
         d = g - _row_sum(g * p)
@@ -259,23 +265,65 @@ def vsoftmax(tape: Tape, a: Value) -> Value:
 PROB_CLAMP = 1e-12
 
 
+def _picked(p: np.ndarray, labels):
+    """(each row's flat index of its label in the [..., K] probabilities
+    `p`, that probability, it clamped at PROB_CLAMP)."""
+    lab = np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
+    k = p.shape[-1]
+    if lab.size and (lab.min() < 0 or lab.max() >= k):
+        raise IndexError("label index out of range")
+    at = np.arange(0, p.size, k) + lab
+    picked = p.reshape(-1)[at]
+    return at, picked, np.maximum(picked, PROB_CLAMP)
+
+
+def _label_grads(g, picked: np.ndarray, clamped: np.ndarray) -> np.ndarray:
+    """Each row's gradient of the mean CE with respect to its picked
+    probability, for the upstream gradient `g`: 0 where the clamp binds."""
+    return np.where(picked > PROB_CLAMP, -g / (picked.shape[0] * clamped), 0.0)
+
+
 def vcross_entropy(tape: Tape, probs: Value, labels: np.ndarray) -> Value:
     """Mean over rows of -log p[row, label], probabilities clamped at 1e-12."""
-    lab = np.asarray(labels).reshape(-1).astype(np.int64)
-    p = probs.data.reshape(-1, probs.data.shape[-1])
-    if np.any(lab < 0) or np.any(lab >= p.shape[1]):
-        raise IndexError("label index out of range")
-    picked = p[np.arange(p.shape[0]), lab]
-    clamped = np.maximum(picked, PROB_CLAMP)
+    at, picked, clamped = _picked(probs.data, labels)
     loss = -np.log(clamped).mean()
 
     def bwd(g):
-        gp = np.zeros_like(p)
-        live = picked > PROB_CLAMP
-        gp[np.arange(p.shape[0]), lab] = np.where(live, -g / (p.shape[0] * clamped), 0.0)
-        return (gp.reshape(probs.data.shape),)
+        gp = np.zeros(probs.data.shape, probs.data.dtype)
+        gp.reshape(-1)[at] = _label_grads(g, picked, clamped)
+        return (gp,)
 
-    return tape.op(np.asarray(loss, dtype=p.dtype), (probs,), bwd)
+    return tape.op(np.asarray(loss, dtype=probs.data.dtype), (probs,), bwd)
+
+
+def vsoftmax_cross_entropy(tape: Tape, logits: Value, labels: np.ndarray) -> Value:
+    """`vcross_entropy(vsoftmax(logits), labels)` as one node, bit for bit.
+
+    The forward is that pair's arithmetic. In its backward a row's incoming
+    probability gradient is zero but for `a` at the label, so the softmax's
+    row sum `s = sum(g_j * p_j)` is `a * p_lab` plus zeros: `a * p_lab +
+    0.0`, which also turns a -0.0 into +0.0. The logits gradient is
+    `p_j * (0 - s)` off the label and `p_lab * (a - s)` at it.
+
+    That needs no other case for NaN or inf. A softmax row is either in
+    [0, 1] or all NaN, and there every product `p_j * (...)` is p_j's own
+    NaN, as in the pair. A non-finite `a` (from a non-finite upstream
+    gradient) gives the same inf and NaN in both forms. The oracle in
+    tests/test_autodiff.py checks both on hard rows.
+    """
+    p = _softmax(logits.data)
+    at, picked, clamped = _picked(p, labels)
+    loss = -np.log(clamped).mean()
+
+    def bwd(g):
+        a = _label_grads(g, picked, clamped).astype(p.dtype, copy=False)
+        s = a * picked
+        s += 0.0
+        out = p.reshape(-1, p.shape[-1]) * (0.0 - s)[:, None]
+        out.reshape(-1)[at] = picked * (a - s)
+        return (out.reshape(p.shape),)
+
+    return tape.op(np.asarray(loss, dtype=p.dtype), (logits,), bwd)
 
 
 # ---------------------------------------------------------------- model
@@ -368,15 +416,20 @@ def feature_rows(padded: np.ndarray, neighborhood: bool, pixels=None) -> np.ndar
 
     With `neighborhood`, a row holds the 3x3 window around its pixel in
     (dy, dx, channel) order: the bytes of concatenating the nine shifted
-    [B,H,W,C] slices on the channel axis, made here by one copy of a
-    strided window view.
+    [B,H,W,C] slices on the channel axis. Each window row dy is 3*C floats
+    that lie side by side in the padded image, so one copy of a
+    [B,H,W,3,3C] strided view makes the rows.
     """
-    width = padded.shape[-1] * (9 if neighborhood else 1)
-    if neighborhood:  # [B,H,W,dy,dx,C] windows
-        padded = sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    if neighborhood:
+        padded = np.ascontiguousarray(padded)
+        b, h, w, c = padded.shape
+        sb, sh, sw, sc = padded.strides
+        padded = as_strided(
+            padded, (b, h - 2, w - 2, 3, 3 * c), (sb, sh, sw, sh, sc), writeable=False
+        )
     if pixels is not None:
         padded = padded[np.unravel_index(pixels, padded.shape[:3])]
-    return padded.reshape(-1, width)
+    return padded.reshape(-1, padded.shape[-1] * (3 if neighborhood else 1))
 
 
 def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
@@ -406,12 +459,16 @@ def embed_flat(model: SegModel, feats, tape: Tape) -> Value:
     return _dense_stack(tape, x, model.decoder_layers, relu_last=False)
 
 
-def classify_flat(model: SegModel, emb: Value, tape: Tape) -> Value:
-    """Classifier head + softmax on [n, embed_dim] nodes, in float32."""
+def classifier_logits(model: SegModel, emb: Value, tape: Tape) -> Value:
+    """Classifier head on [n, embed_dim] nodes, in float32; returns logits."""
     if emb.data.shape[-1] != model.embed_dim:
         raise DimensionError(f"embedding dim {emb.data.shape[-1]} != {model.embed_dim}")
-    logits = _dense_stack(tape, emb, model.classifier_layers, relu_last=False)
-    return vsoftmax(tape, logits)
+    return _dense_stack(tape, emb, model.classifier_layers, relu_last=False)
+
+
+def classify_flat(model: SegModel, emb: Value, tape: Tape) -> Value:
+    """Classifier head + softmax on [n, embed_dim] nodes, in float32."""
+    return vsoftmax(tape, classifier_logits(model, emb, tape))
 
 
 def forward_embed(model: SegModel, images: np.ndarray) -> np.ndarray:
@@ -441,13 +498,18 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Moment buffers for one fixed parameter list, kept as flat float64
-    vectors in `params` order (built on the first step)."""
+    vectors in `params` order (built on the first step), with the step's
+    float64 work buffers and the float32 vector that the parameters are
+    views of after a step (`flat32`, `views`)."""
 
     def __init__(self):
         self.t = 0
         self.params = None
         self.m = None
         self.v = None
+        self.work = None
+        self.flat32 = None
+        self.views = ()
 
 
 def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
@@ -455,25 +517,31 @@ def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
 
     The update runs in float64 on one vector that holds every parameter
     (a missing gradient counts as zero), and each parameter is rounded
-    back to float32. A rejected step leaves parameters and state as they
-    were. `state` belongs to the first parameter list it was used with.
+    back to float32, as a view of one new float32 vector. While every
+    parameter is still the view the last step made, that vector is read
+    back whole instead of concatenating the parameters. A rejected step
+    leaves parameters and state as they were. `state` belongs to the first
+    parameter list it was used with.
     """
-    if state.params is not None and (
-        len(params) != len(state.params) or any(p is not q for p, q in zip(params, state.params))
-    ):
+    params = list(params)
+    if state.params is not None and params != state.params:  # compared by identity
         raise ValueError("adam_step: parameter list differs from the one this state was built for")
+    own = len(state.views) == len(params) and all(p.data is q for p, q in zip(params, state.views))
     sizes = [p.data.size for p in params]
-    g = np.concatenate(
+    if state.work is None or state.work.shape[1] != sum(sizes):
+        state.work = np.empty((3, sum(sizes)))
+    g, tmp, flat = state.work
+    np.concatenate(
         [
-            np.zeros(n) if grads.get(p) is None else grads[p].reshape(n)
+            np.zeros(n) if (gp := grads.get(p)) is None else gp.reshape(n)
             for p, n in zip(params, sizes)
         ],
-        dtype=np.float64,
+        out=g,
     )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient; update rejected")
     if state.params is None:
-        state.params = list(params)
+        state.params = params
         state.m = np.zeros_like(g)
         state.v = np.zeros_like(g)
     state.t += 1
@@ -481,17 +549,31 @@ def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     m, v = state.m, state.v
+    # m = b1 m + (1 - b1) g; v = b2 v + ((1 - b2) g) g;
+    # step = (lr (m / bias1)) / (sqrt(v / bias2) + eps), in `tmp` and `flat`.
     m *= b1
-    m += (1 - b1) * g
+    m += np.multiply(g, 1 - b1, out=tmp)
     v *= b2
-    v += (1 - b2) * g * g
-    step = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-    flat = np.concatenate([p.data.reshape(-1) for p in params], dtype=np.float64)
-    updated = (flat - step).astype(np.float32)
-    offset = 0
+    np.multiply(g, 1 - b2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(m, bias1, out=g)
+    g *= lr
+    np.divide(v, bias2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    g /= tmp
+    if own:
+        np.subtract(state.flat32, g, out=flat)
+    else:
+        np.concatenate([p.data.reshape(-1) for p in params], out=flat)
+        flat -= g
+    state.flat32 = flat.astype(np.float32)
+    views, offset = [], 0
     for p, n in zip(params, sizes):
-        p.data = updated[offset : offset + n].reshape(p.data.shape)
+        views.append(state.flat32[offset : offset + n].reshape(p.data.shape))
+        p.data = views[-1]
         offset += n
+    state.views = tuple(views)
 
 
 # ---------------------------------------------------------------- checkpoint

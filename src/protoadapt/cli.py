@@ -27,7 +27,7 @@ from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
 from .fileformats import format_values, parse_values, read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
-from .rng import Rng
+from .rng import Rng, seed_in_range
 
 EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
@@ -254,6 +254,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    if args.seed is not None and not seed_in_range(args.seed):
+        raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
     model = ad.load_model(args.ckpt)
     models = [("data.emb1", model)]
     if args.ckpt_pre:

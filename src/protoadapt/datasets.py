@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .fileformats import format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
-from .rng import Rng, box_muller
+from .rng import Rng, box_muller, seed_in_range
 
 FORMAT_VERSION = "1"
 
@@ -97,6 +97,8 @@ class DomainSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        if not seed_in_range(self.seed):
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for key in ("n_images", "height", "width"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -377,6 +379,11 @@ def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     """Write the three splits: labeled source, unlabeled target, labeled eval."""
     if n_eval < 1:
         raise ValueError(f"n_eval must be >= 1, got {n_eval}")
+    if not seed_in_range(spec.seed + 2):
+        raise ValueError(
+            "seed must be below 2**64 - 2, as the target splits take seed+1 and seed+2, "
+            f"got {spec.seed}"
+        )
     source = replace(spec, seed=spec.seed)
     target_train = replace(spec, seed=spec.seed + 1)
     target_eval = replace(spec, seed=spec.seed + 2, n_images=n_eval)

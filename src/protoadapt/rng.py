@@ -1,7 +1,9 @@
 """Seedable counter-based random number generation.
 
 Every stochastic routine in the package draws from an `Rng` instance so
-that a single 64-bit seed pins the entire experiment. The generator is
+that a single 64-bit seed pins the entire experiment. Seeds are integers
+in [0, 2**64); every place a seed enters (config, spec, flag) and `Rng`
+itself refuse one outside, so no two seeds share a stream. The generator is
 backed by Philox (counter-based), which produces the same stream on every
 platform. Normal variates are produced by an explicit Box-Muller transform
 over the uniform stream rather than the backend's native normal sampler,
@@ -24,11 +26,21 @@ def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
+SEED_LIMIT = 2**64
+
+
+def seed_in_range(seed) -> bool:
+    """Whether `seed` is a valid seed: an integer in [0, SEED_LIMIT)."""
+    return 0 <= seed < SEED_LIMIT
+
+
 class Rng:
     """Deterministic random stream. Not safe to share across threads."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        if not seed_in_range(int(seed)):
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
     def spawn(self, index: int) -> "Rng":
@@ -54,10 +66,11 @@ class Rng:
         return self._gen.integers(low, high, size=size)
 
     def subsample(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices out of n, uniform without replacement."""
+        """k distinct indices out of n, uniform without replacement: the
+        first k of a permutation, copied so the other n - k are freed."""
         if k > n:
             raise ValueError(f"cannot subsample {k} from {n}")
-        return self._gen.permutation(n)[:k]
+        return self._gen.permutation(n)[:k].copy()
 
     def categorical(self, weights: np.ndarray, size: int) -> np.ndarray:
         """Draw `size` class indices with probabilities `weights`."""

@@ -1,5 +1,6 @@
 """Pipeline pieces: metric, source training, estimation, adaptation loop."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -227,6 +228,39 @@ class TestTrainSource:
             train_source(cfg, xs, ys, K=2)
 
 
+class TestPixelEmbeddings:
+    @pytest.fixture(scope="class")
+    def small(self):
+        """A narrow model and 2,048 images of 8x8 pixels: one chunk's
+        working set is far smaller than the [131072, 5] result."""
+        images = np.random.default_rng(7).random((2048, 8, 8, 3), dtype=np.float32)
+        return ad.init_model(3, 5, encoder_hidden=(8,), rng=Rng(7)), images
+
+    def test_bytes_are_the_chunks_concatenated(self, small):
+        model, images = small
+        images = images[:200]  # a last chunk of 8 images
+        emb = pixel_embeddings(model, images)
+        parts = [
+            ad.forward_embed(model, images[i : i + adaptation.EMBED_CHUNK]).reshape(-1, 5)
+            for i in range(0, 200, adaptation.EMBED_CHUNK)
+        ]
+        assert emb.dtype == np.float32 and emb.shape == (200 * 64, 5)
+        assert emb.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_chunks_are_written_into_the_result(self, small):
+        """Concatenating a list of chunk parts holds the result twice at
+        the end; writing each chunk into one array holds it once plus a
+        chunk's working set."""
+        model, images = small
+        tracemalloc.start()
+        try:
+            emb = pixel_embeddings(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * emb.nbytes, (peak, emb.nbytes)
+
+
 class TestEstimateStage:
     def test_counts_and_distances(self):
         xs, ys, *_ = blob_splits()
@@ -401,9 +435,11 @@ class TestAdaptationLoss:
     def test_embedding_gradient_matches_finite_differences(self, trained_blobs, monkeypatch):
         """Float64 central differences through the pseudo-label CE, the SWD
         tape op on the embedded row subsample and the float32 + float64 sum.
-        `embed_flat` is swapped for a float64 leaf of the rows it is handed,
-        so the loss is a function of target embeddings. A fresh Rng(5) per
-        evaluation freezes the pseudo set, the subsample and the directions."""
+        The batch handed to `adaptation_loss` is the target embeddings, one
+        per row; `feature_rows` is swapped for a gather of the rows it is
+        asked for and `embed_flat` for a float64 leaf of them, so the loss is
+        a function of target embeddings. A fresh Rng(5) per evaluation
+        freezes the pseudo set, the subsample and the directions."""
         _, model, gmm, _, _, xt = trained_blobs
         cfg = blob_config(pseudo_batch=8)
         feats = ad.feature_rows(ad.pad_images(xt[:24], model.neighborhood), model.neighborhood)
@@ -415,11 +451,16 @@ class TestAdaptationLoss:
             leaves.append(tape.leaf(rows))
             return leaves[-1]
 
+        def gather(batch, neighborhood, pixels):
+            return batch.reshape(-1, batch.shape[-1])[pixels]
+
+        monkeypatch.setattr(ad, "feature_rows", gather)
         monkeypatch.setattr(ad, "embed_flat", embed_leaf)
 
         def loss(emb):
             tape = ad.Tape()
-            total, _ = adaptation_loss(tape, model, emb, gmm, probs_fn, cfg, Rng(5))
+            batch = emb[:, None, None, :]  # one pixel per image
+            total, _ = adaptation_loss(tape, model, batch, gmm, probs_fn, cfg, Rng(5))
             return tape, total
 
         tape, total = loss(emb0)
@@ -454,7 +495,7 @@ class TestAdaptationLoss:
         backward hands `g` to both parents."""
         _, model, gmm, _, _, xt = trained_blobs
         cfg = blob_config(lambda_=0.3)
-        feats = ad.feature_rows(ad.pad_images(xt, model.neighborhood), model.neighborhood)
+        batch = ad.pad_images(xt, model.neighborhood)
         swd_calls = []
         real_grad = adaptation.sliced_wasserstein_grad
 
@@ -465,7 +506,7 @@ class TestAdaptationLoss:
         monkeypatch.setattr(adaptation, "sliced_wasserstein_grad", spy)
         tape = ad.Tape()
         probs_fn = partial(ad.forward_classify, model)
-        total, record = adaptation_loss(tape, model, feats, gmm, probs_fn, cfg, Rng(5))
+        total, record = adaptation_loss(tape, model, batch, gmm, probs_fn, cfg, Rng(5))
         ad.backward(tape, total)
         ce, emb = total.parents
         ((value, swd_grad),) = swd_calls

@@ -32,6 +32,7 @@ from protoadapt.autodiff import (
     vmatmul,
     vrelu,
     vsoftmax,
+    vsoftmax_cross_entropy,
 )
 from protoadapt.autodiff import _column_sum, _row_max, _row_sum
 from protoadapt.adaptation import ExperimentConfig, train_source
@@ -429,6 +430,38 @@ class TestBitwiseOracle:
         assert feats.shape[0] == 2048
         assert _same_bits(embed_flat(model, feats[sub], Tape()).data, full[sub])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 17))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_softmax_cross_entropy_matches_composed_pair(self, dtype, k):
+        """The fused node's loss and logits gradient against `vsoftmax` then
+        `vcross_entropy`, for float32 and float64 upstream gradients, a zero
+        one and non-finite ones, on finite logits with labels whose
+        probability is below the clamp and on `_hard_rows` logits (±0, ±inf,
+        NaN, subnormals; a row with an inf or NaN is all NaN after the
+        softmax)."""
+        rng = np.random.default_rng(35 + k)
+        finite = (rng.normal(size=(2048, k)) * 30).astype(dtype)
+        hard = _hard_rows(2048, k, dtype, seed=36 + k)
+        for logits in (finite, hard):
+            labels = rng.integers(0, k, logits.shape[0])
+            if k > 1:
+                logits[np.arange(40), labels[:40]] = -1e4  # below the clamp
+            upstream = (1.0, 0.37, 0.0, -0.0, np.inf, -np.inf, np.nan)
+            for g in (dt(v) for v in upstream for dt in (np.float32, np.float64)):
+                t = Tape()
+                fused = vsoftmax_cross_entropy(t, t.leaf(logits), labels)
+                ref_t = Tape()
+                probs = vsoftmax(ref_t, ref_t.leaf(logits))
+                ref = vcross_entropy(ref_t, probs, labels)
+                if k > 1 and logits is finite:
+                    assert (probs.data[np.arange(40), labels[:40]] < 1e-12).all()
+                assert _same_bits(np.asarray(fused.data), np.asarray(ref.data))
+                g = np.asarray(g)
+                (got,) = fused.backward_fn(g)
+                (want,) = probs.backward_fn(ref.backward_fn(g)[0])
+                assert _same_bits(got, want), (logits is finite, g.dtype, float(g))
+
     def test_train_source_matches_reference_loop(self):
         images, labels = gen_grid_seg(DomainSpec(K=5, n_images=40, seed=3))
         config = ExperimentConfig(source_steps=200, lr=3e-3, seed=4)
@@ -465,6 +498,30 @@ class TestBitwiseOracle:
                 assert p.data.tobytes() == ref.data.tobytes()
             assert np.array_equal(state.m, np.concatenate([ref_state.m[p].ravel() for p in ref_params]))
             assert np.array_equal(state.v, np.concatenate([ref_state.v[p].ravel() for p in ref_params]))
+
+    def test_flat_adam_reads_its_views_until_one_is_rebound(self):
+        """After a step every parameter is a view of the state's float32
+        vector, and the next step reads that vector back whole. A parameter
+        rebound in between (to a new array) must be read as rebound."""
+        rng = np.random.default_rng(22)
+        shapes = [(3, 4), (4,), (4, 2), (2,)]
+        params = [Parameter(rng.normal(size=s)) for s in shapes]
+        ref_params = [Parameter(p.data.copy()) for p in params]
+        state, ref_state = AdamState(), _ReferenceAdam()
+        for step in range(6):
+            if step == 3:
+                params[2].data = rng.normal(size=shapes[2]).astype(np.float32)
+                ref_params[2].data = params[2].data.copy()
+            elif step:
+                assert all(np.shares_memory(p.data, state.flat32) for p in params)
+            grads = {i: rng.normal(size=s).astype(np.float32) for i, s in enumerate(shapes)}
+            adam_step(params, {params[i]: g for i, g in grads.items()}, state, lr=0.05)
+            _reference_adam_step(
+                ref_params, {ref_params[i]: g for i, g in grads.items()}, ref_state, lr=0.05
+            )
+            for p, ref in zip(params, ref_params):
+                assert p.data.dtype == ref.data.dtype == np.float32
+                assert p.data.tobytes() == ref.data.tobytes()
 
     def test_flat_adam_rejected_step_changes_nothing(self):
         params = [Parameter(np.ones((2, 2))), Parameter(np.zeros(3))]

@@ -771,3 +771,57 @@ def test_readme_config_keys_match_experiment_config():
     listed = re.search(r"the `EstimateInfo` fields:(.*?)\. `adapt` reads it", readme, re.S)
     keys = re.findall(r"`(\w+)`", listed.group(1))
     assert keys == [f.name for f in dataclasses.fields(EstimateInfo)]
+
+
+class TestSeedRange:
+    """Seeds are integers in [0, 2**64). Every place a seed enters refuses
+    one outside with exit 2, naming the key, instead of running the streams
+    of the seed it aliases (2**64 ran seed 0's, -1 ran seed 2**64-1's)."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_experiment_seed(self, workspace, tmp_path, capsys, seed, where):
+        out = tmp_path / "m.mdl1"
+        argv = ["train", "--data", str(workspace / "data" / "source"), "--out", str(out)]
+        if where == "flag":
+            argv += ["--steps", "1", "--seed", str(seed)]
+        else:
+            (tmp_path / "c.txt").write_text(f"source_steps=1\nseed={seed}\n")
+            argv += ["--config", str(tmp_path / "c.txt")]
+        assert main(argv) == 2
+        assert f"config seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("kind=blobs\nseed=-1", "seed must be in [0, 2**64), got -1"),
+            (f"kind=blobs\nseed={2**64}", f"seed must be in [0, 2**64), got {2**64}"),
+            (f"preset=standard\nseed={2**64}", f"seed must be in [0, 2**64), got {2**64}"),
+            # the target splits would run seed+1 and seed+2
+            (f"kind=blobs\nseed={2**64 - 2}", "target splits take seed+1 and seed+2"),
+        ],
+    )
+    def test_spec_seed(self, tmp_path, capsys, lines, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"{lines}\nn_eval=2\n" + ("" if "preset" in lines else "n_images=2\n"))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_spec_seed_runs(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"kind=blobs\nn_images=2\nn_eval=2\nseed={2**64 - 3}\n")
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        manifest = read_keyvalue(tmp_path / "o" / "target_eval" / "manifest.txt")
+        assert manifest["seed"] == str(2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_export_seed(self, workspace, tmp_path, capsys, seed):
+        out = tmp_path / "emb"
+        argv = ["export-embeddings", "--ckpt", str(workspace / "model.mdl1")]
+        argv += ["--gmm", str(workspace / "model.gmm1")]
+        argv += ["--data", str(workspace / "data" / "source")]
+        assert main(argv + ["--out", str(out), "--seed", str(seed)]) == 2
+        assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()

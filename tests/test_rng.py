@@ -1,6 +1,7 @@
 """Counter-based RNG: reproducibility and distributional sanity."""
 
 import numpy as np
+import pytest
 
 from protoadapt.rng import Rng
 
@@ -41,6 +42,27 @@ def test_subsample_no_replacement():
     assert len(s) == 30
     assert len(set(s.tolist())) == 30
     assert s.min() >= 0 and s.max() < 100
+
+
+def test_subsample_owns_its_indices():
+    """The k indices are a copy of the permutation's first k, not a view
+    that keeps all n alive; values and the stream after them are unchanged."""
+    rng = Rng(8)
+    s = rng.subsample(512_000, 8192)
+    gen = np.random.Generator(np.random.Philox(8))
+    view = gen.permutation(512_000)[:8192]
+    assert view.base is not None
+    assert s.base is None and s.nbytes == 8 * 8192
+    assert np.array_equal(s, view)
+    assert rng.uniform(4).tobytes() == gen.random(4).tobytes()
+
+
+def test_seed_outside_its_range_rejected():
+    """Seeds are [0, 2**64): no seed runs another seed's stream."""
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            Rng(seed)
+    assert Rng(2**64 - 1).uniform(2).tobytes() != Rng(0).uniform(2).tobytes()
 
 
 def test_categorical_distribution():
