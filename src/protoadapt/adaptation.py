@@ -111,7 +111,7 @@ class AdaptationReport:
 
 
 def _flat_labels(labels: np.ndarray) -> np.ndarray:
-    return np.asarray(labels).reshape(-1).astype(np.int64)
+    return np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
 
 
 def train_source(
@@ -182,29 +182,33 @@ EMBED_CHUNK = 64
 
 def predict_labels(model: SegModel, images: np.ndarray) -> np.ndarray:
     """Argmax class map [B,H,W]."""
-    probs = ad.forward_classify(model, pixel_embeddings(model, images))
-    return probs.argmax(axis=-1).reshape(np.shape(images)[:3])
+    return pixel_embeddings(model, images)[1].reshape(np.shape(images)[:3])
 
 
-def pixel_embeddings(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """All pixel embeddings as one [n_pixels, d] array, each chunk's rows
-    written into it in place."""
+def pixel_embeddings(model: SegModel, images: np.ndarray):
+    """The split's one inference pass: (embeddings [n_pixels, d] float32,
+    argmax class [n_pixels] in the smallest unsigned type that holds K - 1,
+    its probability [n_pixels] float32). Each chunk's rows are written into
+    the result and classified at once, so no [n_pixels, K] array is made."""
     images = np.asarray(images, dtype=np.float32)
     per_image, d = int(np.prod(images.shape[1:3])), model.embed_dim
-    out = np.empty((images.shape[0] * per_image, d), np.float32)
+    n = images.shape[0] * per_image
+    emb, conf = np.empty((n, d), np.float32), np.empty(n, np.float32)
+    pred = np.empty(n, np.min_scalar_type(model.K - 1))
     for start in range(0, images.shape[0], EMBED_CHUNK):
         rows = ad.forward_embed(model, images[start : start + EMBED_CHUNK]).reshape(-1, d)
-        out[start * per_image : start * per_image + rows.shape[0]] = rows
-    return out
+        at = slice(start * per_image, start * per_image + rows.shape[0])
+        emb[at] = rows
+        probs = ad.forward_classify(model, rows)
+        pred[at] = probs.argmax(axis=1)
+        conf[at] = probs[np.arange(rows.shape[0]), pred[at]]
+    return emb, pred, conf
 
 
 def confusion_matrix(model: SegModel, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """[K, K] pixel counts, true class by predicted class, from one forward."""
-    pred = predict_labels(model, images).reshape(-1)
-    K = model.K
-    conf = np.zeros((K, K), dtype=np.int64)
-    np.add.at(conf, (_flat_labels(labels), pred), 1)
-    return conf
+    """[K, K] int64 pixel counts, true class by predicted class, from one pass."""
+    pred, K = predict_labels(model, images).reshape(-1), model.K
+    return np.bincount(K * _flat_labels(labels) + pred, minlength=K * K).reshape(K, K)
 
 
 def miou_from_confusion(conf: np.ndarray):
@@ -292,10 +296,11 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     `n_pixels` is N, every source pixel.
     """
     rng = Rng(config.seed ^ 0xE57)
-    emb = pixel_embeddings(model, images)
-    probs = ad.forward_classify(model, emb)
+    emb, pred, conf = pixel_embeddings(model, images)
     flat = _flat_labels(labels)
-    support = build_support_sets(emb, flat, probs, config.tau_fit)
+    support = build_support_sets(flat, pred, conf, model.K, config.tau_fit)
+    e_source = float(np.mean(pred != flat))
+    del pred, conf, flat  # only the embeddings are read from here on
     gmm = estimate_gmm(emb, support, tau_fit=config.tau_fit)
 
     n_pseudo = min(PSEUDO_CLOUD, emb.shape[0])
@@ -305,7 +310,6 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     w_exact, w_sliced = wasserstein_estimates(
         emb[pixels], pseudo.Z, rng, num_projections=config.num_projections
     )
-    e_source = float(np.mean(probs.argmax(axis=1) != flat))
     counts = tuple(support.counts.tolist())
     return gmm, EstimateInfo(w_exact, w_sliced, e_source, emb.shape[0], counts)
 
@@ -424,7 +428,7 @@ def compute_bound_diagnostics(
     pixels = rng.subsample(n, min(DIAG_SUBSAMPLE, n))
     nb = source_model.neighborhood
     feats = ad.feature_rows(ad.pad_images(target_images, nb), nb, pixels)
-    pre, post = (ad.embed_flat(m, feats, Tape()).data for m in (source_model, adapted))
+    pre, post = (ad.embed_flat(m, feats, None) for m in (source_model, adapted))
     (pre_exact, pre_sliced), (post_exact, post_sliced) = (
         wasserstein_estimates(emb, pseudo.Z, rng.spawn(0), num_projections=config.num_projections)
         for emb in (pre, post)

@@ -11,7 +11,7 @@ samples fed to `vdense`, ends with `grad is None`: nothing reads it, so
 `vdense` does not compute it. The general ops (`vmatmul`, `vadd`, ...)
 still send a gradient to every parent. Gradients are never changed in
 place: the first one a node receives is stored by reference and later
-ones are added out of place.
+ones are added out of place. Inference runs the same layers with no tape.
 """
 
 from __future__ import annotations
@@ -204,31 +204,39 @@ def _column_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0)
 
 
-def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
-    """One dense layer, `x @ w + b` then ReLU if `relu`, as a single node.
+def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool):
+    """`x @ w + b`, then ReLU if `relu`: (output, ReLU mask or None).
 
-    Values and gradients are bitwise equal to those of the chain
-    `vrelu(vadd(vmatmul(x, w), b))`. The forward adds the bias and applies
-    the ReLU mask in place on the matmul output; that is the same
-    arithmetic as long as `b` does not promote the output's dtype, which
-    holds for the float32 stacks `_dense_stack` builds and for an all-
-    float64 layer. The bias gradient is `_column_sum`. The backward never
-    writes into the incoming gradient, which an op may also hand to its
-    other parents. The input gradient is skipped when `x` is a leaf that
-    is not a parameter.
+    The bias is added and the mask applied in place on the matmul output;
+    that is the arithmetic of `x @ w + b` as long as `b` does not promote
+    the output's dtype, which holds for float32 models and for an all-
+    float64 layer. The mask is a multiply, not np.maximum, so that -0.0
+    pre-activations stay -0.0.
     """
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise DimensionError(f"matmul: {x.data.shape} x {w.data.shape}")
-    out = x.data @ w.data
-    if np.result_type(out, b.data) == out.dtype:
-        out += b.data
+    if x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"matmul: {x.shape} x {w.shape}")
+    out = x @ w
+    if np.result_type(out, b) == out.dtype:
+        out += b
     else:
-        out = out + b.data
+        out = out + b
     mask = None
     if relu:
-        # A multiply, not np.maximum, so that -0.0 pre-activations stay -0.0.
         mask = out > 0
         np.multiply(out, mask, out=out)
+    return out, mask
+
+
+def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
+    """One dense layer, `_dense_forward`, as a single node.
+
+    Values and gradients are bitwise equal to those of the chain
+    `vrelu(vadd(vmatmul(x, w), b))`. The bias gradient is `_column_sum`.
+    The backward never writes into the incoming gradient, which an op may
+    also hand to its other parents. The input gradient is skipped when `x`
+    is a leaf that is not a parameter.
+    """
+    out, mask = _dense_forward(x.data, w.data, b.data, relu)
     want_x = bool(x.parents) or x.param is not None
 
     def bwd(g):
@@ -440,52 +448,52 @@ def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
     return feature_rows(pad_images(images, neighborhood), neighborhood)
 
 
-def _dense_stack(tape: Tape, x: Value, layers, relu_last: bool) -> Value:
+def _dense_stack(tape: Tape | None, x, layers, relu_last: bool):
+    """The layers in order, each followed by ReLU but the last unless
+    `relu_last`: `vdense` nodes on `tape`, or with no tape `_dense_forward`
+    on float32 arrays, each layer's input dropped once the next has read it."""
     for i, (w, b) in enumerate(layers):
         relu = relu_last or i < len(layers) - 1
-        x = vdense(tape, x, tape.watch(w, np.float32), tape.watch(b, np.float32), relu)
+        if tape is None:
+            x = _dense_forward(x, w.data, b.data, relu)[0]
+        else:
+            x = vdense(tape, x, tape.watch(w, np.float32), tape.watch(b, np.float32), relu)
     return x
 
 
-def embed_flat(model: SegModel, feats, tape: Tape) -> Value:
-    """Encoder+decoder on flat feature rows (cast to float32); returns an
-    [n, embed_dim] node."""
+def embed_flat(model: SegModel, feats, tape: Tape | None):
+    """Encoder+decoder on flat feature rows (cast to float32): an
+    [n, embed_dim] node on `tape`, or with no tape the array itself."""
     if feats.shape[-1] != model.input_features:
         raise DimensionError(
             f"feature dim {feats.shape[-1]} != model input {model.input_features}"
         )
-    x = tape.leaf(feats, dtype=np.float32)
+    x = np.asarray(feats, np.float32) if tape is None else tape.leaf(feats, dtype=np.float32)
     x = _dense_stack(tape, x, model.encoder_layers, relu_last=True)
     return _dense_stack(tape, x, model.decoder_layers, relu_last=False)
 
 
-def classifier_logits(model: SegModel, emb: Value, tape: Tape) -> Value:
-    """Classifier head on [n, embed_dim] nodes, in float32; returns logits."""
-    if emb.data.shape[-1] != model.embed_dim:
-        raise DimensionError(f"embedding dim {emb.data.shape[-1]} != {model.embed_dim}")
+def classifier_logits(model: SegModel, emb, tape: Tape | None):
+    """Classifier head on [n, embed_dim] float32 nodes on `tape`, or with no
+    tape on the array; returns logits in the same form."""
+    width = (emb if tape is None else emb.data).shape[-1]
+    if width != model.embed_dim:
+        raise DimensionError(f"embedding dim {width} != {model.embed_dim}")
     return _dense_stack(tape, emb, model.classifier_layers, relu_last=False)
-
-
-def classify_flat(model: SegModel, emb: Value, tape: Tape) -> Value:
-    """Classifier head + softmax on [n, embed_dim] nodes, in float32."""
-    return vsoftmax(tape, classifier_logits(model, emb, tape))
 
 
 def forward_embed(model: SegModel, images: np.ndarray) -> np.ndarray:
     """Inference-only per-pixel embeddings, shaped [B,H,W,embed_dim]."""
     b, h, w, _ = np.asarray(images).shape
-    feats = pixel_features(images, model.neighborhood)
-    emb = embed_flat(model, feats, Tape())
-    return emb.data.reshape(b, h, w, model.embed_dim)
+    emb = embed_flat(model, pixel_features(images, model.neighborhood), None)
+    return emb.reshape(b, h, w, model.embed_dim)
 
 
 def forward_classify(model: SegModel, embeddings: np.ndarray) -> np.ndarray:
     """Inference-only class probabilities for [..., embed_dim] embeddings."""
     emb = np.asarray(embeddings, dtype=np.float32)
-    flat = emb.reshape(-1, emb.shape[-1])
-    tape = Tape()
-    probs = classify_flat(model, tape.leaf(flat), tape)
-    return probs.data.reshape(*emb.shape[:-1], model.K)
+    logits = classifier_logits(model, emb.reshape(-1, emb.shape[-1]), None)
+    return _softmax(logits).reshape(*emb.shape[:-1], model.K)
 
 
 # ---------------------------------------------------------------- optimizer

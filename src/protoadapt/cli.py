@@ -215,7 +215,7 @@ def cmd_adapt(args) -> int:
     save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
     for name, m, rows in (("target_pre", model, pre_rows), ("target_post", adapted, post_rows)):
         pred = ad.forward_classify(m, rows).argmax(axis=-1)
-        save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -np.ones(len(rows)), pred)
+        save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -1, pred)
     echo_config(config, args.out)
     print(
         f"adapted: {args.out} steps={len(report.steps)} "
@@ -263,14 +263,14 @@ def cmd_export_embeddings(args) -> int:
     data_dir = _require_dir(args.data, "data")
     images, labels, manifest = ds.load_split(data_dir)
     _check_classes(data_dir, manifest, *(m for _, m in models))
-    true = labels.reshape(-1) if labels is not None else -np.ones(np.prod(images.shape[:3]))
+    true = -1 if labels is None else labels  # -1: unknown, on every row
     os.makedirs(args.out, exist_ok=True)
     written = []
     for name, m in models:
-        emb = adapt_mod.pixel_embeddings(m, images)
-        pred = ad.forward_classify(m, emb).argmax(axis=-1)
+        emb, pred, conf = adapt_mod.pixel_embeddings(m, images)
         written.append(os.path.join(args.out, name))
         save_embeddings(written[-1], emb, true, pred)
+        del emb, pred, conf  # one model's pass held at a time
     if args.gmm:
         gmm = load_gmm(args.gmm)
         rng = Rng(args.seed or 0)

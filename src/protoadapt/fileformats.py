@@ -65,11 +65,16 @@ def write_tns1(f, arr: np.ndarray) -> None:
     its C-order little-endian float32 buffer, converted only if it is not
     one already."""
     a = np.asarray(arr, dtype="<f4", order="C")
-    f.write(TNS1_MAGIC)
-    write_u32(f, a.ndim)
-    for dim in a.shape:
-        write_u32(f, dim)
+    write_tns1_header(f, a.shape)
     f.write(a.data)
+
+
+def write_tns1_header(f, shape) -> None:
+    """The TNS1 fields before the payload: magic, rank, dims."""
+    f.write(TNS1_MAGIC)
+    write_u32(f, len(shape))
+    for dim in shape:
+        write_u32(f, dim)
 
 
 def read_tns1(f) -> np.ndarray:
@@ -122,20 +127,29 @@ def load_tensor(path) -> np.ndarray:
     return read_framed(path, TNS1_MAGIC, read_tns1)
 
 
+EMB1_BLOCK_ROWS = 65536  # rows per block that `save_embeddings` writes
+
+
 def save_embeddings(path, embeddings: np.ndarray, true_labels, pred_labels) -> None:
-    """EMB1 export: [n, d+2] block of (embedding, true label, predicted label)."""
-    emb = np.asarray(embeddings, dtype=np.float32)
-    block = np.concatenate(
-        [
-            emb,
-            np.asarray(true_labels, dtype=np.float32).reshape(-1, 1),
-            np.asarray(pred_labels, dtype=np.float32).reshape(-1, 1),
-        ],
-        axis=1,
-    )
+    """EMB1 export: [n, d+2] block of (embedding, true label, predicted label),
+    written EMB1_BLOCK_ROWS rows at a time; `true_labels` may be one value
+    for every row."""
+    emb = np.asarray(embeddings)
+    n, d = emb.shape
+    true = np.asarray(true_labels).reshape(-1)
+    true = np.broadcast_to(true, (n,)) if true.size == 1 else true
+    pred = np.asarray(pred_labels).reshape(-1)
+    if true.shape != (n,) or pred.shape != (n,):
+        raise ValueError(f"{n} embedding rows but {true.size} true and {pred.size} predicted labels")
+    block = np.empty((min(n, EMB1_BLOCK_ROWS), d + 2), "<f4")
     with open(path, "wb") as f:
         f.write(EMB1_MAGIC)
-        write_tns1(f, block)
+        write_tns1_header(f, (n, d + 2))
+        for start in range(0, n, EMB1_BLOCK_ROWS):
+            rows = block[: min(EMB1_BLOCK_ROWS, n - start)]
+            at = slice(start, start + rows.shape[0])
+            rows[:, :d], rows[:, d], rows[:, d + 1] = emb[at], true[at], pred[at]
+            f.write(rows.data)
 
 
 def load_embeddings(path) -> np.ndarray:

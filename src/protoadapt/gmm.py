@@ -35,6 +35,7 @@ from .rng import Rng
 
 # Rejection sampling gives up after this many draws per requested sample.
 MAX_DRAW_FACTOR = 20
+GATHER_ROWS = 65536  # rows per gather block in `estimate_gmm`
 
 
 @dataclass
@@ -84,18 +85,15 @@ class PseudoDataset:
     class_counts: np.ndarray  # [K]
 
 
-def build_support_sets(embeddings, labels, probs, tau: float) -> SupportSets:
-    """Pixels of class j that the model predicts as j with confidence > tau."""
-    emb = np.asarray(embeddings)
-    lab = np.asarray(labels).reshape(-1).astype(np.int64)
-    p = np.asarray(probs)
+def build_support_sets(labels, pred, conf, K: int, tau: float) -> SupportSets:
+    """Pixels of class j (of K) whose predicted class `pred` is j with
+    confidence `conf` > tau: the argmax and its probability per pixel."""
+    lab = np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
+    pred, conf = np.asarray(pred).reshape(-1), np.asarray(conf).reshape(-1)
     if not (0.0 <= tau < 1.0):
         raise ValueError(f"tau must be in [0,1), got {tau}")
-    if emb.shape[0] != lab.shape[0] or p.shape[0] != lab.shape[0]:
-        raise DimensionError("embeddings, labels and probs must agree on n")
-    K = p.shape[1]
-    pred = p.argmax(axis=1)
-    conf = p[np.arange(p.shape[0]), pred]
+    if not lab.shape == pred.shape == conf.shape:
+        raise DimensionError("labels, predictions and confidences must agree on n")
     keep = (pred == lab) & (conf > tau)
     indices = [np.flatnonzero(keep & (lab == j)) for j in range(K)]
     counts = np.array([len(ix) for ix in indices], dtype=np.int64)
@@ -125,14 +123,17 @@ def estimate_gmm(embeddings, support: SupportSets, tau_fit: float = 0.0) -> Prot
             )
     total = float(support.counts.sum())
     # Parameters stay in float64 so the estimates agree with a direct
-    # double-precision computation; files round to float32 on save. Rows
-    # are converted after each class's gather, so no float64 copy of all
-    # n rows is made.
+    # double-precision computation; files round to float32 on save. Each
+    # class's rows are gathered GATHER_ROWS at a time straight into its
+    # float64 array (an exact cast), so no copy of all n rows is made.
     alpha = support.counts / total
     mu = np.zeros((K, d))
     sigma = np.zeros((K, d, d))
     for j in range(K):
-        pts = emb[support.indices[j]].astype(np.float64)
+        ix = support.indices[j]
+        pts = np.empty((ix.size, d))
+        for start in range(0, ix.size, GATHER_ROWS):
+            pts[start : start + GATHER_ROWS] = emb[ix[start : start + GATHER_ROWS]]
         mean = pts.mean(axis=0)
         pts -= mean
         cov = (pts.T @ pts) / pts.shape[0]

@@ -268,7 +268,7 @@ def test_criterion_3_gmm_estimator_oracle():
         lab = np.arange(n) % K
         probs = np.full((n, K), 0.01 / max(K - 1, 1))
         probs[np.arange(n), lab] = 0.99 if K > 1 else 1.0
-        gmm = estimate_gmm(emb, build_support_sets(emb, lab, probs, 0.5))
+        gmm = estimate_gmm(emb, build_support_sets(lab, probs.argmax(1), probs.max(1), K, 0.5))
         if abs(gmm.alpha.sum() - 1.0) > 1e-6:
             ok = False
             break

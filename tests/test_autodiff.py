@@ -16,7 +16,7 @@ from protoadapt.autodiff import (
     Tape,
     adam_step,
     backward,
-    classify_flat,
+    classifier_logits,
     embed_flat,
     feature_rows,
     forward_classify,
@@ -35,7 +35,7 @@ from protoadapt.autodiff import (
     vsoftmax_cross_entropy,
 )
 from protoadapt.autodiff import _column_sum, _row_max, _row_sum
-from protoadapt.adaptation import ExperimentConfig, train_source
+from protoadapt.adaptation import EMBED_CHUNK, ExperimentConfig, pixel_embeddings, train_source
 from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from protoadapt.fileformats import MDL1_MAGIC, write_tns1, write_u32
@@ -430,6 +430,37 @@ class TestBitwiseOracle:
         assert feats.shape[0] == 2048
         assert _same_bits(embed_flat(model, feats[sub], Tape()).data, full[sub])
 
+    # On OpenBLAS's Haswell core an sgemm with an inner dimension of 8 or
+    # more gives row bits that depend on the call's row count, so there a
+    # K = 9 classifier (embed_dim 9) run per chunk moves the last bits of
+    # the confidences. The SkylakeX and Sandybridge cores keep them.
+    @pytest.mark.parametrize(
+        "k",
+        [2, 5, pytest.param(9, marks=pytest.mark.skipif(
+            blas_stack()["openblas_core"].lower() == "haswell",
+            reason="row bits of a K >= 8 sgemm depend on its row count on the Haswell core",
+        ))],
+    )
+    def test_chunk_pass_matches_whole_split_classify(self, k):
+        """`pixel_embeddings` classifies each chunk's rows as it embeds
+        them, with no tape. The reference embeds every chunk on a tape,
+        then classifies the whole split's [N, d] rows at once on a tape,
+        and takes each row's argmax and its probability. K = 9 rows reach
+        numpy's own row sum (`SHORT_ROW`)."""
+        images = np.random.default_rng(40 + k).random((150, 16, 16, 3), dtype=np.float32)
+        model = init_model(3, k, rng=Rng(k), neighborhood=True)
+        emb, pred, conf = pixel_embeddings(model, images)
+        chunks = [images[i : i + EMBED_CHUNK] for i in range(0, len(images), EMBED_CHUNK)]
+        assert [len(c) for c in chunks] == [64, 64, 22]
+        feats = (pixel_features(c, True) for c in chunks)
+        whole = np.concatenate([embed_flat(model, f, Tape()).data for f in feats])
+        t = Tape()
+        probs = vsoftmax(t, classifier_logits(model, t.leaf(whole), t)).data
+        labels = probs.argmax(axis=1)
+        assert _same_bits(emb, whole)
+        assert pred.dtype == np.uint8 and np.array_equal(pred, labels)
+        assert _same_bits(conf, probs[np.arange(len(labels)), labels])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", range(1, 17))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -785,7 +816,7 @@ class TestModel:
         losses = []
         for _ in range(200):
             t = Tape()
-            probs = classify_flat(model, embed_flat(model, feats, t), t)
+            probs = vsoftmax(t, classifier_logits(model, embed_flat(model, feats, t), t))
             loss = vcross_entropy(t, probs, flat_labels)
             losses.append(float(loss.data))
             adam_step(model.parameters(), backward(t, loss), st, lr=3e-3)

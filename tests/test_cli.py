@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from protoadapt import autodiff as ad
 from protoadapt.adaptation import EstimateInfo, ExperimentConfig, compute_bound_diagnostics
 from protoadapt.cli import load_config, main, read_sidecar
-from protoadapt.datasets import load_split
+from protoadapt.datasets import DomainSpec, gen_grid_seg, load_split, save_split
 from protoadapt.fileformats import (
     load_embeddings,
     load_tensor,
@@ -652,6 +653,27 @@ class TestEvalDiagnoseExport:
         assert set(np.unique(true)).issubset({0.0, 1.0, 2.0})
         gmm_data = load_embeddings(out / "gmm_samples.emb1")
         assert gmm_data.shape[1] == data.shape[1]
+
+    def test_export_embeddings_holds_one_pass(self, tmp_path):
+        """Two models over one unlabeled split of 47 chunks: one model's
+        pass (embeddings, one label and one confidence per pixel) is held
+        at a time, and EMB1 rows go out in blocks. The traced peak was 4.2x
+        one file's payload when the whole split was classified into [N, K]
+        arrays and the file assembled whole, and is 1.8x now."""
+        spec = DomainSpec(K=3, n_images=3000, height=8, width=8, seed=2)
+        save_split(tmp_path / "split", spec, "target_train", gen_grid_seg(spec)[0])
+        ad.save_model(tmp_path / "m.mdl1", ad.init_model(3, 3, encoder_hidden=(8,), rng=Rng(3), neighborhood=True))
+        argv = ["export-embeddings", "--ckpt", str(tmp_path / "m.mdl1"), "--ckpt-pre", str(tmp_path / "m.mdl1")]
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--data", str(tmp_path / "split"), "--out", str(tmp_path / "emb")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = 3000 * 64 * (3 + 2) * 4
+        assert (tmp_path / "emb" / "data_pre.emb1").stat().st_size == 4 + 4 * 4 + payload
+        assert peak < 2.5 * payload, peak / payload
 
     def test_missing_checkpoint_is_usage_error(self, workspace, tmp_path):
         code = main(

@@ -11,6 +11,8 @@ import pytest
 from protoadapt.autodiff import init_model, load_model, save_model
 from protoadapt.errors import FileFormatError
 from protoadapt.fileformats import (
+    EMB1_BLOCK_ROWS,
+    EMB1_MAGIC,
     load_embeddings,
     load_tensor,
     read_keyvalue,
@@ -136,6 +138,31 @@ def test_emb1_roundtrip(tmp_path):
     np.testing.assert_array_equal(out[:, :5], emb)
     np.testing.assert_array_equal(out[:, 5], true_l.astype(np.float32))
     np.testing.assert_array_equal(out[:, 6], pred_l.astype(np.float32))
+
+
+@pytest.mark.parametrize("emb_dtype", [np.float32, np.float64])
+def test_emb1_blocks_write_the_concatenated_bytes(tmp_path, emb_dtype):
+    """Rows go out in blocks; the file is the one concatenated float32
+    block's, for a split of several blocks that ends in a short one."""
+    n = 2 * EMB1_BLOCK_ROWS + 7
+    rng = np.random.default_rng(1)
+    emb = rng.normal(size=(n, 3)).astype(emb_dtype)
+    true_l, pred_l = rng.integers(0, 5, n), rng.integers(0, 5, n)
+    whole = io.BytesIO()
+    whole.write(EMB1_MAGIC)
+    columns = [emb, true_l.reshape(-1, 1), pred_l.reshape(-1, 1)]
+    write_tns1(whole, np.concatenate([c.astype(np.float32) for c in columns], axis=1))
+    save_embeddings(tmp_path / "e.emb1", emb, true_l, pred_l)
+    assert (tmp_path / "e.emb1").read_bytes() == whole.getvalue()
+
+
+def test_emb1_one_true_label_for_every_row(tmp_path):
+    emb, pred_l = np.ones((4, 2), np.float32), np.arange(4)
+    save_embeddings(tmp_path / "a.emb1", emb, -1, pred_l)
+    save_embeddings(tmp_path / "b.emb1", emb, -np.ones(4), pred_l)
+    assert (tmp_path / "a.emb1").read_bytes() == (tmp_path / "b.emb1").read_bytes()
+    with pytest.raises(ValueError, match="4 embedding rows but 3 true"):
+        save_embeddings(tmp_path / "c.emb1", emb, np.arange(3), pred_l)
 
 
 def _tiny_files(tmp_path):

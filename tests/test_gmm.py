@@ -9,6 +9,7 @@ import pytest
 from protoadapt import gmm as gmm_mod
 from protoadapt.errors import DimensionError, EstimationError, FileFormatError, GenerationError
 from protoadapt.gmm import (
+    GATHER_ROWS,
     MAX_DRAW_FACTOR,
     PrototypicalGMM,
     build_support_sets,
@@ -19,6 +20,12 @@ from protoadapt.gmm import (
 )
 from protoadapt.linalg import default_jitter
 from protoadapt.rng import Rng
+
+
+def support_from_probs(labels, probs, tau):
+    """`build_support_sets` on each row's argmax and max of `probs` [n, K]."""
+    p = np.asarray(probs)
+    return build_support_sets(labels, p.argmax(axis=1), p.max(axis=1), p.shape[1], tau)
 
 
 def one_hotish(labels, K, conf):
@@ -35,7 +42,7 @@ class TestSupportSets:
     def test_all_confident_correct(self):
         lab = np.array([0, 1, 0, 1])
         probs = one_hotish(lab, 2, [0.99] * 4)
-        s = build_support_sets(np.zeros((4, 3)), lab, probs, 0.9)
+        s = support_from_probs(lab, probs, 0.9)
         np.testing.assert_array_equal(s.counts, [2, 2])
         np.testing.assert_array_equal(s.indices[0], [0, 2])
         np.testing.assert_array_equal(s.indices[1], [1, 3])
@@ -43,7 +50,7 @@ class TestSupportSets:
     def test_wrong_prediction_excluded(self):
         lab = np.array([0, 0])
         probs = np.array([[0.99, 0.01], [0.01, 0.99]])  # second row predicts 1
-        s = build_support_sets(np.zeros((2, 2)), lab, probs, 0.5)
+        s = support_from_probs(lab, probs, 0.5)
         np.testing.assert_array_equal(s.counts, [1, 0])
 
     def test_brute_force_filter_oracle(self):
@@ -52,7 +59,7 @@ class TestSupportSets:
         lab = rng.integers(0, K, n)
         probs = rng.dirichlet(np.ones(K), n)
         tau = 0.3
-        s = build_support_sets(rng.normal(size=(n, 2)), lab, probs, tau)
+        s = support_from_probs(lab, probs, tau)
         for j in range(K):
             expected = [
                 i
@@ -68,29 +75,28 @@ class TestSupportSets:
         n, K = 500, 3
         lab = rng.integers(0, K, n)
         probs = rng.dirichlet(np.ones(K) * 0.5, n)
-        emb = rng.normal(size=(n, 2))
         prev = None
         for tau in (0.0, 0.4, 0.6, 0.8, 0.95):
-            counts = build_support_sets(emb, lab, probs, tau).counts
+            counts = support_from_probs(lab, probs, tau).counts
             if prev is not None:
                 assert np.all(counts <= prev)
             prev = counts
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
-            build_support_sets(np.zeros((1, 1)), [0], [[1.0]], 1.0)
+            build_support_sets([0], [0], [1.0], 1, 1.0)
         with pytest.raises(ValueError):
-            build_support_sets(np.zeros((1, 1)), [0], [[1.0]], -0.1)
+            build_support_sets([0], [0], [1.0], 1, -0.1)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            build_support_sets(np.zeros((2, 1)), [0], [[1.0]], 0.5)
+            build_support_sets([0, 0], [0], [1.0], 1, 0.5)
 
 
 class TestEstimate:
     def fit(self, emb, lab, K, tau=0.0, **kw):
         probs = one_hotish(lab, K, [0.99] * len(lab))
-        return estimate_gmm(emb, build_support_sets(emb, lab, probs, tau), **kw)
+        return estimate_gmm(emb, support_from_probs(lab, probs, tau), **kw)
 
     def test_direct_float64_oracle(self):
         rng = np.random.default_rng(2)
@@ -131,14 +137,15 @@ class TestEstimate:
         return PrototypicalGMM(support.counts / float(support.counts.sum()), mu, sigma, tau_fit)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n,d,K", [(60, 1, 2), (500, 3, 3), (4000, 5, 5)])
+    # The last case gives class 0 two gather blocks, the second one short.
+    @pytest.mark.parametrize("n,d,K", [(60, 1, 2), (500, 3, 3), (4000, 5, 5), (2 * GATHER_ROWS + 9, 2, 2)])
     def test_per_class_gathers_match_float64_upfront_bitwise(self, dtype, n, d, K):
         rng = np.random.default_rng(n + d)
         emb = (rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0, d) + 7.0).astype(dtype)
         lab = rng.permutation(np.arange(n) % K)
         emb[lab == K - 1] = -1.25  # all-equal support, exactly centred: the 1e-6 jitter path
         probs = one_hotish(lab, K, [0.99] * n)
-        support = build_support_sets(emb, lab, probs, 0.5)
+        support = support_from_probs(lab, probs, 0.5)
         got = estimate_gmm(emb, support, tau_fit=0.5)
         want = self._float64_upfront(emb, support, 0.5)
         assert np.array_equal(got.sigma[K - 1], 1e-6 * np.eye(d))
@@ -186,7 +193,7 @@ class TestEstimate:
         lab = np.arange(30) % 2
         probs = one_hotish(lab, 2, [0.99, 0.6] * 15)  # class 1 only at confidence 0.6
         with pytest.raises(EstimationError) as e:
-            estimate_gmm(emb, build_support_sets(emb, lab, probs, 0.9))
+            estimate_gmm(emb, support_from_probs(lab, probs, 0.9))
         assert "class 1" in str(e.value) and "lower tau" in str(e.value)
 
     def test_tau_fit_recorded(self):
@@ -345,7 +352,7 @@ class TestGmmFile:
         emb = rng.normal(size=(60, 3)).astype(np.float32)
         lab = np.arange(60) % 3
         probs = one_hotish(lab, 3, [0.99] * 60)
-        gmm = estimate_gmm(emb, build_support_sets(emb, lab, probs, 0.5), tau_fit=0.5)
+        gmm = estimate_gmm(emb, support_from_probs(lab, probs, 0.5), tau_fit=0.5)
         p = tmp_path / "m.gmm"
         save_gmm(p, gmm)
         back = load_gmm(p)
