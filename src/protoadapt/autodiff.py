@@ -11,7 +11,17 @@ samples fed to `vdense`, ends with `grad is None`: nothing reads it, so
 `vdense` does not compute it. The general ops (`vmatmul`, `vadd`, ...)
 still send a gradient to every parent. Gradients are never changed in
 place: the first one a node receives is stored by reference and later
-ones are added out of place. Inference runs the same layers with no tape.
+ones are added out of place.
+
+Inference runs the same layers with no tape (`_tapeless_dense`). The
+taped `vdense` applies ReLU as a mask product, which keeps -0.0 as
+`vrelu` does; with no tape a hidden layer's ReLU is one in-place clamp,
+which writes +0.0 there and builds no mask. Only the next layer's sgemm
+reads a hidden output, and the sign of a zero never reaches its sums, so
+embeddings, logits and probabilities keep their bits; a -inf
+pre-activation (0 under the clamp, NaN under the mask) can only come from
+a float32 overflow inside a layer, as loaded images and weights are
+finite. See `_tapeless_dense` for the stacks this was checked on.
 """
 
 from __future__ import annotations
@@ -22,7 +32,15 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
-from .fileformats import MDL1_MAGIC, read_framed, read_tns1, read_u32, write_tns1, write_u32
+from .fileformats import (
+    MDL1_MAGIC,
+    check_finite,
+    read_framed,
+    read_tns1,
+    read_u32,
+    write_tns1,
+    write_u32,
+)
 from .rng import Rng
 
 
@@ -152,6 +170,8 @@ def _float64_lanes() -> int:
 # `vsoftmax` does not see that sign: exp(+-0) == 1.
 SHORT_ROW = 8
 SHORT_MAX_ROW = _float64_lanes()
+# Rows per group when `_dense_forward` adds a bias narrower than SHORT_ROW.
+BIAS_TILE_ROWS = 64
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -204,39 +224,50 @@ def _column_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0)
 
 
-def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool):
-    """`x @ w + b`, then ReLU if `relu`: (output, ReLU mask or None).
+def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x @ w + b`, before any ReLU.
 
-    The bias is added and the mask applied in place on the matmul output;
-    that is the arithmetic of `x @ w + b` as long as `b` does not promote
-    the output's dtype, which holds for float32 models and for an all-
-    float64 layer. The mask is a multiply, not np.maximum, so that -0.0
-    pre-activations stay -0.0.
+    The bias is added in place on the matmul output; that is the
+    arithmetic of `x @ w + b` as long as `b` does not promote the output's
+    dtype, which holds for float32 models and for an all-float64 layer.
+    An output narrower than SHORT_ROW would run numpy's add loop only that
+    many elements long, so its rows are added in groups of BIAS_TILE_ROWS
+    against a tiled copy of the bias, and the remainder rows plainly: the
+    same elementwise sums.
     """
     if x.shape[-1] != w.shape[0]:
         raise DimensionError(f"matmul: {x.shape} x {w.shape}")
     out = x @ w
-    if np.result_type(out, b) == out.dtype:
+    if np.result_type(out, b) != out.dtype:
+        return out + b
+    k = out.shape[-1]
+    if not (0 < k < SHORT_ROW and b.shape == (k,)):
         out += b
-    else:
-        out = out + b
+        return out
+    rows = out.reshape(-1, k)
+    grouped = rows.shape[0] // BIAS_TILE_ROWS * BIAS_TILE_ROWS
+    head, tail = rows[:grouped].reshape(-1, BIAS_TILE_ROWS * k), rows[grouped:]
+    head += b[None].repeat(BIAS_TILE_ROWS, axis=0).reshape(-1)
+    tail += b
+    return out
+
+
+def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
+    """One dense layer, `_dense_forward` then ReLU as a mask product, as a
+    single node.
+
+    Values and gradients are bitwise equal to those of the chain
+    `vrelu(vadd(vmatmul(x, w), b))`: the mask is a multiply, so -0.0 and
+    negative pre-activations become -0.0, as `vrelu` makes them. The bias
+    gradient is `_column_sum`. The backward never writes into the incoming
+    gradient, which an op may also hand to its other parents. The input
+    gradient is skipped when `x` is a leaf that is not a parameter.
+    """
+    out = _dense_forward(x.data, w.data, b.data)
     mask = None
     if relu:
         mask = out > 0
         np.multiply(out, mask, out=out)
-    return out, mask
-
-
-def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
-    """One dense layer, `_dense_forward`, as a single node.
-
-    Values and gradients are bitwise equal to those of the chain
-    `vrelu(vadd(vmatmul(x, w), b))`. The bias gradient is `_column_sum`.
-    The backward never writes into the incoming gradient, which an op may
-    also hand to its other parents. The input gradient is skipped when `x`
-    is a leaf that is not a parameter.
-    """
-    out, mask = _dense_forward(x.data, w.data, b.data, relu)
     want_x = bool(x.parents) or x.param is not None
 
     def bwd(g):
@@ -448,29 +479,65 @@ def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:
     return feature_rows(pad_images(images, neighborhood), neighborhood)
 
 
-def _dense_stack(tape: Tape | None, x, layers, relu_last: bool):
-    """The layers in order, each followed by ReLU but the last unless
-    `relu_last`: `vdense` nodes on `tape`, or with no tape `_dense_forward`
-    on float32 arrays, each layer's input dropped once the next has read it."""
-    for i, (w, b) in enumerate(layers):
-        relu = relu_last or i < len(layers) - 1
+def _with_relu(layers, relu_last: bool) -> list:
+    """(w, b, relu) of each layer: ReLU after every layer but the last
+    unless `relu_last`."""
+    return [(w, b, relu_last or i < len(layers) - 1) for i, (w, b) in enumerate(layers)]
+
+
+def _embed_stack(model: SegModel) -> list:
+    """`_with_relu` of the encoder then decoder layers: the encoder's
+    outputs all pass a ReLU, the decoder's last output does not."""
+    return _with_relu(model.encoder_layers + model.decoder_layers, not model.decoder_layers)
+
+
+def _tapeless_dense(x: np.ndarray, w: Parameter, b: Parameter, relu: bool, hidden: bool):
+    """One layer with no tape: `_dense_forward`, then ReLU if `relu`. A
+    `hidden` output gets one in-place clamp, `np.maximum(out, 0)`, with no
+    mask; the stack's own output gets `vdense`'s mask product.
+
+    The clamp gives +0.0 where the mask product gives -0.0 (every negative
+    or -0.0 pre-activation), and 0 where it gives NaN (a -inf
+    pre-activation, which only a float32 overflow inside a layer can make:
+    loaded images and weights are finite). A hidden activation is read
+    only by the next layer's sgemm, which accumulates from a zeroed
+    register, so the sign of a zero never reaches a sum: embeddings,
+    logits and probabilities keep the taped path's bits. That holds on
+    OpenBLAS's SkylakeX, Haswell and Sandybridge cores under numpy's
+    AVX-512 and AVX2 loops (`TestBitwiseOracle` in tests/test_autodiff.py).
+    """
+    out = _dense_forward(x, w.data, b.data)
+    if relu and hidden:
+        np.maximum(out, 0, out=out)
+    elif relu:
+        np.multiply(out, out > 0, out=out)
+    return out
+
+
+def _dense_stack(tape: Tape | None, x, stack):
+    """The (w, b, relu) layers of `stack` in order: `vdense` nodes on
+    `tape`, or with no tape `_tapeless_dense` on float32 arrays, each
+    layer's input dropped here once the next has read it."""
+    for i, (w, b, relu) in enumerate(stack):
         if tape is None:
-            x = _dense_forward(x, w.data, b.data, relu)[0]
+            x = _tapeless_dense(x, w, b, relu, hidden=i < len(stack) - 1)
         else:
             x = vdense(tape, x, tape.watch(w, np.float32), tape.watch(b, np.float32), relu)
     return x
 
 
+def _check_features(model: SegModel, width: int) -> None:
+    if width != model.input_features:
+        raise DimensionError(f"feature dim {width} != model input {model.input_features}")
+
+
 def embed_flat(model: SegModel, feats, tape: Tape | None):
     """Encoder+decoder on flat feature rows (cast to float32): an
-    [n, embed_dim] node on `tape`, or with no tape the array itself."""
-    if feats.shape[-1] != model.input_features:
-        raise DimensionError(
-            f"feature dim {feats.shape[-1]} != model input {model.input_features}"
-        )
+    [n, embed_dim] node on `tape`, or with no tape the array itself. The
+    caller's `feats` stay alive throughout; `forward_embed` frees its own."""
+    _check_features(model, feats.shape[-1])
     x = np.asarray(feats, np.float32) if tape is None else tape.leaf(feats, dtype=np.float32)
-    x = _dense_stack(tape, x, model.encoder_layers, relu_last=True)
-    return _dense_stack(tape, x, model.decoder_layers, relu_last=False)
+    return _dense_stack(tape, x, _embed_stack(model))
 
 
 def classifier_logits(model: SegModel, emb, tape: Tape | None):
@@ -479,14 +546,22 @@ def classifier_logits(model: SegModel, emb, tape: Tape | None):
     width = (emb if tape is None else emb.data).shape[-1]
     if width != model.embed_dim:
         raise DimensionError(f"embedding dim {width} != {model.embed_dim}")
-    return _dense_stack(tape, emb, model.classifier_layers, relu_last=False)
+    return _dense_stack(tape, emb, _with_relu(model.classifier_layers, False))
 
 
 def forward_embed(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """Inference-only per-pixel embeddings, shaped [B,H,W,embed_dim]."""
+    """Inference-only per-pixel embeddings, shaped [B,H,W,embed_dim].
+
+    `embed_flat` with no tape, but its layer loop runs in this frame, the
+    only holder of the feature rows, so they are freed once the first
+    layer has read them."""
     b, h, w, _ = np.asarray(images).shape
-    emb = embed_flat(model, pixel_features(images, model.neighborhood), None)
-    return emb.reshape(b, h, w, model.embed_dim)
+    x = pixel_features(images, model.neighborhood)
+    _check_features(model, x.shape[-1])
+    stack = _embed_stack(model)
+    for i, (weight, bias, relu) in enumerate(stack):
+        x = _tapeless_dense(x, weight, bias, relu, hidden=i < len(stack) - 1)
+    return x.reshape(b, h, w, model.embed_dim)
 
 
 def forward_classify(model: SegModel, embeddings: np.ndarray) -> np.ndarray:
@@ -610,8 +685,9 @@ def save_model(path, model: SegModel) -> None:
 
 def load_model(path) -> SegModel:
     """Read an MDL1 checkpoint, rejecting trailing bytes, layers that do not
-    chain, an empty encoder+decoder or classifier, a neighborhood flag other
-    than 0 or 1, and a trailer whose sizes differ from the weights'."""
+    chain, a NaN or +-inf weight or bias, an empty encoder+decoder or
+    classifier, a neighborhood flag other than 0 or 1, and a trailer whose
+    sizes differ from the weights'."""
     return read_framed(path, MDL1_MAGIC, _read_model)
 
 
@@ -629,6 +705,8 @@ def _read_model(f) -> SegModel:
     for i, (w, b) in enumerate(zip(tensors[::2], tensors[1::2])):
         if w.ndim != 2 or fan_in not in (None, w.shape[0]) or b.shape != w.shape[1:]:
             raise FileFormatError(f"layer {i} shapes {w.shape}, {b.shape} do not chain")
+        check_finite(w, f"layer {i} weight")
+        check_finite(b, f"layer {i} bias")
         fan_in = w.shape[1]
     layers = [(Parameter(w), Parameter(b)) for w, b in zip(tensors[::2], tensors[1::2])]
     model = SegModel(

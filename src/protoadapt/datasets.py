@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FileFormatError
-from .fileformats import format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
+from .fileformats import check_finite, format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
 from .rng import Rng, box_muller, seed_in_range
 
 FORMAT_VERSION = "1"
@@ -342,8 +342,9 @@ def load_split(directory):
     """Returns (images, labels-or-None, manifest dict).
 
     Rejects a manifest whose format_version is not FORMAT_VERSION, a split
-    with no images, labels whose shape is not the images' [n, H, W], and a
-    label that is not an integer in [0, K) for the manifest's K.
+    with no images, a NaN or +-inf image value, labels whose shape is not
+    the images' [n, H, W], and a label that is not an integer in [0, K)
+    for the manifest's K.
     """
     manifest = read_keyvalue(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -351,9 +352,11 @@ def load_split(directory):
         raise FileFormatError(
             f"{directory}: format_version {version!r} is not {FORMAT_VERSION!r}"
         )
-    images = load_tensor(os.path.join(directory, "images.tns1"))
+    images_path = os.path.join(directory, "images.tns1")
+    images = load_tensor(images_path)
     if images.size == 0:
         raise FileFormatError(f"{directory}: split has no images (shape {images.shape})")
+    check_finite(images, f"{images_path}: image")
     labels_path = os.path.join(directory, "labels.tns1")
     labels = None
     if os.path.exists(labels_path):

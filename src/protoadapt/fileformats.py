@@ -99,6 +99,17 @@ def read_tns1(f) -> np.ndarray:
     return data.astype(np.float32, copy=False)
 
 
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise FileFormatError naming `what`, the first NaN or +-inf value of
+    `arr` in C order and its index, if there is one."""
+    if np.isfinite(arr).all():
+        return
+    at = np.unravel_index(np.argmin(np.isfinite(arr)), arr.shape)
+    raise FileFormatError(
+        f"{what} value {float(arr[at]):g} at index {tuple(map(int, at))} is not finite"
+    )
+
+
 def read_framed(path, magic: bytes, parse):
     """`parse(f)` of the file at `path` after its 4-byte `magic`.
 

@@ -34,7 +34,15 @@ from protoadapt.autodiff import (
     vsoftmax,
     vsoftmax_cross_entropy,
 )
-from protoadapt.autodiff import _column_sum, _row_max, _row_sum
+from protoadapt.autodiff import (
+    BIAS_TILE_ROWS,
+    SHORT_ROW,
+    _column_sum,
+    _dense_forward,
+    _row_max,
+    _row_sum,
+    _tapeless_dense,
+)
 from protoadapt.adaptation import EMBED_CHUNK, ExperimentConfig, pixel_embeddings, train_source
 from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
@@ -460,6 +468,109 @@ class TestBitwiseOracle:
         assert _same_bits(emb, whole)
         assert pred.dtype == np.uint8 and np.array_equal(pred, labels)
         assert _same_bits(conf, probs[np.arange(len(labels)), labels])
+
+    @staticmethod
+    def _adversarial_models(k):
+        """The standard model (27 -> 64 -> 32 -> k, classifier k -> k -> k)
+        with 8 dead layer-0 units, layer-0 biases that are all negative (a
+        row of zero features has every pre-activation negative), and exact
+        0.0 and -0.0 weights and biases; and the same layers with no
+        decoder, whose embedding is a ReLU output."""
+        rng = np.random.default_rng(50 + k)
+        model = init_model(3, k, rng=Rng(k), neighborhood=True)
+        (w0, b0), (w1, b1) = model.encoder_layers
+        (w2, b2), = model.decoder_layers
+        (w3, b3), (w4, b4) = model.classifier_layers
+        b0.data = -np.abs(rng.normal(size=64)).astype(np.float32) * 0.1
+        b0.data[:8] = -1e3
+        w1.data[::3] = -0.0
+        w1.data[1::5] = 0.0
+        w2.data[:, 0] = -0.0
+        for b in (b1, b2, b3, b4):
+            b.data = rng.normal(size=b.data.shape).astype(np.float32)
+            b.data[::2] = -0.0
+            b.data[1::4] = 0.0
+        w3.data[0] = 0.0
+        w4.data[-1] = -0.0
+        no_decoder = SegModel(
+            model.encoder_layers + model.decoder_layers, [], model.classifier_layers, True
+        )
+        return model, no_decoder
+
+    @staticmethod
+    def _adversarial_images(n, seed):
+        """One [1, 1, n, 3] image: normal pixels with runs of 0.0 and of
+        -0.0 wide enough to give all-zero 3x3 feature rows."""
+        rng = np.random.default_rng(seed)
+        images = rng.normal(size=(1, 1, n, 3)).astype(np.float32)
+        for start in range(0, n, 40):
+            images[0, 0, start : start + 5] = 0.0 if start % 80 else -0.0
+        return images
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_tapeless_clamp_keeps_observable_bits(self, k):
+        """Tapeless inference clamps a hidden ReLU in place (+0.0 where the
+        taped mask product gives -0.0) and adds a bias narrower than
+        SHORT_ROW over rows grouped against a tiled copy. Its embeddings,
+        logits, probabilities, labels and confidences equal the taped forms
+        bit for bit; a ReLU'd embedding keeps -0.0."""
+        for model in self._adversarial_models(k):
+            for n in (1, 7, 384, 1024, 2048, 4096, 16384):
+                images = self._adversarial_images(n, seed=n + k)
+                feats = pixel_features(images, True)
+                t = Tape()
+                emb_node = embed_flat(model, feats, t)
+                emb = emb_node.data
+                logits = classifier_logits(model, emb_node, t)
+                probs = vsoftmax(t, logits).data
+                assert _same_bits(embed_flat(model, feats, None), emb), n
+                assert _same_bits(forward_embed(model, images).reshape(n, k), emb), n
+                assert _same_bits(classifier_logits(model, emb, None), logits.data), n
+                assert _same_bits(forward_classify(model, emb), probs), n
+                got_emb, pred, conf = pixel_embeddings(model, images)
+                labels = probs.argmax(axis=1)
+                assert _same_bits(got_emb, emb) and np.array_equal(pred, labels), n
+                assert _same_bits(conf, probs[np.arange(n), labels]), n
+            # the zero signs did differ where the clamp ran
+            w, b = model.encoder_layers[0]
+            t = Tape()
+            taped = vdense(t, t.leaf(feats), t.leaf(w.data), t.leaf(b.data), relu=True)
+            clamped = _tapeless_dense(feats, w, b, relu=True, hidden=True)
+            negative_zero = np.signbit(taped.data) & (taped.data == 0)
+            assert negative_zero.any() and not np.signbit(clamped).any()
+            assert np.array_equal(clamped, taped.data)
+        # the ReLU'd embedding of the decoder-less model holds -0.0
+        assert (np.signbit(emb) & (emb == 0)).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiled_narrow_bias_matches_plain_add(self, dtype):
+        """`_dense_forward` against `x @ w + b` for every width below
+        SHORT_ROW (tiled) and two above it, at row counts that leave a
+        remainder after the groups of BIAS_TILE_ROWS, with zero rows and
+        biases holding ±0.0, ±inf, NaN and subnormals."""
+        rng = np.random.default_rng(51)
+        for k in (*range(1, SHORT_ROW), SHORT_ROW, 13):
+            for n in (1, 7, BIAS_TILE_ROWS - 1, BIAS_TILE_ROWS + 1, 1000, 4097, 16385):
+                x = rng.normal(size=(n, 6)).astype(dtype)
+                x[::9] = 0.0
+                w = rng.normal(size=(6, k)).astype(dtype)
+                b = _hard_rows(1, k, dtype, seed=k * n)[0]
+                with np.errstate(invalid="ignore"):
+                    assert _same_bits(_dense_forward(x, w, b), x @ w + b), (k, n)
+
+    def test_clamp_of_negative_infinity_is_zero(self):
+        """The one pre-activation where clamp and mask product differ by
+        more than a zero's sign: -inf, from a float32 overflow inside a
+        layer, is 0 under the clamp and NaN under the mask product."""
+        x = np.array([[3e38, 1.0]], np.float32)
+        w, b = Parameter(np.array([[-3e38], [0.0]])), Parameter(np.array([1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = _dense_forward(x, w.data, b.data)
+            t = Tape()
+            masked = vdense(t, t.leaf(x), t.leaf(w.data), t.leaf(b.data), relu=True).data
+            clamped = _tapeless_dense(x, w, b, relu=True, hidden=True)
+        assert pre[0, 0] == -np.inf
+        assert np.isnan(masked[0, 0]) and clamped[0, 0] == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", range(1, 17))

@@ -707,6 +707,64 @@ def test_label_outside_classes_exit2_names_split(workspace, tmp_path, capsys, co
     assert not (tmp_path / "m.mdl1").exists()
 
 
+def _split_and_model_argv(workspace, command, data, ckpt, out):
+    """`command` reading the split `data` and the checkpoint `ckpt`."""
+    if command == "train":
+        return ["train", "--data", str(data), "--steps", "1", "--out", str(out)]
+    if command == "adapt":
+        return ["adapt", "--config", str(workspace / "config.txt"), "--ckpt", str(ckpt),
+                "--gmm", str(workspace / "model.gmm1"), "--target", str(data), "--out", str(out)]
+    argv = [command, "--ckpt", str(ckpt), "--data", str(data)]
+    return argv if command == "eval" else [*argv, "--out", str(out)]
+
+
+SPLIT_OF = {"train": "source", "estimate": "source", "eval": "target_eval"}
+
+
+@pytest.mark.parametrize(
+    "command,value",
+    [("train", float("nan")), ("estimate", float("inf")), ("eval", float("nan")),
+     ("eval", -float("inf")), ("adapt", float("nan")), ("export-embeddings", float("inf"))],
+)
+def test_nonfinite_pixel_exit2_names_file(workspace, tmp_path, capsys, command, value):
+    """A split with one NaN or +-inf pixel value is refused where it is
+    loaded (`eval` once scored such a split, miou=0.2333)."""
+    split = SPLIT_OF.get(command, "target_train")
+    data = tmp_path / split
+    shutil.copytree(workspace / "data" / split, data)
+    images = load_tensor(data / "images.tns1")
+    images[3, 0, 0, 1] = value
+    save_tensor(data / "images.tns1", images)
+    out = tmp_path / "out"
+    assert main(_split_and_model_argv(workspace, command, data, workspace / "model.mdl1", out)) == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'images.tns1'}: image value {value:g} at index (3, 0, 0, 1) is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,tensor,value",
+    [("eval", 0, float("nan")), ("estimate", 1, float("inf")),
+     ("adapt", 4, -float("inf")), ("export-embeddings", 5, float("nan"))],
+)
+def test_nonfinite_weight_exit2_names_file(workspace, tmp_path, capsys, command, tensor, value):
+    """A checkpoint with one NaN or +-inf weight or bias is refused on load."""
+    model = ad.load_model(workspace / "model.mdl1")
+    param = model.parameters()[tensor]
+    param.data = param.data.copy()
+    param.data.reshape(-1)[-1] = value
+    ckpt = tmp_path / "bad.mdl1"
+    ad.save_model(ckpt, model)
+    data = workspace / "data" / SPLIT_OF.get(command, "target_train")
+    out = tmp_path / "out"
+    assert main(_split_and_model_argv(workspace, command, data, ckpt, out)) == 2
+    err = capsys.readouterr().err
+    kind = "bias" if tensor % 2 else "weight"
+    index = (param.data.size - 1,) if tensor % 2 else tuple(d - 1 for d in param.data.shape)
+    assert f"{ckpt}: layer {tensor // 2} {kind} value {value:g} at index {index} is not finite" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def grid8(tmp_path_factory):
     """A K=8 grid-seg workspace whose source labels only use classes 0-5."""
