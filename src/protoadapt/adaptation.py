@@ -159,7 +159,7 @@ def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
     rows it embeds on the fresh tape. `backward` and `adam_step` are module
     lookups, so patches see them.
     """
-    params, state = model.parameters(), AdamState()
+    state = AdamState(model.parameters())
     padded = ad.pad_images(images, model.neighborhood)
     records = []
     # Diverging parameters overflow before the loss check below can name
@@ -171,7 +171,7 @@ def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
             loss, record = loss_fn(tape, padded[idx], idx)
             if not np.isfinite(float(loss.data)):
                 raise DivergenceError(f"{what} loss non-finite at step {step}", step=step)
-            adam_step(params, backward(tape, loss), state, lr)
+            adam_step(state, backward(tape, loss), lr)
             records.append(record)
     return records
 

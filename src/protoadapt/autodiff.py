@@ -148,42 +148,24 @@ def vrelu(tape: Tape, a: Value) -> Value:
     return tape.op(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def _float64_lanes() -> int:
-    """float64 lanes of the widest vector loops numpy dispatches to on this
-    CPU: 8 with AVX-512 (X86_V4), 4 with AVX2 (X86_V3), otherwise 2."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    targets = (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
-    on = {t for t in targets if umath.__cpu_features__.get(t)}
-    if on & {"X86_V4", "AVX512_SKX"}:
-        return 8
-    return 4 if on & {"X86_V3", "AVX2"} else 2
-
-
-# Rows shorter than these are reduced column by column. numpy adds a row of
-# fewer than 8 elements one at a time from +0.0 and sums longer rows
-# pairwise, on every stack. Its max of a row at least one SIMD vector long
-# runs in lanes, which can flip the sign of a zero maximum, so the max
-# cutoff is the float64 lane count; a float32 vector holds twice as many.
-# `vsoftmax` does not see that sign: exp(+-0) == 1.
+# Rows shorter than SHORT_ROW are summed column by column: numpy adds a row
+# of fewer than 8 elements one at a time from +0.0 and sums longer rows
+# pairwise, on every stack.
 SHORT_ROW = 8
-SHORT_MAX_ROW = _float64_lanes()
 # Rows per group when `_dense_forward` adds a bias narrower than SHORT_ROW.
 BIAS_TILE_ROWS = 64
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """`a.max(axis=-1, keepdims=True)`, bit for bit.
+    """The values of `a.max(axis=-1, keepdims=True)`, folded one column at
+    a time over all rows at once with `np.maximum`.
 
-    A short row is reduced one column at a time over all rows at once with
-    `np.maximum`, which takes the same first-wins choices as numpy's
-    in-order scalar row loop; longer rows use `a.max`.
+    It can differ from `a.max` only in the sign of a zero maximum (numpy's
+    vector loops may pick the other zero) and in which NaN a row with
+    several NaNs returns. `_softmax` keeps its bits either way: `a - max`
+    is ±0 only where `a` equals the max, and exp(±0) == 1.
     """
     k = a.shape[-1]
-    if k >= SHORT_MAX_ROW:
-        return a.max(axis=-1, keepdims=True)
     cols = a.reshape(-1, k)
     out = cols[:, 0].copy()
     for j in range(1, k):
@@ -580,39 +562,28 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Moment buffers for one fixed parameter list, kept as flat float64
-    vectors in `params` order (built on the first step), with the step's
-    float64 work buffers and the float32 vector that the parameters are
-    views of after a step (`flat32`, `views`)."""
+    """Adam for one parameter list: its moments as flat float64 vectors in
+    `params` order, and the step's float64 work buffers."""
 
-    def __init__(self):
+    def __init__(self, params: list):
+        self.params = list(params)
+        self.sizes = [p.data.size for p in self.params]
+        n = sum(self.sizes)
         self.t = 0
-        self.params = None
-        self.m = None
-        self.v = None
-        self.work = None
-        self.flat32 = None
-        self.views = ()
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.work = np.empty((3, n))
 
 
-def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
-    """One Adam update of `params`; rejects non-finite gradients.
+def adam_step(state: AdamState, grads: dict, lr: float) -> None:
+    """One Adam update of `state.params`; rejects non-finite gradients.
 
     The update runs in float64 on one vector that holds every parameter
     (a missing gradient counts as zero), and each parameter is rounded
-    back to float32, as a view of one new float32 vector. While every
-    parameter is still the view the last step made, that vector is read
-    back whole instead of concatenating the parameters. A rejected step
-    leaves parameters and state as they were. `state` belongs to the first
-    parameter list it was used with.
+    back to float32, as a view of one new float32 vector. A rejected step
+    leaves parameters and state as they were.
     """
-    params = list(params)
-    if state.params is not None and params != state.params:  # compared by identity
-        raise ValueError("adam_step: parameter list differs from the one this state was built for")
-    own = len(state.views) == len(params) and all(p.data is q for p, q in zip(params, state.views))
-    sizes = [p.data.size for p in params]
-    if state.work is None or state.work.shape[1] != sum(sizes):
-        state.work = np.empty((3, sum(sizes)))
+    params, sizes = state.params, state.sizes
     g, tmp, flat = state.work
     np.concatenate(
         [
@@ -623,10 +594,6 @@ def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
     )
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient; update rejected")
-    if state.params is None:
-        state.params = params
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
@@ -645,18 +612,12 @@ def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> None:
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     g /= tmp
-    if own:
-        np.subtract(state.flat32, g, out=flat)
-    else:
-        np.concatenate([p.data.reshape(-1) for p in params], out=flat)
-        flat -= g
-    state.flat32 = flat.astype(np.float32)
-    views, offset = [], 0
+    np.concatenate([p.data.reshape(-1) for p in params], out=flat)
+    flat -= g
+    flat32, offset = flat.astype(np.float32), 0
     for p, n in zip(params, sizes):
-        views.append(state.flat32[offset : offset + n].reshape(p.data.shape))
-        p.data = views[-1]
+        p.data = flat32[offset : offset + n].reshape(p.data.shape)
         offset += n
-    state.views = tuple(views)
 
 
 # ---------------------------------------------------------------- checkpoint

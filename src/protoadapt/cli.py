@@ -263,6 +263,7 @@ def cmd_export_embeddings(args) -> int:
     data_dir = _require_dir(args.data, "data")
     images, labels, manifest = ds.load_split(data_dir)
     _check_classes(data_dir, manifest, *(m for _, m in models))
+    gmm = load_gmm(args.gmm) if args.gmm else None
     true = -1 if labels is None else labels  # -1: unknown, on every row
     os.makedirs(args.out, exist_ok=True)
     written = []
@@ -271,8 +272,7 @@ def cmd_export_embeddings(args) -> int:
         written.append(os.path.join(args.out, name))
         save_embeddings(written[-1], emb, true, pred)
         del emb, pred, conf  # one model's pass held at a time
-    if args.gmm:
-        gmm = load_gmm(args.gmm)
+    if gmm is not None:
         rng = Rng(args.seed or 0)
         probs_fn = partial(ad.forward_classify, model)
         pseudo = generate_pseudo_dataset(gmm, probs_fn, PSEUDO_CLOUD, 0.0, rng)

@@ -341,10 +341,10 @@ def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> 
 def load_split(directory):
     """Returns (images, labels-or-None, manifest dict).
 
-    Rejects a manifest whose format_version is not FORMAT_VERSION, a split
-    with no images, a NaN or +-inf image value, labels whose shape is not
-    the images' [n, H, W], and a label that is not an integer in [0, K)
-    for the manifest's K.
+    Rejects a manifest whose format_version is not FORMAT_VERSION, images
+    that are not [n, H, W, C], a split with no images, a NaN or +-inf image
+    value, labels whose shape is not the images' [n, H, W], and a label
+    that is not an integer in [0, K) for the manifest's K.
     """
     manifest = read_keyvalue(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -354,6 +354,8 @@ def load_split(directory):
         )
     images_path = os.path.join(directory, "images.tns1")
     images = load_tensor(images_path)
+    if images.ndim != 4:
+        raise FileFormatError(f"{images_path}: images shape {images.shape} is not [n, H, W, C]")
     if images.size == 0:
         raise FileFormatError(f"{directory}: split has no images (shape {images.shape})")
     check_finite(images, f"{images_path}: image")
@@ -361,7 +363,7 @@ def load_split(directory):
     labels = None
     if os.path.exists(labels_path):
         labels = load_tensor(labels_path)
-        if images.ndim != 4 or labels.shape != images.shape[:3]:
+        if labels.shape != images.shape[:3]:
             raise FileFormatError(
                 f"{directory}: labels shape {labels.shape} does not match "
                 f"images shape {images.shape}"

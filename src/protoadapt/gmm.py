@@ -22,6 +22,7 @@ from .errors import (
 )
 from .fileformats import (
     GMM1_MAGIC,
+    check_finite,
     read_f32,
     read_framed,
     read_tns1,
@@ -232,6 +233,12 @@ def _read_gmm(f) -> PrototypicalGMM:
         raise FileFormatError("GMM tensor shapes inconsistent with header")
     if not 0.0 <= tau_fit < 1.0:  # also rejects NaN
         raise FileFormatError(f"GMM tau_fit must be in [0, 1), got {tau_fit}")
+    for name, tensor in (("alpha", alpha), ("mu", mu), ("sigma", sigma)):
+        check_finite(tensor, f"GMM {name}")
+    if (alpha < 0).any() or not alpha.sum() > 0:
+        raise FileFormatError(
+            f"GMM alpha {alpha.tolist()} is not a set of mixture weights (each >= 0, sum > 0)"
+        )
     try:
         return PrototypicalGMM(alpha, mu, sigma, tau_fit)
     except (DimensionError, FactorizationError) as exc:

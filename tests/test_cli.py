@@ -21,7 +21,7 @@ from protoadapt.fileformats import (
     save_tensor,
     write_keyvalue,
 )
-from protoadapt.gmm import load_gmm
+from protoadapt.gmm import load_gmm, save_gmm
 from protoadapt.rng import Rng
 
 
@@ -529,6 +529,39 @@ class TestAdapt:
         assert f"error: {bad}: invalid sigma" in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
+    @pytest.mark.parametrize(
+        "command,tensor,at,value,message",
+        [
+            ("adapt", "mu", (0, 0), float("nan"), "GMM mu value nan at index (0, 0) is not finite"),
+            ("export-embeddings", "alpha", (1,), float("inf"),
+             "GMM alpha value inf at index (1,) is not finite"),
+            ("adapt", "alpha", (2,), -0.25, "is not a set of mixture weights"),
+            ("export-embeddings", "alpha", ..., 0.0, "is not a set of mixture weights"),
+        ],
+        ids=["nan-mu", "inf-alpha", "negative-alpha", "zero-alpha"],
+    )
+    def test_invalid_mixture_values_exit2_names_file(
+        self, workspace, tmp_path, capsys, command, tensor, at, value, message
+    ):
+        """A mixture with a NaN or +-inf value, a negative weight or weights
+        summing to zero is refused on load; each once loaded, and sampling
+        drew one class only or NaN pseudo samples without a word."""
+        bad = copy_mixture(workspace, tmp_path)
+        gmm = load_gmm(bad)
+        getattr(gmm, tensor)[at] = value
+        save_gmm(bad, gmm)
+        out = tmp_path / "out"
+        if command == "adapt":
+            code = run_adapt(workspace, out, extra=["--gmm", str(bad)])
+        else:
+            data = workspace / "data" / "source"
+            code = main(["export-embeddings", "--ckpt", str(workspace / "model.mdl1"),
+                         "--gmm", str(bad), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and message in err
+        assert not out.exists()
+
     def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys):
         code = run_adapt(workspace, tmp_path / "x", target=workspace / "data" / "source")
         assert code == 4
@@ -739,6 +772,26 @@ def test_nonfinite_pixel_exit2_names_file(workspace, tmp_path, capsys, command, 
     assert main(_split_and_model_argv(workspace, command, data, workspace / "model.mdl1", out)) == 2
     err = capsys.readouterr().err
     assert f"{data / 'images.tns1'}: image value {value:g} at index (3, 0, 0, 1) is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,rank", [("adapt", 3), ("export-embeddings", 2), ("eval", 3), ("train", 5)]
+)
+def test_images_not_rank4_exit2_names_file(workspace, tmp_path, capsys, command, rank):
+    """Images that are not [n, H, W, C] are refused where they are loaded,
+    labeled split or not (an unlabeled one once failed deep in numpy with
+    a message naming no file)."""
+    split = SPLIT_OF.get(command, "target_train")
+    data = tmp_path / split
+    shutil.copytree(workspace / "data" / split, data)
+    images = load_tensor(data / "images.tns1")
+    images = images.reshape(images.shape[: rank - 1] + (-1,)) if rank < 4 else images[..., None]
+    save_tensor(data / "images.tns1", images)
+    out = tmp_path / "out"
+    assert main(_split_and_model_argv(workspace, command, data, workspace / "model.mdl1", out)) == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'images.tns1'}: images shape {images.shape} is not [n, H, W, C]" in err
     assert not out.exists()
 
 
