@@ -189,7 +189,8 @@ def pixel_embeddings(model: SegModel, images: np.ndarray):
     """The split's one inference pass: (embeddings [n_pixels, d] float32,
     argmax class [n_pixels] in the smallest unsigned type that holds K - 1,
     its probability [n_pixels] float32). Each chunk's rows are written into
-    the result and classified at once, so no [n_pixels, K] array is made."""
+    the result and classified at once (`top_class`), so no [n_pixels, K]
+    array is made."""
     images = np.asarray(images, dtype=np.float32)
     per_image, d = int(np.prod(images.shape[1:3])), model.embed_dim
     n = images.shape[0] * per_image
@@ -199,9 +200,7 @@ def pixel_embeddings(model: SegModel, images: np.ndarray):
         rows = ad.forward_embed(model, images[start : start + EMBED_CHUNK]).reshape(-1, d)
         at = slice(start * per_image, start * per_image + rows.shape[0])
         emb[at] = rows
-        probs = ad.forward_classify(model, rows)
-        pred[at] = probs.argmax(axis=1)
-        conf[at] = probs[np.arange(rows.shape[0]), pred[at]]
+        pred[at], conf[at] = ad.top_class(ad.forward_classify(model, rows))
     return emb, pred, conf
 
 
@@ -350,6 +349,15 @@ def adaptation_loss(tape, model, batch, gmm, probs_fn, config, rng):
     return total, (float(ce.data), float(swd_value), float(total.data), pseudo.kept_fraction)
 
 
+def check_mixture_matches(model: SegModel, gmm: PrototypicalGMM) -> None:
+    """Refuse a mixture whose K or dimension is not the model's."""
+    if gmm.K != model.K or gmm.dim != model.embed_dim:
+        raise DimensionError(
+            f"mixture K={gmm.K}, dim={gmm.dim} does not match "
+            f"model K={model.K}, embed_dim={model.embed_dim}"
+        )
+
+
 def adapt_source_free(
     model: SegModel, gmm: PrototypicalGMM, target_images: np.ndarray, config: ExperimentConfig
 ):
@@ -360,11 +368,7 @@ def adapt_source_free(
     untouched. The report's diagnostics are left empty: callers fill them
     with `compute_bound_diagnostics`, which needs the adapted model.
     """
-    if gmm.K != model.K or gmm.dim != model.embed_dim:
-        raise DimensionError(
-            f"mixture K={gmm.K}, dim={gmm.dim} does not match "
-            f"model K={model.K}, embed_dim={model.embed_dim}"
-        )
+    check_mixture_matches(model, gmm)
     target_images = np.asarray(target_images, dtype=np.float32)
     if target_images.shape[0] < 1:
         raise ValueError("target dataset is empty")

@@ -150,9 +150,9 @@ def vrelu(tape: Tape, a: Value) -> Value:
 
 # Rows shorter than SHORT_ROW are summed column by column: numpy adds a row
 # of fewer than 8 elements one at a time from +0.0 and sums longer rows
-# pairwise, on every stack.
+# pairwise, on every stack. It matters only for the sums (`_row_sum`).
 SHORT_ROW = 8
-# Rows per group when `_dense_forward` adds a bias narrower than SHORT_ROW.
+# Rows per group when `_dense_forward` adds a bias.
 BIAS_TILE_ROWS = 64
 
 
@@ -212,10 +212,11 @@ def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     The bias is added in place on the matmul output; that is the
     arithmetic of `x @ w + b` as long as `b` does not promote the output's
     dtype, which holds for float32 models and for an all-float64 layer.
-    An output narrower than SHORT_ROW would run numpy's add loop only that
-    many elements long, so its rows are added in groups of BIAS_TILE_ROWS
-    against a tiled copy of the bias, and the remainder rows plainly: the
-    same elementwise sums.
+    A broadcast add runs numpy's inner loop one output row long, so the
+    rows are added in groups of BIAS_TILE_ROWS against a tiled copy of the
+    bias, and the remainder rows plainly: the same elementwise sums at any
+    width. An empty group or remainder is skipped, so a short call (the
+    refill chunks of pseudo sampling) builds no tile.
     """
     if x.shape[-1] != w.shape[0]:
         raise DimensionError(f"matmul: {x.shape} x {w.shape}")
@@ -223,14 +224,16 @@ def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.result_type(out, b) != out.dtype:
         return out + b
     k = out.shape[-1]
-    if not (0 < k < SHORT_ROW and b.shape == (k,)):
+    if not (k > 0 and b.shape == (k,)):
         out += b
         return out
     rows = out.reshape(-1, k)
     grouped = rows.shape[0] // BIAS_TILE_ROWS * BIAS_TILE_ROWS
-    head, tail = rows[:grouped].reshape(-1, BIAS_TILE_ROWS * k), rows[grouped:]
-    head += b[None].repeat(BIAS_TILE_ROWS, axis=0).reshape(-1)
-    tail += b
+    if grouped:
+        head = rows[:grouped].reshape(-1, BIAS_TILE_ROWS * k)
+        head += b[None].repeat(BIAS_TILE_ROWS, axis=0).reshape(-1)
+    if grouped < rows.shape[0]:
+        rows[grouped:] += b
     return out
 
 
@@ -281,6 +284,35 @@ def vsoftmax(tape: Tape, a: Value) -> Value:
         return (np.multiply(p, d, out=d),)
 
     return tape.op(p, (a,), bwd)
+
+
+def top_class(probs: np.ndarray):
+    """(label, confidence) of [n, K] class probabilities: each row's first
+    index of its largest value, in the smallest unsigned type that holds
+    K - 1, and the probability there. Both have the bits of
+    `probs.argmax(axis=1)` and its gather on every row `_softmax` makes:
+    one with no NaN, or all NaN.
+
+    The rows are copied class-major, so each fold step reads one
+    contiguous class row. Class j wins a row where it is strictly greater
+    (`>`) than the running maximum of classes 0..j-1, so ties keep the
+    lowest index and an all-NaN row picks 0, as `argmax` does; the label
+    is the last class that won. The confidence is read back from the
+    copy at the label, so it keeps that value's bits (a zero's sign, a
+    NaN's payload).
+    """
+    k = probs.shape[-1]
+    cols = probs.T.copy()
+    n = cols.shape[1]
+    top = cols[0].copy()
+    wins = np.empty((k - 1, n), bool)
+    for j in range(1, k):
+        np.greater(cols[j], top, out=wins[j - 1])
+        np.maximum(top, cols[j], out=top)
+    classes = np.arange(1, k, dtype=np.min_scalar_type(k - 1))[:, None]
+    label = (wins * classes).max(axis=0, initial=0)
+    at = label.astype(np.intp) * n + np.arange(n)  # intp: no uint8/uint16 wrap
+    return label, cols.reshape(-1).take(at)
 
 
 PROB_CLAMP = 1e-12

@@ -214,7 +214,7 @@ def cmd_adapt(args) -> int:
     # are also that classifier's predictions.
     save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
     for name, m, rows in (("target_pre", model, pre_rows), ("target_post", adapted, post_rows)):
-        pred = ad.forward_classify(m, rows).argmax(axis=-1)
+        pred, _ = ad.top_class(ad.forward_classify(m, rows))
         save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -1, pred)
     echo_config(config, args.out)
     print(
@@ -264,6 +264,8 @@ def cmd_export_embeddings(args) -> int:
     images, labels, manifest = ds.load_split(data_dir)
     _check_classes(data_dir, manifest, *(m for _, m in models))
     gmm = load_gmm(args.gmm) if args.gmm else None
+    if gmm is not None:
+        adapt_mod.check_mixture_matches(model, gmm)
     true = -1 if labels is None else labels  # -1: unknown, on every row
     os.makedirs(args.out, exist_ok=True)
     written = []

@@ -26,6 +26,7 @@ from protoadapt.autodiff import (
     pad_images,
     pixel_features,
     save_model,
+    top_class,
     vadd,
     vcross_entropy,
     vdense,
@@ -41,6 +42,7 @@ from protoadapt.autodiff import (
     _dense_forward,
     _row_max,
     _row_sum,
+    _softmax,
     _tapeless_dense,
 )
 from protoadapt.adaptation import EMBED_CHUNK, ExperimentConfig, pixel_embeddings, train_source
@@ -509,10 +511,10 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("k", [2, 5, 9])
     def test_tapeless_clamp_keeps_observable_bits(self, k):
         """Tapeless inference clamps a hidden ReLU in place (+0.0 where the
-        taped mask product gives -0.0) and adds a bias narrower than
-        SHORT_ROW over rows grouped against a tiled copy. Its embeddings,
-        logits, probabilities, labels and confidences equal the taped forms
-        bit for bit; a ReLU'd embedding keeps -0.0."""
+        taped mask product gives -0.0) and adds every bias over rows
+        grouped against a tiled copy. Its embeddings, logits,
+        probabilities, labels and confidences equal the taped forms bit for
+        bit; a ReLU'd embedding keeps -0.0."""
         for model in self._adversarial_models(k):
             for n in (1, 7, 384, 1024, 2048, 4096, 16384):
                 images = self._adversarial_images(n, seed=n + k)
@@ -542,13 +544,14 @@ class TestBitwiseOracle:
         assert (np.signbit(emb) & (emb == 0)).any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_tiled_narrow_bias_matches_plain_add(self, dtype):
-        """`_dense_forward` against `x @ w + b` for every width below
-        SHORT_ROW (tiled) and two above it, at row counts that leave a
-        remainder after the groups of BIAS_TILE_ROWS, with zero rows and
-        biases holding ±0.0, ±inf, NaN and subnormals."""
+    def test_tiled_bias_matches_plain_add(self, dtype):
+        """`_dense_forward`, which adds every bias over tiled row groups,
+        against `x @ w + b` at every width below SHORT_ROW and at widths up
+        to 200, at row counts that leave a remainder after the groups of
+        BIAS_TILE_ROWS, with zero rows and biases holding ±0.0, ±inf, NaN
+        and subnormals."""
         rng = np.random.default_rng(51)
-        for k in (*range(1, SHORT_ROW), SHORT_ROW, 13):
+        for k in (*range(1, SHORT_ROW), SHORT_ROW, 13, 16, 32, 64, 127, 128, 200):
             for n in (1, 7, BIAS_TILE_ROWS - 1, BIAS_TILE_ROWS + 1, 1000, 4097, 16385):
                 x = rng.normal(size=(n, 6)).astype(dtype)
                 x[::9] = 0.0
@@ -556,6 +559,33 @@ class TestBitwiseOracle:
                 b = _hard_rows(1, k, dtype, seed=k * n)[0]
                 with np.errstate(invalid="ignore"):
                     assert _same_bits(_dense_forward(x, w, b), x @ w + b), (k, n)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 17))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_class_picks_match_argmax(self, dtype, k):
+        """`top_class` against `argmax(axis=1)` and its gather (labels by
+        value, confidences by bits) on rows in [0, 1) with the maximum tied
+        at two or more positions, all-NaN rows of either sign, rows of ±0.0
+        only, and `_softmax` of `_hard_rows` logits, whose rows are all NaN
+        where a logit is inf or NaN."""
+        rng = np.random.default_rng(60 + k)
+        for n in (1, 7, 384, 16385):
+            rows = rng.random((n, k)).astype(dtype)
+            if k > 1:
+                ties = rng.integers(2, k + 1, n)[:, None]
+                at = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1) < ties
+                tied = (rng.random(n) < 0.5)[:, None] & at
+                rows = np.where(tied, rows.max(axis=1, keepdims=True) + 1, rows).astype(dtype)
+            rows[1::5] = rng.choice(np.array([np.nan, -np.nan], dtype), (len(rows[1::5]), k))
+            rows[2::5] = rng.choice(np.array([0.0, -0.0], dtype), (len(rows[2::5]), k))
+            hard = _softmax(_hard_rows(n, k, dtype, seed=61 * k + n))
+            for probs in (rows, hard):
+                label, conf = top_class(probs)
+                want = probs.argmax(axis=1)
+                assert label.dtype == np.min_scalar_type(k - 1)
+                assert np.array_equal(label, want), (n, probs is hard)
+                assert _same_bits(conf, probs[np.arange(n), want]), (n, probs is hard)
 
     def test_clamp_of_negative_infinity_is_zero(self):
         """The one pre-activation where clamp and mask product differ by
@@ -768,6 +798,26 @@ class TestShortAxisKernels:
         assert (np.signbit(want) & (want == 0)).any()
         assert got.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pad_images_is_edge_pad(self, dtype):
+        """`pad_images` is the edge pad of `np.pad(..., mode="edge")`: each
+        padded pixel is its nearest image pixel, byte for byte against a
+        clipped-index gather, on 1x1 images, a single image, one-row and
+        one-column images and a 64-image chunk, with -0.0 pixels; without
+        `neighborhood` it returns its argument."""
+        rng = np.random.default_rng(37)
+        for shape in ((3, 1, 1, 3), (1, 1, 1, 1), (1, 5, 7, 3), (4, 1, 6, 2), (2, 6, 1, 1),
+                      (64, 16, 16, 3)):
+            images = rng.normal(size=shape).astype(dtype)
+            images.reshape(-1)[::5] = -0.0
+            got = pad_images(images, True)
+            ys = np.clip(np.arange(-1, shape[1] + 1), 0, shape[1] - 1)
+            xs = np.clip(np.arange(-1, shape[2] + 1), 0, shape[2] - 1)
+            want = images[:, ys][:, :, xs]
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), shape
+            assert pad_images(images, False) is images
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 13])

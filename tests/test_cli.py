@@ -21,7 +21,7 @@ from protoadapt.fileformats import (
     save_tensor,
     write_keyvalue,
 )
-from protoadapt.gmm import load_gmm, save_gmm
+from protoadapt.gmm import PrototypicalGMM, load_gmm, save_gmm
 from protoadapt.rng import Rng
 
 
@@ -686,6 +686,23 @@ class TestEvalDiagnoseExport:
         assert set(np.unique(true)).issubset({0.0, 1.0, 2.0})
         gmm_data = load_embeddings(out / "gmm_samples.emb1")
         assert gmm_data.shape[1] == data.shape[1]
+
+    @pytest.mark.parametrize("K,dim", [(2, 3), (3, 2)], ids=["K", "dim"])
+    def test_export_mixture_not_matching_model_exit2(self, workspace, tmp_path, capsys, K, dim):
+        """`export-embeddings --gmm` refuses a mixture whose K or dimension
+        is not the K=3, embed_dim=3 model's, as `adapt` does, before it
+        creates --out. It once wrote `gmm_samples.emb1` from such a pair."""
+        gmm = load_gmm(workspace / "model.gmm1")
+        cut = PrototypicalGMM(gmm.alpha[:K], gmm.mu[:K, :dim], gmm.sigma[:K, :dim, :dim], gmm.tau_fit)
+        save_gmm(tmp_path / "cut.gmm1", cut)
+        out = tmp_path / "emb"
+        code = main(["export-embeddings", "--ckpt", str(workspace / "model.mdl1"),
+                     "--gmm", str(tmp_path / "cut.gmm1"),
+                     "--data", str(workspace / "data" / "source"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"mixture K={K}, dim={dim} does not match model K=3, embed_dim=3" in err
+        assert not out.exists()
 
     def test_export_embeddings_holds_one_pass(self, tmp_path):
         """Two models over one unlabeled split of 47 chunks: one model's
