@@ -240,11 +240,11 @@ def pixel_error(model: SegModel, images: np.ndarray, labels: np.ndarray) -> floa
 
 
 # w_sp (estimate_stage, source pixels) and w_tp (compute_bound_diagnostics,
-# target pixels) are measured one way, so the two terms compare at one
-# sample size: one draw of at most DIAG_SUBSAMPLE pixels against a cloud of
-# at most PSEUDO_CLOUD pseudo points, each capped at the pixels there are.
+# target pixels) are measured on one `transport_sample` recipe, so the two
+# terms compare at one sample size.
 PSEUDO_CLOUD = 4096
 DIAG_SUBSAMPLE = 8192
+ESTIMATE_SALT = 0xE57  # the estimate stream is Rng(config.seed ^ ESTIMATE_SALT)
 DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
 
 
@@ -284,17 +284,27 @@ def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projection
     return exact, float(sliced)
 
 
+def transport_sample(gmm: PrototypicalGMM, model: SegModel, n: int, tau_filter: float, rng: Rng):
+    """The sample both transport terms are measured on, for n pixels:
+    (pseudo cloud, pixel indices). Draws from `rng` in order the cloud,
+    min(PSEUDO_CLOUD, n) points from `gmm` kept where `model`'s classifier
+    is confident above `tau_filter`, then min(DIAG_SUBSAMPLE, n) distinct
+    indices out of the n pixels."""
+    probs_fn = partial(ad.forward_classify, model)
+    pseudo = generate_pseudo_dataset(gmm, probs_fn, min(PSEUDO_CLOUD, n), tau_filter, rng)
+    return pseudo, rng.subsample(n, min(DIAG_SUBSAMPLE, n))
+
+
 def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, config: ExperimentConfig):
     """Fit the prototypical mixture on confident source pixels.
 
     Returns (gmm, EstimateInfo); the info carries the source-side distance
-    diagnostic so adaptation never needs source data again. w_sp is
-    measured as `compute_bound_diagnostics` measures w_tp, drawing in order
-    the pseudo cloud, one min(DIAG_SUBSAMPLE, N) draw of source pixels, then
-    the estimates between those pixels' embeddings and the cloud;
-    `n_pixels` is N, every source pixel.
+    diagnostic so adaptation never needs source data again. w_sp is the
+    pair of estimates between the embeddings of `transport_sample`'s source
+    pixels and its cloud, drawn from Rng(config.seed ^ ESTIMATE_SALT) after
+    the mixture is fit; `n_pixels` is N, every source pixel.
     """
-    rng = Rng(config.seed ^ 0xE57)
+    rng = Rng(config.seed ^ ESTIMATE_SALT)
     emb, pred, conf = pixel_embeddings(model, images)
     flat = _flat_labels(labels)
     support = build_support_sets(flat, pred, conf, model.K, config.tau_fit)
@@ -302,10 +312,7 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     del pred, conf, flat  # only the embeddings are read from here on
     gmm = estimate_gmm(emb, support, tau_fit=config.tau_fit)
 
-    n_pseudo = min(PSEUDO_CLOUD, emb.shape[0])
-    probs_fn = partial(ad.forward_classify, model)
-    pseudo = generate_pseudo_dataset(gmm, probs_fn, n_pseudo, config.tau_filter, rng)
-    pixels = rng.subsample(emb.shape[0], min(DIAG_SUBSAMPLE, emb.shape[0]))
+    pseudo, pixels = transport_sample(gmm, model, emb.shape[0], config.tau_filter, rng)
     w_exact, w_sliced = wasserstein_estimates(
         emb[pixels], pseudo.Z, rng, num_projections=config.num_projections
     )
@@ -413,23 +420,18 @@ def compute_bound_diagnostics(
     pseudo set, pre export rows, post export rows). The source-side terms
     come from `estimate_info`; every draw from Rng(config.seed ^ DIAG_SALT).
 
-    The pseudo cloud is drawn as `estimate_stage` draws w_sp's: k =
-    min(PSEUDO_CLOUD, target pixels) draws from `gmm`, kept where
-    `source_model`'s classifier is confident above tau_filter. One draw of
-    min(DIAG_SUBSAMPLE, target pixels) target pixels is embedded by
-    `source_model` (pre) and by `adapted` (post), and both estimates run
-    from one derived stream: pre and post share their subsamples and
-    directions and differ only where the embeddings moved. The export rows
-    are the first k drawn pixels.
+    w_tp is measured as `estimate_stage` measures w_sp, on the
+    `transport_sample` of the target pixels with `source_model`'s
+    classifier. The drawn pixels are embedded by `source_model` (pre) and
+    by `adapted` (post), and both estimates run from one derived stream:
+    pre and post share their subsamples and directions and differ only
+    where the embeddings moved. The export rows are the first
+    PSEUDO_CLOUD drawn pixels, or all of them.
     """
     rng = Rng(config.seed ^ DIAG_SALT)
     target_images = np.asarray(target_images, dtype=np.float32)
     n = int(np.prod(target_images.shape[:3]))
-    k = min(PSEUDO_CLOUD, n)
-    pseudo = generate_pseudo_dataset(
-        gmm, partial(ad.forward_classify, source_model), k, config.tau_filter, rng
-    )
-    pixels = rng.subsample(n, min(DIAG_SUBSAMPLE, n))
+    pseudo, pixels = transport_sample(gmm, source_model, n, config.tau_filter, rng)
     nb = source_model.neighborhood
     feats = ad.feature_rows(ad.pad_images(target_images, nb), nb, pixels)
     pre, post = (ad.embed_flat(m, feats, None) for m in (source_model, adapted))
@@ -450,7 +452,7 @@ def compute_bound_diagnostics(
         M=pre.shape[0],
         N_p=pseudo.Z.shape[0],
     )
-    return diag, pseudo, pre[:k], post[:k]
+    return diag, pseudo, pre[:PSEUDO_CLOUD], post[:PSEUDO_CLOUD]
 
 
 # ---------------------------------------------------------------- pipeline

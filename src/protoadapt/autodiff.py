@@ -207,7 +207,8 @@ def _column_sum(g: np.ndarray) -> np.ndarray:
 
 
 def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`x @ w + b`, before any ReLU.
+    """`x @ w + b`, before any ReLU, for a layer's `(k,)` bias with k >= 1
+    (`_read_model` refuses a zero-width layer).
 
     The bias is added in place on the matmul output; that is the
     arithmetic of `x @ w + b` as long as `b` does not promote the output's
@@ -224,9 +225,6 @@ def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.result_type(out, b) != out.dtype:
         return out + b
     k = out.shape[-1]
-    if not (k > 0 and b.shape == (k,)):
-        out += b
-        return out
     rows = out.reshape(-1, k)
     grouped = rows.shape[0] // BIAS_TILE_ROWS * BIAS_TILE_ROWS
     if grouped:
@@ -324,7 +322,7 @@ def _picked(p: np.ndarray, labels):
     lab = np.asarray(labels).reshape(-1).astype(np.int64, copy=False)
     k = p.shape[-1]
     if lab.size and (lab.min() < 0 or lab.max() >= k):
-        raise IndexError("label index out of range")
+        raise IndexError(f"labels must be in [0, {k}), got {lab.min()}..{lab.max()}")
     at = np.arange(0, p.size, k) + lab
     picked = p.reshape(-1)[at]
     return at, picked, np.maximum(picked, PROB_CLAMP)
@@ -428,7 +426,8 @@ def init_model(
     K: int,
     embed_dim: int | None = None,
     encoder_hidden=(64, 32),
-    rng: Rng | None = None,
+    *,
+    rng: Rng,
     neighborhood: bool = False,
 ) -> SegModel:
     """Glorot-uniform initialized model.
@@ -438,8 +437,6 @@ def init_model(
     """
     if embed_dim is None:
         embed_dim = K
-    if rng is None:
-        rng = Rng(0)
     feats = in_channels * (9 if neighborhood else 1)
 
     def dense(fan_in, fan_out):
@@ -678,9 +675,9 @@ def save_model(path, model: SegModel) -> None:
 
 def load_model(path) -> SegModel:
     """Read an MDL1 checkpoint, rejecting trailing bytes, layers that do not
-    chain, a NaN or +-inf weight or bias, an empty encoder+decoder or
-    classifier, a neighborhood flag other than 0 or 1, and a trailer whose
-    sizes differ from the weights'."""
+    chain, a zero-width layer, a NaN or +-inf weight or bias, an empty
+    encoder+decoder or classifier, a neighborhood flag other than 0 or 1,
+    and a trailer whose sizes differ from the weights'."""
     return read_framed(path, MDL1_MAGIC, _read_model)
 
 
@@ -698,6 +695,8 @@ def _read_model(f) -> SegModel:
     for i, (w, b) in enumerate(zip(tensors[::2], tensors[1::2])):
         if w.ndim != 2 or fan_in not in (None, w.shape[0]) or b.shape != w.shape[1:]:
             raise FileFormatError(f"layer {i} shapes {w.shape}, {b.shape} do not chain")
+        if w.shape[1] == 0:
+            raise FileFormatError(f"layer {i} has zero width: weight shape {w.shape}")
         check_finite(w, f"layer {i} weight")
         check_finite(b, f"layer {i} bias")
         fan_in = w.shape[1]

@@ -147,13 +147,6 @@ def blob_centers(K: int) -> np.ndarray:
     return Rng(0xC0FFEE).normal((K, CHANNELS)) * 2.0
 
 
-def _apply_shift_points(points: np.ndarray, shift: Shift, rng: Rng) -> np.ndarray:
-    out = points * np.asarray(shift.channel_gain)
-    if shift.noise_sigma > 0.0:
-        out = out + shift.noise_sigma * rng.normal(out.shape)
-    return out
-
-
 def gen_blobs(spec: DomainSpec, shifted: bool = False):
     """Labeled cluster points as ([n,1,1,3] images, [n,1,1] labels)."""
     rng = Rng(spec.seed)
@@ -162,7 +155,9 @@ def gen_blobs(spec: DomainSpec, shifted: bool = False):
     centers = blob_centers(spec.K)
     points = centers[labels] + 0.35 * rng.normal((n, CHANNELS))
     if shifted:
-        points = _apply_shift_points(points, spec.shift, rng)
+        points = points * np.asarray(spec.shift.channel_gain)
+        if spec.shift.noise_sigma > 0.0:
+            points = points + spec.shift.noise_sigma * rng.normal(points.shape)
     images = points.astype(np.float32).reshape(n, 1, 1, CHANNELS)
     return images, labels.reshape(n, 1, 1)
 

@@ -44,30 +44,24 @@ def cholesky(sigma: np.ndarray, class_index=None) -> np.ndarray:
 
 
 def sample_gaussian(mu: np.ndarray, chol: np.ndarray, n: int, rng: Rng) -> np.ndarray:
-    """n draws from N(mu, L L^T): rows are mu + L eps, eps ~ N(0, I).
-
-    `mu` [d] with `chol` [d, d] gives every row one Gaussian; per-row `mu`
-    [n, d] with `chol` [n, d, d] gives row i its own. One [n, d] normal
-    block is drawn either way. `mu` and `chol` round to float32 and the
+    """n draws, row i from N(mu[i], chol[i] chol[i]^T): rows are
+    mu[i] + chol[i] eps[i] for one [n, d] normal block eps, with `mu`
+    [n, d] and `chol` [n, d, d]. `mu` and `chol` round to float32 and the
     sum runs in float64, one eps column at a time: elementwise products
     and adds only, so no reduction order depends on the SIMD width.
     """
     mu_ = np.asarray(mu, dtype=np.float32)
     chol_ = np.asarray(chol, dtype=np.float32)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"sample_gaussian needs n >= 1 draws, got {n}")
     d = mu_.shape[-1] if mu_.ndim else 0
-    if not (
-        (mu_.shape == (d,) and chol_.shape == (d, d))
-        or (mu_.shape == (n, d) and chol_.shape == (n, d, d))
-    ):
+    if mu_.shape != (n, d) or chol_.shape != (n, d, d):
         raise DimensionError(
-            f"mu {mu_.shape} and chol {chol_.shape} are neither [d] and [d, d] "
-            f"nor [n, d] and [n, d, d] for n={n}"
+            f"mu {mu_.shape} and chol {chol_.shape} are not [n, d] and [n, d, d] for n={n}"
         )
     eps = rng.normal((n, d))
     chol64 = chol_.astype(np.float64)
-    out = np.broadcast_to(mu_, (n, d)).astype(np.float64)
+    out = mu_.astype(np.float64)
     for j in range(d):
         out += chol64[..., j] * eps[:, j : j + 1]
     return out.astype(np.float32)

@@ -1,0 +1,149 @@
+"""Same bits between two trees: the standard CLI walkthrough, file by file.
+
+    python tests/same_bits.py TREE_A TREE_B
+    python tests/same_bits.py --rev REV [TREE]
+
+The second form compares git revision REV of this checkout (extracted with
+`git archive`) against the worktree TREE, by default this checkout. In each
+tree the walkthrough runs one `python -m protoadapt.cli` process per
+command, with the tree's `src` on PYTHONPATH and one BLAS thread unless the
+environment sets another count:
+
+    gen-data --preset standard; train with the acceptance FROZEN config;
+    estimate; adapt --iters 50; eval --out for the trained and the adapted
+    model; diagnose; export-embeddings of both models with --gmm on the
+    target split, and of the trained model on the labeled source split.
+
+Every file the commands write, and each command's exit code and stdout,
+is compared byte for byte. Only the `wall_clock` line of `diagnostics.txt`
+and the `source_data` line of a `.meta` sidecar are masked: one is a time,
+the other an absolute path. It prints one line per file and exits 1 on
+any difference. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parents[1]
+
+# tests/test_acceptance.py's FROZEN config at tau 0.97, as a config file.
+CONFIG = """\
+source_steps=2500
+lr=3e-3
+adapt_lr=1.2e-3
+adapt_steps=350
+pseudo_batch=384
+tau_fit=0.97
+tau_filter=0.97
+seed=0
+"""
+
+COMMANDS = [
+    ("gen-data", ["gen-data", "--preset", "standard", "--out", "data"]),
+    ("train", ["train", "--config", "config.txt", "--data", "data/source", "--out", "run/model.mdl1"]),
+    ("estimate", ["estimate", "--config", "config.txt", "--ckpt", "run/model.mdl1",
+                  "--data", "data/source", "--out", "run/model.gmm1"]),
+    ("adapt", ["adapt", "--config", "config.txt", "--ckpt", "run/model.mdl1", "--gmm", "run/model.gmm1",
+               "--target", "data/target_train", "--iters", "50", "--out", "run/adapted"]),
+    ("eval-pre", ["eval", "--ckpt", "run/model.mdl1", "--data", "data/target_eval", "--out", "run/eval_pre.txt"]),
+    ("eval-post", ["eval", "--ckpt", "run/adapted/adapted.mdl1", "--data", "data/target_eval",
+                   "--out", "run/eval_post.txt"]),
+    ("diagnose", ["diagnose", "--report", "run/adapted"]),
+    ("export-gmm", ["export-embeddings", "--ckpt", "run/adapted/adapted.mdl1", "--ckpt-pre", "run/model.mdl1",
+                    "--gmm", "run/model.gmm1", "--data", "data/target_train", "--out", "run/emb_target"]),
+    ("export-source", ["export-embeddings", "--ckpt", "run/model.mdl1", "--data", "data/source",
+                       "--out", "run/emb_source"]),
+]
+
+# Lines that may differ between two runs of the same code: (file suffix, line prefix).
+MASKED = [("diagnostics.txt", b"wall_clock="), (".meta", b"source_data=")]
+
+
+def run_walkthrough(tree: Path, workdir: Path) -> None:
+    """Run COMMANDS for `tree` in `workdir`, recording each command's exit
+    code and stdout under `workdir/log/`."""
+    workdir.mkdir(parents=True)
+    (workdir / "config.txt").write_text(CONFIG)
+    (workdir / "log").mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    for i, (label, argv) in enumerate(COMMANDS):
+        proc = subprocess.run(
+            [sys.executable, "-m", "protoadapt.cli", *argv],
+            cwd=workdir, env=env, capture_output=True,
+        )
+        (workdir / "log" / f"{i}-{label}.txt").write_bytes(b"exit=%d\n" % proc.returncode + proc.stdout)
+        if proc.returncode:
+            sys.stderr.write(f"{tree}: {label} exited {proc.returncode}\n{proc.stderr.decode()}")
+
+
+def masked_bytes(path: Path) -> bytes:
+    data = path.read_bytes()
+    for suffix, prefix in MASKED:
+        if path.name.endswith(suffix):
+            data = b"".join(line for line in data.splitlines(True) if not line.startswith(prefix))
+    return data
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print one line per file under either directory; the count that differ."""
+    names = sorted(
+        {p.relative_to(root).as_posix() for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    )
+    differ = 0
+    for name in names:
+        pa, pb = a / name, b / name
+        if not (pa.is_file() and pb.is_file()):
+            verdict = "only in " + ("A" if pa.is_file() else "B")
+        elif masked_bytes(pa) == masked_bytes(pb):
+            verdict = "equal"
+        else:
+            verdict = "DIFFER"
+        differ += verdict != "equal"
+        print(f"{verdict:<9} {name}")
+    print(f"{len(names) - differ} of {len(names)} files equal")
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="TREE_A TREE_B, or the worktree with --rev")
+    parser.add_argument("--rev", help="git revision of this checkout to compare against the worktree")
+    args = parser.parse_args(argv)
+    if args.rev is None and len(args.trees) != 2:
+        parser.error("give two trees, or --rev REV and at most one tree")
+    if args.rev is not None and len(args.trees) > 1:
+        parser.error("--rev takes at most one worktree")
+
+    work = Path(tempfile.mkdtemp(prefix="same_bits-"))
+    try:
+        if args.rev is None:
+            trees = [t.resolve() for t in args.trees]
+        else:
+            rev_tree = work / "rev-tree"
+            rev_tree.mkdir()
+            archive = subprocess.run(
+                ["git", "-C", str(CHECKOUT), "archive", args.rev, "src"],
+                capture_output=True, check=True,
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive, check=True)
+            trees = [rev_tree, (args.trees[0] if args.trees else CHECKOUT).resolve()]
+        runs = [work / "A", work / "B"]
+        for label, tree, run in zip("AB", trees, runs):
+            print(f"{label}: {tree}")
+            run_walkthrough(tree, run)
+        return 1 if compare(*runs) else 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -519,6 +519,18 @@ class TestAdapt:
         assert "K=3" in err and "K=5" in err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
+    def test_pseudo_sampling_keeps_too_few_exit3(self, workspace, tmp_path, capsys):
+        """A classifier whose last layer is all zeros gives every class 1/3,
+        so pseudo sampling at tau 0.9 keeps none of the mixture's draws."""
+        model = ad.init_model(3, 3, encoder_hidden=(32, 16), rng=Rng(0))
+        model.classifier_layers[-1][0].data[:] = 0.0
+        flat = tmp_path / "flat.mdl1"
+        ad.save_model(flat, model)
+        extra = ["--ckpt", str(flat), "--tau", "0.9"]
+        assert run_adapt(workspace, tmp_path / "run", extra=extra) == 3
+        assert "generation error: retained 0/64" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
     def test_corrupt_mixture_sigma_exit2(self, workspace, tmp_path, capsys):
         bad = copy_mixture(workspace, tmp_path)
         data = bytearray(bad.read_bytes())

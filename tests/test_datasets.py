@@ -164,6 +164,21 @@ class TestBlobs:
         assert ratio == pytest.approx(2.0, rel=0.01)
         np.testing.assert_allclose(shifted[..., 1], plain[..., 1], atol=1e-6)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_noise_shift_adds_zero_mean_sigma_noise(self, seed):
+        sigma = 0.3
+        spec = DomainSpec(kind="blobs", K=3, n_images=20000, seed=seed, shift=Shift(noise_sigma=sigma))
+        plain, labels = gen_blobs(spec, shifted=False)
+        shifted, shifted_labels = gen_blobs(spec, shifted=True)
+        np.testing.assert_array_equal(labels, shifted_labels)
+        noise = (shifted.astype(np.float64) - plain).reshape(-1, 3)
+        np.testing.assert_allclose(noise.std(axis=0), sigma, rtol=0.03)
+        np.testing.assert_allclose(noise.mean(axis=0), 0.0, atol=0.02)
+        again, _ = gen_blobs(spec, shifted=True)
+        assert again.tobytes() == shifted.tobytes()
+        other, _ = gen_blobs(replace(spec, seed=seed + 1), shifted=True)
+        assert other.tobytes() != shifted.tobytes()
+
 
 class TestGridSeg:
     def test_shapes_dtype_label_range(self):

@@ -52,28 +52,33 @@ class TestCholesky:
         assert default_jitter(sigma) == pytest.approx(1e-6 * 6.0 / 2.0)
 
 
+def _rows(mu, chol, n):
+    """`mu` [d] and `chol` [d, d] repeated as the per-row [n, d] and [n, d, d]."""
+    return np.tile(mu, (n, 1)), np.tile(chol, (n, 1, 1))
+
+
 class TestSampleGaussian:
     def test_zero_chol_returns_mu(self):
         mu = np.array([1.0, -2.0], dtype=np.float32)
-        out = sample_gaussian(mu, np.zeros((2, 2)), 5, Rng(0))
+        out = sample_gaussian(*_rows(mu, np.zeros((2, 2)), 5), 5, Rng(0))
         np.testing.assert_allclose(out, np.tile(mu, (5, 1)))
 
     def test_standard_normal_mean(self):
-        out = sample_gaussian(np.zeros(3), np.eye(3), 10000, Rng(7))
+        out = sample_gaussian(*_rows(np.zeros(3), np.eye(3), 10000), 10000, Rng(7))
         assert np.all(np.abs(out.mean(axis=0)) < 0.05)
 
     def test_determinism(self):
-        a = sample_gaussian(np.zeros(2), np.eye(2), 100, Rng(42))
-        b = sample_gaussian(np.zeros(2), np.eye(2), 100, Rng(42))
+        a = sample_gaussian(*_rows(np.zeros(2), np.eye(2), 100), 100, Rng(42))
+        b = sample_gaussian(*_rows(np.zeros(2), np.eye(2), 100), 100, Rng(42))
         assert a.tobytes() == b.tobytes()
 
     def test_shape_check(self):
         with pytest.raises(DimensionError):
-            sample_gaussian(np.zeros(3), np.eye(2), 5, Rng(0))
+            sample_gaussian(np.zeros((5, 3)), np.tile(np.eye(2), (5, 1, 1)), 5, Rng(0))
 
     def test_covariance_shape(self):
         L = np.array([[2.0, 0.0], [1.0, 1.0]])
-        out = sample_gaussian(np.zeros(2), L, 50000, Rng(3)).astype(np.float64)
+        out = sample_gaussian(*_rows(np.zeros(2), L, 50000), 50000, Rng(3)).astype(np.float64)
         emp = np.cov(out.T, bias=True)
         np.testing.assert_allclose(emp, L @ L.T, atol=0.1)
 
@@ -94,13 +99,6 @@ class TestSampleGaussianPerRow:
             np.testing.assert_allclose(rows.mean(axis=0), mus[j], atol=0.06)
             emp = np.cov(rows.T, bias=True)
             np.testing.assert_allclose(emp, chols[j] @ chols[j].T, atol=0.12)
-
-    def test_shared_rows_give_the_shared_draw(self):
-        mu = np.array([1.0, -2.0, 0.5], dtype=np.float32)
-        L = np.array([[1.0, 0.0, 0.0], [0.2, 0.7, 0.0], [-0.4, 0.1, 0.3]], dtype=np.float32)
-        shared = sample_gaussian(mu, L, 40, Rng(3))
-        per_row = sample_gaussian(np.tile(mu, (40, 1)), np.tile(L, (40, 1, 1)), 40, Rng(3))
-        assert shared.tobytes() == per_row.tobytes()
 
     def test_float64_oracle(self):
         rng = np.random.default_rng(5)
