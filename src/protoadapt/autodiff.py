@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from .fileformats import (
@@ -41,6 +40,7 @@ from .fileformats import (
     write_tns1,
     write_u32,
 )
+from .linalg import apply_rows, column_sum
 from .rng import Rng
 
 
@@ -152,8 +152,6 @@ def vrelu(tape: Tape, a: Value) -> Value:
 # of fewer than 8 elements one at a time from +0.0 and sums longer rows
 # pairwise, on every stack. It matters only for the sums (`_row_sum`).
 SHORT_ROW = 8
-# Rows per group when `_dense_forward` adds a bias.
-BIAS_TILE_ROWS = 64
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -190,48 +188,21 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out.reshape(*a.shape[:-1], 1)
 
 
-def _column_sum(g: np.ndarray) -> np.ndarray:
-    """`g.sum(axis=0)` of a 2-D array, bit for bit.
-
-    On a C-contiguous `g` wider than one column both forms add the rows in
-    order, and `einsum` does it faster. They differ in the sign of a NaN
-    made from inf - inf, so a NaN result is recomputed with `sum`. A single
-    column is contiguous, and there numpy sums pairwise while `einsum` does
-    not, so it keeps `sum` too.
-    """
-    if g.shape[1] > 1 and g.flags.c_contiguous:
-        out = np.einsum("ij->j", g)
-        if not np.isnan(out).any():
-            return out
-    return g.sum(axis=0)
-
-
 def _dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`x @ w + b`, before any ReLU, for a layer's `(k,)` bias with k >= 1
     (`_read_model` refuses a zero-width layer).
 
-    The bias is added in place on the matmul output; that is the
-    arithmetic of `x @ w + b` as long as `b` does not promote the output's
-    dtype, which holds for float32 models and for an all-float64 layer.
-    A broadcast add runs numpy's inner loop one output row long, so the
-    rows are added in groups of BIAS_TILE_ROWS against a tiled copy of the
-    bias, and the remainder rows plainly: the same elementwise sums at any
-    width. An empty group or remainder is skipped, so a short call (the
-    refill chunks of pseudo sampling) builds no tile.
+    The bias is added in place on the matmul output over flat row tiles
+    (`linalg.apply_rows`); that is the arithmetic of `x @ w + b` as long
+    as `b` does not promote the output's dtype, which holds for float32
+    models and for an all-float64 layer.
     """
     if x.shape[-1] != w.shape[0]:
         raise DimensionError(f"matmul: {x.shape} x {w.shape}")
     out = x @ w
     if np.result_type(out, b) != out.dtype:
         return out + b
-    k = out.shape[-1]
-    rows = out.reshape(-1, k)
-    grouped = rows.shape[0] // BIAS_TILE_ROWS * BIAS_TILE_ROWS
-    if grouped:
-        head = rows[:grouped].reshape(-1, BIAS_TILE_ROWS * k)
-        head += b[None].repeat(BIAS_TILE_ROWS, axis=0).reshape(-1)
-    if grouped < rows.shape[0]:
-        rows[grouped:] += b
+    apply_rows(np.add, out.reshape(-1, out.shape[-1]), b)
     return out
 
 
@@ -242,9 +213,9 @@ def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
     Values and gradients are bitwise equal to those of the chain
     `vrelu(vadd(vmatmul(x, w), b))`: the mask is a multiply, so -0.0 and
     negative pre-activations become -0.0, as `vrelu` makes them. The bias
-    gradient is `_column_sum`. The backward never writes into the incoming
-    gradient, which an op may also hand to its other parents. The input
-    gradient is skipped when `x` is a leaf that is not a parameter.
+    gradient is `linalg.column_sum`. The backward never writes into the
+    incoming gradient, which an op may also hand to its other parents. The
+    input gradient is skipped when `x` is a leaf that is not a parameter.
     """
     out = _dense_forward(x.data, w.data, b.data)
     mask = None
@@ -257,20 +228,28 @@ def vdense(tape: Tape, x: Value, w: Value, b: Value, relu: bool) -> Value:
         if mask is not None:
             g = g * mask
         gx = g @ w.data.T if want_x else None
-        return gx, x.data.T @ g, _column_sum(g)
+        return gx, x.data.T @ g, column_sum(g)
 
     return tape.op(out, (x, w, b), bwd)
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis. The row max and sums are `_row_max`
-    and `_row_sum`, and the elementwise steps run in place; the bits are
-    those of the plain numpy expression
-    `e = exp(a - a.max(-1)); e / e.sum(-1)`."""
-    p = a - _row_max(a)
+    """Row softmax over the last axis, with the bits of the plain numpy
+    expression `e = exp(a - a.max(-1)); e / e.sum(-1)`.
+
+    The row max and sums are `_row_max` and `_row_sum`. The subtraction,
+    exp and division run on the flat [n*K] array, against each row's
+    value repeated K times, so numpy's inner loop spans all rows rather
+    than one K-long row: the same elementwise operations. Checked against
+    that expression on OpenBLAS's SkylakeX, Haswell and Sandybridge cores
+    under numpy's AVX-512 and AVX2 loops (`TestShortAxisKernels` in
+    tests/test_autodiff.py).
+    """
+    k = a.shape[-1]
+    p = np.subtract(a.reshape(-1), _row_max(a).repeat(k))
     np.exp(p, out=p)
-    p /= _row_sum(p)
-    return p
+    p /= _row_sum(p.reshape(-1, k)).repeat(k)
+    return p.reshape(a.shape)
 
 
 def vsoftmax(tape: Tape, a: Value) -> Value:
@@ -467,19 +446,29 @@ def feature_rows(padded: np.ndarray, neighborhood: bool, pixels=None) -> np.ndar
     With `neighborhood`, a row holds the 3x3 window around its pixel in
     (dy, dx, channel) order: the bytes of concatenating the nine shifted
     [B,H,W,C] slices on the channel axis. Each window row dy is 3*C floats
-    that lie side by side in the padded image, so one copy of a
-    [B,H,W,3,3C] strided view makes the rows.
+    that lie side by side in the C-contiguous padded image, so a
+    [B,H,W,3] view of one unstructured 3*C-float item per window row,
+    strided over the padded buffer, is copied (or indexed at `pixels`)
+    item by item and read back as floats: the same bytes, moved a window
+    row at a time rather than a float at a time. Checked byte for byte on
+    OpenBLAS's SkylakeX, Haswell and Sandybridge cores under numpy's
+    AVX-512 and AVX2 loops (`TestShortAxisKernels` in
+    tests/test_autodiff.py).
     """
-    if neighborhood:
-        padded = np.ascontiguousarray(padded)
-        b, h, w, c = padded.shape
-        sb, sh, sw, sc = padded.strides
-        padded = as_strided(
-            padded, (b, h - 2, w - 2, 3, 3 * c), (sb, sh, sw, sh, sc), writeable=False
-        )
-    if pixels is not None:
-        padded = padded[np.unravel_index(pixels, padded.shape[:3])]
-    return padded.reshape(-1, padded.shape[-1] * (3 if neighborhood else 1))
+    if not neighborhood:
+        if pixels is not None:
+            padded = padded[np.unravel_index(pixels, padded.shape[:3])]
+        return padded.reshape(-1, padded.shape[-1])
+    padded = np.ascontiguousarray(padded)
+    b, h, w, c = padded.shape
+    sb, sh, sw, _ = padded.strides
+    item = np.dtype((np.void, 3 * c * padded.itemsize))
+    windows = np.ndarray((b, h - 2, w - 2, 3), item, padded, 0, (sb, sh, sw, sh))
+    if pixels is None:
+        windows = windows.copy()
+    else:
+        windows = windows[np.unravel_index(pixels, windows.shape[:3])]
+    return windows.view(padded.dtype).reshape(-1, 9 * c)
 
 
 def pixel_features(images: np.ndarray, neighborhood: bool) -> np.ndarray:

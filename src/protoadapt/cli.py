@@ -178,11 +178,28 @@ def _check_source_freedom(target_dir: str, source: str) -> None:
         raise CliError("source data forbidden during adaptation", code=EXIT_SOURCE_FREEDOM)
 
 
+def _check_adapt_out(out: str, ckpt: str, target_dir: str) -> None:
+    """Refuse an `adapt --out` that is the checkpoint's directory, where
+    its resolved_config.txt would replace train's, or that is the target
+    split or lies under it."""
+    out_real = os.path.realpath(out)
+    ckpt_dir = os.path.dirname(os.path.realpath(ckpt))
+    if out_real == ckpt_dir:
+        raise CliError(
+            f"--out {out} is the directory of checkpoint {ckpt}; adapt's "
+            "resolved_config.txt would replace train's"
+        )
+    target = os.path.realpath(target_dir)
+    if out_real == target or out_real.startswith(target + os.sep):
+        raise CliError(f"--out {out} would write into the target split {target_dir}")
+
+
 def cmd_adapt(args) -> int:
     config = load_config(args.config, vars(args))
     target_dir = _require_dir(args.target, "target")
     source, info = read_sidecar(args.gmm + ".meta")
     _check_source_freedom(target_dir, source)
+    _check_adapt_out(args.out, args.ckpt, target_dir)
     images, labels, manifest = ds.load_split(target_dir)
     if labels is not None:
         raise CliError("target directory must not contain a labels file")

@@ -1,13 +1,18 @@
 """Same bits between two trees: the standard CLI walkthrough, file by file.
 
-    python tests/same_bits.py TREE_A TREE_B
-    python tests/same_bits.py --rev REV [TREE]
+    python tests/same_bits.py [--env KEY=VALUE ...] TREE_A TREE_B
+    python tests/same_bits.py [--env KEY=VALUE ...] --rev REV [TREE]
 
 The second form compares git revision REV of this checkout (extracted with
-`git archive`) against the worktree TREE, by default this checkout. In each
-tree the walkthrough runs one `python -m protoadapt.cli` process per
-command, with the tree's `src` on PYTHONPATH and one BLAS thread unless the
-environment sets another count:
+`git archive`) against the worktree TREE, by default this checkout. Each
+`--env KEY=VALUE` sets that variable for the B run only, so one tree can be
+compared with itself on two stacks:
+
+    python tests/same_bits.py --env OPENBLAS_CORETYPE=Haswell . .
+
+In each tree the walkthrough runs one `python -m protoadapt.cli` process
+per command, with the tree's `src` on PYTHONPATH and one BLAS thread unless
+the environment sets another count:
 
     gen-data --preset standard; train with the acceptance FROZEN config;
     estimate; adapt --iters 50; eval --out for the trained and the adapted
@@ -66,13 +71,13 @@ COMMANDS = [
 MASKED = [("diagnostics.txt", b"wall_clock="), (".meta", b"source_data=")]
 
 
-def run_walkthrough(tree: Path, workdir: Path) -> None:
-    """Run COMMANDS for `tree` in `workdir`, recording each command's exit
-    code and stdout under `workdir/log/`."""
+def run_walkthrough(tree: Path, workdir: Path, extra_env: dict) -> None:
+    """Run COMMANDS for `tree` in `workdir` with `extra_env` set, recording
+    each command's exit code and stdout under `workdir/log/`."""
     workdir.mkdir(parents=True)
     (workdir / "config.txt").write_text(CONFIG)
     (workdir / "log").mkdir()
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = {**os.environ, **extra_env, "PYTHONPATH": str(tree / "src")}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
     for i, (label, argv) in enumerate(COMMANDS):
@@ -117,7 +122,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, help="TREE_A TREE_B, or the worktree with --rev")
     parser.add_argument("--rev", help="git revision of this checkout to compare against the worktree")
+    parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
+                        help="set an environment variable for the B run only (repeatable)")
     args = parser.parse_args(argv)
+    env_b = {}
+    for item in args.env:
+        key, sep, value = item.partition("=")
+        if not key or not sep:
+            parser.error(f"--env takes KEY=VALUE, got {item!r}")
+        env_b[key] = value
     if args.rev is None and len(args.trees) != 2:
         parser.error("give two trees, or --rev REV and at most one tree")
     if args.rev is not None and len(args.trees) > 1:
@@ -137,9 +150,10 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive, check=True)
             trees = [rev_tree, (args.trees[0] if args.trees else CHECKOUT).resolve()]
         runs = [work / "A", work / "B"]
-        for label, tree, run in zip("AB", trees, runs):
-            print(f"{label}: {tree}")
-            run_walkthrough(tree, run)
+        for label, tree, run, extra_env in zip("AB", trees, runs, ({}, env_b)):
+            shown = "".join(f" {k}={v}" for k, v in extra_env.items())
+            print(f"{label}: {tree}{shown}")
+            run_walkthrough(tree, run, extra_env)
         return 1 if compare(*runs) else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)

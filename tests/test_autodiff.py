@@ -36,9 +36,7 @@ from protoadapt.autodiff import (
     vsoftmax_cross_entropy,
 )
 from protoadapt.autodiff import (
-    BIAS_TILE_ROWS,
     SHORT_ROW,
-    _column_sum,
     _dense_forward,
     _row_max,
     _row_sum,
@@ -49,6 +47,7 @@ from protoadapt.adaptation import EMBED_CHUNK, ExperimentConfig, pixel_embedding
 from protoadapt.datasets import DomainSpec, gen_grid_seg
 from protoadapt.errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from protoadapt.fileformats import MDL1_MAGIC, write_tns1, write_u32
+from protoadapt.linalg import TILE_ROWS, column_sum
 from protoadapt.rng import Rng
 from test_fingerprint import PINNED_STACK, blas_stack, numpy_stack
 
@@ -548,11 +547,11 @@ class TestBitwiseOracle:
         """`_dense_forward`, which adds every bias over tiled row groups,
         against `x @ w + b` at every width below SHORT_ROW and at widths up
         to 200, at row counts that leave a remainder after the groups of
-        BIAS_TILE_ROWS, with zero rows and biases holding ±0.0, ±inf, NaN
+        TILE_ROWS, with zero rows and biases holding ±0.0, ±inf, NaN
         and subnormals."""
         rng = np.random.default_rng(51)
         for k in (*range(1, SHORT_ROW), SHORT_ROW, 13, 16, 32, 64, 127, 128, 200):
-            for n in (1, 7, BIAS_TILE_ROWS - 1, BIAS_TILE_ROWS + 1, 1000, 4097, 16385):
+            for n in (1, 7, TILE_ROWS - 1, TILE_ROWS + 1, 1000, 4097, 16385):
                 x = rng.normal(size=(n, 6)).astype(dtype)
                 x[::9] = 0.0
                 w = rng.normal(size=(6, k)).astype(dtype)
@@ -775,29 +774,48 @@ class TestShortAxisKernels:
                 finite = rng.normal(size=(n, width)).astype(dtype)
                 hard = _hard_rows(n, width, dtype, seed=width * n)
                 for g in (finite, hard, np.asfortranarray(finite), hard.T.copy().T):
-                    assert _same_bits(_column_sum(g), g.sum(axis=0)), (width, n)
+                    assert _same_bits(column_sum(g), g.sum(axis=0)), (width, n)
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("neighborhood", [True, False])
     def test_feature_rows_match_slice_concat(self, channels, neighborhood):
-        images = np.random.default_rng(31).normal(size=(3, 5, 7, channels)).astype(np.float32)
-        images[0, 0, 0, 0] = -0.0
-        padded = pad_images(images, neighborhood)
-        got = feature_rows(padded, neighborhood)
-        want = _slice_concat_rows(padded, neighborhood)
-        assert got.dtype == want.dtype == np.float32 and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape
-        # cut from a batch of a padded split, as training does
-        got = feature_rows(padded[[2, 0]], neighborhood)
-        assert got.tobytes() == _slice_concat_rows(padded[[2, 0]], neighborhood).tobytes()
-        # only the rows of chosen pixels: corners and edges of every image,
-        # unsorted and repeated, the -0.0 pixel among them
-        pixels = np.array([104, 0, 6, 34, 35, 7, 0, 52, 52, 70, 13, 98])
-        got = feature_rows(padded, neighborhood, pixels)
-        want = pixel_features(images, neighborhood)[pixels]
-        assert (np.signbit(want) & (want == 0)).any()
-        assert got.dtype == np.float32 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        """Byte for byte against nine concatenated slices, for float32 and
+        float64, on 3x5x7 images, 1x1 images and padded inputs that are not
+        C-contiguous (a reversed width axis, every other image, Fortran
+        order), whole and cut at chosen pixels."""
+        rng = np.random.default_rng(31)
+        for dtype in (np.float32, np.float64):
+            images = rng.normal(size=(3, 5, 7, channels)).astype(dtype)
+            images[0, 0, 0, 0] = -0.0
+            padded = pad_images(images, neighborhood)
+            got = feature_rows(padded, neighborhood)
+            want = _slice_concat_rows(padded, neighborhood)
+            assert got.dtype == want.dtype == dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            # cut from a batch of a padded split, as training does
+            got = feature_rows(padded[[2, 0]], neighborhood)
+            assert got.tobytes() == _slice_concat_rows(padded[[2, 0]], neighborhood).tobytes()
+            # only the rows of chosen pixels: corners and edges of every image,
+            # unsorted and repeated, the -0.0 pixel among them
+            pixels = np.array([104, 0, 6, 34, 35, 7, 0, 52, 52, 70, 13, 98])
+            got = feature_rows(padded, neighborhood, pixels)
+            want = _slice_concat_rows(padded, neighborhood)[pixels]
+            assert (np.signbit(want) & (want == 0)).any()
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # 1x1 images: every window is the pixel itself, nine times
+            tiny = pad_images(rng.normal(size=(4, 1, 1, channels)).astype(dtype), neighborhood)
+            got = feature_rows(tiny, neighborhood)
+            assert got.shape == (4, channels * (9 if neighborhood else 1))
+            assert got.tobytes() == _slice_concat_rows(tiny, neighborhood).tobytes()
+            assert feature_rows(tiny, neighborhood, [3, 1]).tobytes() == got[[3, 1]].tobytes()
+            # padded inputs that are not C-contiguous
+            wide = rng.normal(size=(6, 7, 9, channels)).astype(dtype)
+            for strided in (wide[:, :, ::-1], wide[::2], np.asfortranarray(wide)):
+                want = _slice_concat_rows(strided, neighborhood)
+                assert feature_rows(strided, neighborhood).tobytes() == want.tobytes()
+                cut = np.array([5, want.shape[0] - 1, 0, 5])
+                assert feature_rows(strided, neighborhood, cut).tobytes() == want[cut].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pad_images_is_edge_pad(self, dtype):
@@ -823,20 +841,29 @@ class TestShortAxisKernels:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 13])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_softmax_matches_numpy_expression(self, dtype, k):
+        """On 1, 13, 2048 and 16384 rows (one row; a pseudo-sampling
+        refill; a training batch; an inference chunk), with zeros of
+        both signs, tiny values, +inf and NaN among them, and on a
+        non-contiguous [3, 4, k] input."""
         rng = np.random.default_rng(32 + k)
-        a = (rng.normal(size=(2048, k)) * 30).astype(dtype)
-        a[:50] = rng.choice(np.array([0.0, -0.0, 1e-30, -1e-30], dtype), (50, k))
-        a[50:60, 0] = np.inf
-        a[60:70, -1] = np.nan
-        g = rng.normal(size=a.shape).astype(dtype)
-        g[:20] = -0.0
-        t = Tape()
-        node = vsoftmax(t, t.leaf(a))
+        for n in (1, 13, 2048, 16384):
+            a = (rng.normal(size=(n, k)) * 30).astype(dtype)
+            q = max(n // 40, 1)  # the first, second and last q rows are hard
+            a[:q] = rng.choice(np.array([0.0, -0.0, 1e-30, -1e-30], dtype), (q, k))
+            a[q : 2 * q, 0] = np.inf
+            a[-q:, -1] = np.nan
+            g = rng.normal(size=a.shape).astype(dtype)
+            g[:20] = -0.0
+            t = Tape()
+            node = vsoftmax(t, t.leaf(a))
+            e = np.exp(a - a.max(axis=-1, keepdims=True))
+            p = e / e.sum(axis=-1, keepdims=True)
+            assert _same_bits(node.data, p), n
+            (gp,) = node.backward_fn(g)
+            assert _same_bits(gp, p * (g - (g * p).sum(axis=-1, keepdims=True))), n
+        a = (rng.normal(size=(4, 3, k)) * 30).astype(dtype).transpose(1, 0, 2)
         e = np.exp(a - a.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
-        assert _same_bits(node.data, p)
-        (gp,) = node.backward_fn(g)
-        assert _same_bits(gp, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+        assert _same_bits(_softmax(a), e / e.sum(axis=-1, keepdims=True))
 
     def test_vdense_bias_promotion_matches_op_chain(self):
         rng = np.random.default_rng(33)
@@ -864,7 +891,8 @@ class TestShortAxisKernels:
         assert not any(np.shares_memory(g, out) for out in (gx, gw, gb))
 
 
-# Stacks the oracles above must also hold on, each forced for one child
+# Stacks the oracles above (and the mixture fit's row-order sums in
+# tests/test_gmm.py) must also hold on, each forced for one child
 # process: numpy's AVX2 loops in place of the AVX-512 ones this CPU runs
 # (float64 rows reduce in 4 lanes, not 8), OpenBLAS's Haswell kernels, and
 # the AVX2 loops with OpenBLAS's Sandybridge kernels.
@@ -911,7 +939,8 @@ def test_bitwise_oracles_hold_on_forced_stack(forced):
          avx2_loops, ",".join(sorted(AVX512_TARGETS)),
          "-q", "-p", "no:cacheprovider", "-o", "addopts=",
          f"{__file__}::TestShortAxisKernels", f"{__file__}::TestBitwiseOracle",
-         f"{tests / 'test_swd.py'}::TestBitwiseOracle"],
+         f"{tests / 'test_swd.py'}::TestBitwiseOracle",
+         f"{tests / 'test_gmm.py'}::TestEstimate::test_per_class_gathers_match_float64_upfront_bitwise"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]

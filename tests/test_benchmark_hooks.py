@@ -6,10 +6,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from protoadapt.adaptation import ExperimentConfig, run_experiment
+from protoadapt.adaptation import EMBED_CHUNK, ExperimentConfig, pixel_embeddings, run_experiment
+from protoadapt.autodiff import init_model
 from protoadapt.datasets import DomainSpec, gen_blobs
+from protoadapt.rng import Rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
@@ -87,3 +90,17 @@ def test_stage_clock_sees_every_step():
     # STEP_WINDOWS: 50 training steps and 10 adaptation steps per window.
     assert len(clock.windows["train_source"]) == 2
     assert len(clock.windows["adapt_source_free"]) == 2
+
+
+def test_stage_clock_times_every_inference_chunk():
+    """StageClock's chunk timer wraps `forward_embed`, which
+    `pixel_embeddings` calls once per EMBED_CHUNK images: 130 images make
+    chunks of 64, 64 and 2, each timed over its own pixels."""
+    model = init_model(3, 4, rng=Rng(0), neighborhood=True)
+    images = np.random.default_rng(0).normal(size=(130, 4, 3, 3)).astype(np.float32)
+    with tracer.StageClock(None) as clock:
+        emb, _, _ = pixel_embeddings(model, images)
+    assert EMBED_CHUNK == 64
+    assert len(clock.chunks) == 3
+    assert all(rate > 0 and reading is None for rate, reading in clock.chunks)
+    assert emb.shape == (130 * 4 * 3, model.embed_dim)

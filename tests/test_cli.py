@@ -579,6 +579,32 @@ class TestAdapt:
         assert code == 4
         assert "source data forbidden" in capsys.readouterr().err
 
+    def test_out_in_checkpoint_dir_exit2_keeps_train_record(self, workspace, tmp_path, capsys):
+        """adapt writes its own resolved_config.txt into --out, so an --out
+        that is the checkpoint's directory would replace train's record."""
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("model.mdl1", "model.gmm1", "model.gmm1.meta", "resolved_config.txt"):
+            shutil.copy(workspace / name, run / name)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        argv = ["adapt", "--config", str(workspace / "config.txt"), "--ckpt", str(run / "model.mdl1"),
+                "--gmm", str(run / "model.gmm1"), "--target", str(workspace / "data" / "target_train"),
+                "--lambda", "0.9", "--out", str(run)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--out {run} " in err and str(run / "model.mdl1") in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("inside", ["", "run"], ids=["split", "under-split"])
+    def test_out_in_target_split_exit2_writes_nothing(self, workspace, tmp_path, capsys, inside):
+        target = tmp_path / "target"
+        shutil.copytree(workspace / "data" / "target_train", target)
+        before = sorted(p.relative_to(target) for p in target.rglob("*"))
+        assert run_adapt(workspace, target / inside, target=target) == 2
+        err = capsys.readouterr().err
+        assert f"--out {target / inside} " in err and f"target split {target}" in err
+        assert sorted(p.relative_to(target) for p in target.rglob("*")) == before
+
     def test_labeled_target_rejected(self, workspace, tmp_path, capsys):
         # a labeled split that is not the source still violates the contract
         code = run_adapt(workspace, tmp_path / "x", target=workspace / "data" / "target_eval")

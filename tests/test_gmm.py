@@ -137,8 +137,12 @@ class TestEstimate:
         return PrototypicalGMM(support.counts / float(support.counts.sum()), mu, sigma, tau_fit)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    # The last case gives class 0 two gather blocks, the second one short.
-    @pytest.mark.parametrize("n,d,K", [(60, 1, 2), (500, 3, 3), (4000, 5, 5), (2 * GATHER_ROWS + 9, 2, 2)])
+    # The 2 * GATHER_ROWS + 9 case gives class 0 two gather blocks, the
+    # second one short. With d = 1 the mean is numpy's pairwise sum of one
+    # column, which the 3001-row float64 case tells from a row-order one.
+    @pytest.mark.parametrize(
+        "n,d,K", [(60, 1, 2), (500, 3, 3), (4000, 5, 5), (2 * GATHER_ROWS + 9, 2, 2), (3001, 1, 3)]
+    )
     def test_per_class_gathers_match_float64_upfront_bitwise(self, dtype, n, d, K):
         rng = np.random.default_rng(n + d)
         emb = (rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0, d) + 7.0).astype(dtype)
