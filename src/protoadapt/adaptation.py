@@ -251,14 +251,13 @@ DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
 @dataclass
 class EstimateInfo:
     """Source-phase facts persisted in the GMM `.meta` sidecar; the only
-    numbers about the source domain that survive into the adaptation phase.
-    The defaults stand for a sidecar that lacks the field."""
+    numbers about the source domain that survive into the adaptation phase."""
 
-    w_sp_exact: float = float("nan")
-    w_sp_sliced: float = float("nan")
-    e_source: float = float("nan")
-    n_pixels: int = 0
-    support_counts: tuple[int, ...] = ()
+    w_sp_exact: float
+    w_sp_sliced: float
+    e_source: float
+    n_pixels: int
+    support_counts: tuple[int, ...]
 
 
 def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projections: int = 100):

@@ -72,39 +72,66 @@ _INFO_TYPES = typing.get_type_hints(EstimateInfo)
 def read_sidecar(path: str) -> tuple[str, EstimateInfo]:
     """(source data path, EstimateInfo) from a mixture's `.meta` sidecar.
 
-    One that is missing or lacks `source_data` is refused: the source-free
-    check needs it. `tau_fit` is skipped: the mixture file holds it.
+    One that is missing, or lacks `source_data` or any EstimateInfo field,
+    is refused: the source-free check needs the path, and a field has no
+    stand-in value. `tau_fit` is skipped: the mixture file holds it.
     """
     if not os.path.isfile(path):
         raise CliError(f"mixture sidecar not found: {path}")
     meta = read_keyvalue(path)
-    source = meta.pop("source_data", "")
-    if not source:
-        raise CliError(f"{path}: no source_data line")
+    for key in ("source_data", *_INFO_TYPES):
+        if not meta.get(key):
+            raise CliError(f"{path}: no {key} line")
+    source = meta.pop("source_data")
     meta.pop("tau_fit", None)
     return source, EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
 
 
-def _require_dir(path: str, what: str) -> str:
+def _check_sidecar_fits(gmm_path: str, gmm, info: EstimateInfo) -> None:
+    """Refuse a `.meta` sidecar written by another `estimate` than the
+    mixture: `estimate_gmm` sets alpha to support_counts / their sum, which
+    GMM1 stores as float32, so the counts must give alpha bit for bit. The
+    ratios are of Python ints: rounded once to float64, as the fit's are,
+    and within [0, 1] once no count is negative, however large."""
+    counts, total = info.support_counts, sum(info.support_counts)
+    if total <= 0 or min(counts) < 0 or (
+        np.array([c / total for c in counts], np.float32).tobytes() != gmm.alpha.tobytes()
+    ):
+        raise CliError(
+            f"{gmm_path}.meta was written by another estimate than {gmm_path}: "
+            "its support_counts do not give the mixture's alpha"
+        )
+
+
+def _within(path: str, root: str) -> bool:
+    """Whether `path` resolves to `root` or to anything under it."""
+    path, root = os.path.realpath(path), os.path.realpath(root)
+    return os.path.commonpath([path, root]) == root
+
+
+def _load_split(path: str, models, labels: bool | None, out: str | None):
+    """(images, labels, manifest) of the split at `path`, for every command
+    that reads one. Exit 2 naming `path` when the directory is missing, when
+    `out` (the command's --out) resolves into it, when `ds.load_split`
+    refuses it, when labels are absent and `labels` is True or present and
+    it is False (None: optional), or when its K is not each of `models`'.
+    Only `adapt` forbids labels: its split is the target."""
+    what = "target" if labels is False else "data"
     if not os.path.isdir(path):
         raise CliError(f"{what} directory not found: {path}")
-    return path
-
-
-def _load_labeled(path: str):
-    images, labels, manifest = ds.load_split(path)
-    if labels is None:
+    if out is not None and _within(out, path):
+        raise CliError(f"--out {out} would write into the {what} split {path}")
+    images, found, manifest = ds.load_split(path)
+    if labels and found is None:
         raise CliError(f"labels missing in {path}")
-    return images, labels, manifest
-
-
-def _check_classes(path: str, manifest: dict, *models) -> None:
-    """Refuse a split whose manifest K is not each model's class count."""
+    if labels is False and found is not None:
+        raise CliError(f"{path}: target directory must not contain a labels file")
     for model in models:
         if manifest.get("K") != str(model.K):
             raise CliError(
                 f"{path}: split K={manifest.get('K')} does not match the model's K={model.K}"
             )
+    return images, found, manifest
 
 
 # ---------------------------------------------------------------- commands
@@ -138,7 +165,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, vars(args))
-    images, labels, manifest = _load_labeled(_require_dir(args.data, "data"))
+    images, labels, manifest = _load_split(args.data, (), labels=True, out=args.out)
     # load_split has checked every label against the manifest's K.
     model, losses = adapt_mod.train_source(config, images, labels, K=int(manifest["K"]))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -157,12 +184,10 @@ def cmd_train(args) -> int:
 def cmd_estimate(args) -> int:
     config = load_config(args.config, vars(args))
     model = ad.load_model(args.ckpt)
-    data_dir = _require_dir(args.data, "data")
-    images, labels, manifest = _load_labeled(data_dir)
-    _check_classes(data_dir, manifest, model)
+    images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
-    sidecar = {"source_data": os.path.realpath(data_dir), "tau_fit": config.tau_fit}
+    sidecar = {"source_data": os.path.realpath(args.data), "tau_fit": config.tau_fit}
     write_keyvalue(args.out + ".meta", sidecar | format_values(vars(info)))
     print(
         f"gmm: {args.out} K={gmm.K} d={gmm.dim} tau_fit={gmm.tau_fit} "
@@ -171,42 +196,20 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _check_source_freedom(target_dir: str, source: str) -> None:
-    target = os.path.realpath(target_dir)
-    src = os.path.realpath(source)
-    if target == src or target.startswith(src + os.sep) or src.startswith(target + os.sep):
-        raise CliError("source data forbidden during adaptation", code=EXIT_SOURCE_FREEDOM)
-
-
-def _check_adapt_out(out: str, ckpt: str, target_dir: str) -> None:
-    """Refuse an `adapt --out` that is the checkpoint's directory, where
-    its resolved_config.txt would replace train's, or that is the target
-    split or lies under it."""
-    out_real = os.path.realpath(out)
-    ckpt_dir = os.path.dirname(os.path.realpath(ckpt))
-    if out_real == ckpt_dir:
-        raise CliError(
-            f"--out {out} is the directory of checkpoint {ckpt}; adapt's "
-            "resolved_config.txt would replace train's"
-        )
-    target = os.path.realpath(target_dir)
-    if out_real == target or out_real.startswith(target + os.sep):
-        raise CliError(f"--out {out} would write into the target split {target_dir}")
-
-
 def cmd_adapt(args) -> int:
     config = load_config(args.config, vars(args))
-    target_dir = _require_dir(args.target, "target")
     source, info = read_sidecar(args.gmm + ".meta")
-    _check_source_freedom(target_dir, source)
-    _check_adapt_out(args.out, args.ckpt, target_dir)
-    images, labels, manifest = ds.load_split(target_dir)
-    if labels is not None:
-        raise CliError("target directory must not contain a labels file")
-
+    if _within(args.target, source) or _within(source, args.target):
+        raise CliError("source data forbidden during adaptation", code=EXIT_SOURCE_FREEDOM)
+    if os.path.realpath(args.out) == os.path.dirname(os.path.realpath(args.ckpt)):
+        raise CliError(
+            f"--out {args.out} is the directory of checkpoint {args.ckpt}; adapt's "
+            "resolved_config.txt would replace train's"
+        )
     model = ad.load_model(args.ckpt)
-    _check_classes(target_dir, manifest, model)
+    images, _, _ = _load_split(args.target, [model], labels=False, out=args.out)
     gmm = load_gmm(args.gmm)
+    _check_sidecar_fits(args.gmm, gmm, info)
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
     os.makedirs(args.out, exist_ok=True)
@@ -244,9 +247,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     model = ad.load_model(args.ckpt)
-    data_dir = _require_dir(args.data, "data")
-    images, labels, manifest = _load_labeled(data_dir)
-    _check_classes(data_dir, manifest, model)
+    images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
     iou, miou = adapt_mod.evaluate_miou(model, images, labels)
     for k, value in enumerate(iou):
         shown = "undefined" if np.isnan(value) else f"{value:.4f}"
@@ -277,9 +278,7 @@ def cmd_export_embeddings(args) -> int:
     models = [("data.emb1", model)]
     if args.ckpt_pre:
         models.append(("data_pre.emb1", ad.load_model(args.ckpt_pre)))
-    data_dir = _require_dir(args.data, "data")
-    images, labels, manifest = ds.load_split(data_dir)
-    _check_classes(data_dir, manifest, *(m for _, m in models))
+    images, labels, _ = _load_split(args.data, [m for _, m in models], labels=None, out=args.out)
     gmm = load_gmm(args.gmm) if args.gmm else None
     if gmm is not None:
         adapt_mod.check_mixture_matches(model, gmm)

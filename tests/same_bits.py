@@ -22,8 +22,9 @@ the environment sets another count:
 Every file the commands write, and each command's exit code and stdout,
 is compared byte for byte. Only the `wall_clock` line of `diagnostics.txt`
 and the `source_data` line of a `.meta` sidecar are masked: one is a time,
-the other an absolute path. It prints one line per file and exits 1 on
-any difference. pytest does not collect this file.
+the other an absolute path. It prints one line per file, the verdict, and
+each tree's `src/` line count (`wc -l src/protoadapt/*.py`), and exits 1
+on any difference. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ def compare(a: Path, b: Path) -> int:
     return differ
 
 
+def src_lines(tree: Path) -> int:
+    """The total of `wc -l src/protoadapt/*.py` in `tree`."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "protoadapt").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, help="TREE_A TREE_B, or the worktree with --rev")
@@ -154,7 +160,9 @@ def main(argv=None) -> int:
             shown = "".join(f" {k}={v}" for k, v in extra_env.items())
             print(f"{label}: {tree}{shown}")
             run_walkthrough(tree, run, extra_env)
-        return 1 if compare(*runs) else 0
+        differ = compare(*runs)
+        print("src/ lines: " + ", ".join(f"{label} {src_lines(tree)}" for label, tree in zip("AB", trees)))
+        return 1 if differ else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -452,7 +452,11 @@ class TestAdapt:
         assert list(meta) == ["source_data", "tau_fit", *fields]
         assert len(info.support_counts) == 3 and all(type(c) is int for c in info.support_counts)
 
-    @pytest.mark.parametrize("line", ["w_sp_exact=abc", "n_pixels=1.5", "support_counts=3,x", "wibble=1"])
+    @pytest.mark.parametrize(
+        "line",
+        ["w_sp_exact=abc", "n_pixels=1.5", "support_counts=3,x", "wibble=1",
+         pytest.param("support_counts=1" + "0" * 400 + ",1,1", id="support_counts=10**400,1,1")],
+    )
     def test_bad_sidecar_line_names_key(self, workspace, tmp_path, capsys, line):
         gmm = tmp_path / "model.gmm1"
         shutil.copy(workspace / "model.gmm1", gmm)
@@ -463,19 +467,47 @@ class TestAdapt:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
 
-    @pytest.mark.parametrize("damage", ["deleted", "no-source-data"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["deleted", "no-source-data", *(f"no-{f.name}" for f in dataclasses.fields(EstimateInfo))],
+    )
     def test_missing_sidecar_exit2(self, workspace, tmp_path, capsys, damage):
-        # Without the recorded source path the source-free check cannot run.
+        # Without the recorded source path the source-free check cannot run,
+        # and no EstimateInfo field has a stand-in value.
         gmm = copy_mixture(workspace, tmp_path)
         meta = Path(str(gmm) + ".meta")
+        key = damage.removeprefix("no-").replace("-", "_")
         if damage == "deleted":
             meta.unlink()
         else:
-            del (values := read_keyvalue(meta))["source_data"]
+            del (values := read_keyvalue(meta))[key]
             write_keyvalue(meta, values)
         assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
-        assert str(meta) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(meta) in err and (damage == "deleted" or f"no {key} line" in err)
         assert not (tmp_path / "run" / "adapted.mdl1").exists()
+
+    def test_sidecar_of_another_fit_exit2_names_both(self, tmp_path, capsys):
+        """A mixture beside the sidecar of an `estimate` at another tau would
+        adapt with that fit's w_sp, e_source and N. The blobs workspace
+        keeps every source pixel at each tau its fit reaches, so this runs
+        on a grid-seg split, whose support shrinks as tau rises."""
+        (tmp_path / "spec.txt").write_text("kind=grid-seg\nK=3\nn_images=8\nn_eval=2\nseed=0\n")
+        (tmp_path / "config.txt").write_text(CONFIG)
+        assert main(["gen-data", "--spec", str(tmp_path / "spec.txt"), "--out", str(tmp_path / "data")]) == 0
+        config, data = ["--config", str(tmp_path / "config.txt")], str(tmp_path / "data" / "source")
+        ckpt, gmm, other = (str(tmp_path / name) for name in ("model.mdl1", "model.gmm1", "other.gmm1"))
+        assert main(["train", *config, "--data", data, "--out", ckpt]) == 0
+        for tau, out in (("0.6", gmm), ("0", other)):
+            assert main(["estimate", *config, "--ckpt", ckpt, "--data", data, "--tau", tau, "--out", out]) == 0
+        counts = [read_sidecar(path + ".meta")[1].support_counts for path in (gmm, other)]
+        assert counts[0] != counts[1]
+        shutil.copy(other + ".meta", gmm + ".meta")
+        capsys.readouterr()
+        argv = ["adapt", *config, "--ckpt", ckpt, "--gmm", gmm, "--target", str(tmp_path / "data" / "target_train")]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {gmm}.meta was written by another estimate than {gmm}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_truncated_mixture_exit2_names_file(self, workspace, tmp_path, capsys):
         gmm = copy_mixture(workspace, tmp_path)
@@ -920,6 +952,67 @@ class TestClassCount:
         err = capsys.readouterr().err
         assert f"{data}: split K=4 does not match the model's K=3" in err
         assert not os.path.exists(out)
+
+
+def split_argv(workspace, command, split, out):
+    """argv of `command` reading the split `split` and writing `out`."""
+    ckpt, config = str(workspace / "model.mdl1"), ["--config", str(workspace / "config.txt")]
+    argv = {
+        "train": ["train", *config],
+        "estimate": ["estimate", *config, "--ckpt", ckpt],
+        "adapt": ["adapt", *config, "--ckpt", ckpt, "--gmm", str(workspace / "model.gmm1")],
+        "eval": ["eval", "--ckpt", ckpt],
+        "export-embeddings": ["export-embeddings", "--ckpt", ckpt],
+    }[command]
+    return [*argv, "--target" if command == "adapt" else "--data", str(split), "--out", str(out)]
+
+
+# The split each command reads in the walkthrough.
+USUAL_SPLIT = {"train": "source", "estimate": "source", "adapt": "target_train",
+               "eval": "target_eval", "export-embeddings": "target_train"}
+
+# (command, bad split, message): every refusal of the split reader that a
+# command can meet. Labels are required by train, estimate and eval,
+# forbidden by adapt and optional for export-embeddings; train has no model
+# whose K the split could contradict.
+SPLIT_REFUSALS = (
+    [(c, "missing", "directory not found: ") for c in USUAL_SPLIT]
+    + [(c, "unlabeled", "labels missing in ") for c in ("train", "estimate", "eval")]
+    + [("adapt", "labeled", ": target directory must not contain a labels file")]
+    + [(c, "other-k", ": split K=4 does not match the model's K=3")
+       for c in ("estimate", "adapt", "eval", "export-embeddings")]
+)
+
+
+class TestSplitReader:
+    """Every command that reads a split refuses a bad one, exit 2 naming it,
+    before it writes anything."""
+
+    @pytest.mark.parametrize("command,case,message", SPLIT_REFUSALS,
+                             ids=[f"{c}-{case}" for c, case, _ in SPLIT_REFUSALS])
+    def test_bad_split_exit2_names_it(self, workspace, tmp_path, capsys, command, case, message):
+        split = tmp_path / "split"
+        if case != "missing":
+            name = {"unlabeled": "target_train", "labeled": "target_eval"}.get(case, USUAL_SPLIT[command])
+            shutil.copytree(workspace / "data" / name, split)
+        if case == "other-k":
+            write_keyvalue(split / "manifest.txt", {**read_keyvalue(split / "manifest.txt"), "K": "4"})
+        assert main(split_argv(workspace, command, split, tmp_path / "run" / "out")) == 2
+        err = capsys.readouterr().err
+        assert str(split) in err and message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "estimate", "eval", "export-embeddings"])
+    def test_out_in_split_exit2_writes_nothing(self, workspace, tmp_path, capsys, command):
+        """README step 4 deletes the source split: nothing may be written into
+        a split a command reads."""
+        split = tmp_path / "split"
+        shutil.copytree(workspace / "data" / USUAL_SPLIT[command], split)
+        before = {p.relative_to(split): p.read_bytes() for p in split.rglob("*") if p.is_file()}
+        assert main(split_argv(workspace, command, split, split / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"--out {split / 'out'} " in err and f"data split {split}" in err
+        assert {p.relative_to(split): p.read_bytes() for p in split.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize(
