@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -83,28 +83,24 @@ class BoundDiagnostics:
     from the projection estimator (low variance, biased low).
     """
 
-    w_sp_exact: float = float("nan")
-    w_sp_sliced: float = float("nan")
-    w_tp_pre_exact: float = float("nan")
-    w_tp_pre_sliced: float = float("nan")
-    w_tp_post_exact: float = float("nan")
-    w_tp_post_sliced: float = float("nan")
-    one_minus_tau: float = float("nan")
-    e_source: float = float("nan")
-    N: int = 0
-    M: int = 0
-    N_p: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+    w_sp_exact: float
+    w_sp_sliced: float
+    w_tp_pre_exact: float
+    w_tp_pre_sliced: float
+    w_tp_post_exact: float
+    w_tp_post_sliced: float
+    one_minus_tau: float
+    e_source: float
+    N: int
+    M: int
+    N_p: int
 
 
 @dataclass
 class AdaptationReport:
-    steps: list = field(default_factory=list)  # (step, ce, swd, total)
-    diagnostics: BoundDiagnostics = field(default_factory=BoundDiagnostics)
-    wall_clock: float = 0.0
-    kept_fraction: float = float("nan")
+    steps: list  # (step, ce, swd, total)
+    kept_fraction: float  # mean over steps; NaN when no step ran
+    wall_clock: float
 
 
 # ---------------------------------------------------------------- training
@@ -246,6 +242,7 @@ PSEUDO_CLOUD = 4096
 DIAG_SUBSAMPLE = 8192
 ESTIMATE_SALT = 0xE57  # the estimate stream is Rng(config.seed ^ ESTIMATE_SALT)
 DIAG_SALT = 0xD1A6  # the diagnostics stream is Rng(config.seed ^ DIAG_SALT)
+ADAPT_SALT = 0xADAB7  # the adaptation stream is Rng(config.seed ^ ADAPT_SALT)
 
 
 @dataclass
@@ -260,7 +257,7 @@ class EstimateInfo:
     support_counts: tuple[int, ...]
 
 
-def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projections: int = 100):
+def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projections: int):
     """(exact, sliced) squared transport estimates between two point clouds.
 
     Exact: mean over 10 equal-size subsample pairs (m <= 64) of the optimal
@@ -371,14 +368,14 @@ def adapt_source_free(
     encoder, decoder and classifier.
 
     Returns (adapted_model, AdaptationReport); the input model is left
-    untouched. The report's diagnostics are left empty: callers fill them
-    with `compute_bound_diagnostics`, which needs the adapted model.
+    untouched. The bound terms come from `compute_bound_diagnostics`,
+    which needs the adapted model.
     """
     check_mixture_matches(model, gmm)
     target_images = np.asarray(target_images, dtype=np.float32)
     if target_images.shape[0] < 1:
         raise ValueError("target dataset is empty")
-    rng = Rng(config.seed ^ 0xADAB7)
+    rng = Rng(config.seed ^ ADAPT_SALT)
     start_time = time.perf_counter()
 
     # Pseudo labels come from the classifier as it stood at adaptation
@@ -393,10 +390,9 @@ def adapt_source_free(
     records = _descend(
         model, target_images, config.batch_target, config.adapt_steps, lr, rng, loss_fn, "adaptation"
     )
-    report = AdaptationReport(steps=[(step, *r[:3]) for step, r in enumerate(records)])
-    report.kept_fraction = float(np.mean([r[3] for r in records])) if records else float("nan")
-    report.wall_clock = time.perf_counter() - start_time
-    return model, report
+    steps = [(step, *r[:3]) for step, r in enumerate(records)]
+    kept = float(np.mean([r[3] for r in records])) if records else float("nan")
+    return model, AdaptationReport(steps, kept, time.perf_counter() - start_time)
 
 
 def _clone_model(model: SegModel) -> SegModel:
@@ -462,6 +458,7 @@ class ExperimentResult:
     model: SegModel
     gmm: PrototypicalGMM
     report: AdaptationReport
+    diagnostics: BoundDiagnostics
     pre_miou: float
     post_miou: float
     pre_iou: np.ndarray
@@ -491,10 +488,8 @@ def run_experiment(
     conf_post = confusion_matrix(adapted, eval_images, eval_labels)
     post_iou, post_miou = miou_from_confusion(conf_post)
 
-    report.diagnostics, *_ = compute_bound_diagnostics(
-        gmm, model, adapted, target_images, config, info
-    )
+    diag, *_ = compute_bound_diagnostics(gmm, model, adapted, target_images, config, info)
     e_pre, e_post = error_from_confusion(conf_pre), error_from_confusion(conf_post)
     return ExperimentResult(
-        adapted, gmm, report, pre_miou, post_miou, pre_iou, post_iou, e_pre, e_post
+        adapted, gmm, report, diag, pre_miou, post_miou, pre_iou, post_iou, e_pre, e_post
     )

@@ -526,16 +526,17 @@ def _dense_stack(tape: Tape | None, x, stack):
     return x
 
 
-def _check_features(model: SegModel, width: int) -> None:
-    if width != model.input_features:
-        raise DimensionError(f"feature dim {width} != model input {model.input_features}")
+def _check_features(model: SegModel, feats):
+    if feats.shape[-1] != model.input_features:
+        raise DimensionError(f"feature dim {feats.shape[-1]} != model input {model.input_features}")
+    return feats
 
 
 def embed_flat(model: SegModel, feats, tape: Tape | None):
     """Encoder+decoder on flat feature rows (cast to float32): an
     [n, embed_dim] node on `tape`, or with no tape the array itself. The
     caller's `feats` stay alive throughout; `forward_embed` frees its own."""
-    _check_features(model, feats.shape[-1])
+    _check_features(model, feats)
     x = np.asarray(feats, np.float32) if tape is None else tape.leaf(feats, dtype=np.float32)
     return _dense_stack(tape, x, _embed_stack(model))
 
@@ -550,18 +551,13 @@ def classifier_logits(model: SegModel, emb, tape: Tape | None):
 
 
 def forward_embed(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """Inference-only per-pixel embeddings, shaped [B,H,W,embed_dim].
-
-    `embed_flat` with no tape, but its layer loop runs in this frame, the
-    only holder of the feature rows, so they are freed once the first
-    layer has read them."""
-    b, h, w, _ = np.asarray(images).shape
-    x = pixel_features(images, model.neighborhood)
-    _check_features(model, x.shape[-1])
-    stack = _embed_stack(model)
-    for i, (weight, bias, relu) in enumerate(stack):
-        x = _tapeless_dense(x, weight, bias, relu, hidden=i < len(stack) - 1)
-    return x.reshape(b, h, w, model.embed_dim)
+    """Inference-only per-pixel embeddings, shaped [B,H,W,embed_dim]: `embed_flat`
+    with no tape, handed the feature rows as a temporary, so `_dense_stack`'s frame
+    (CPython 3.11+ moves call arguments there) frees them after the first layer."""
+    emb = _dense_stack(
+        None, _check_features(model, pixel_features(images, model.neighborhood)), _embed_stack(model)
+    )
+    return emb.reshape(*np.shape(images)[:3], model.embed_dim)
 
 
 def forward_classify(model: SegModel, embeddings: np.ndarray) -> np.ndarray:

@@ -59,8 +59,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def echo_config(config: ExperimentConfig, out_dir: str) -> None:
-    """Write resolved_config.txt so that `--config` reads it back as `config`."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write resolved_config.txt into `out_dir` for `--config` to read back as `config`."""
     keys = {f: key for key, f in _CONFIG_KEYS.items()}
     payload = {keys[f]: v for f, v in format_values(vars(config)).items()}
     write_keyvalue(os.path.join(out_dir, "resolved_config.txt"), payload)
@@ -107,6 +106,13 @@ def _within(path: str, root: str) -> bool:
     """Whether `path` resolves to `root` or to anything under it."""
     path, root = os.path.realpath(path), os.path.realpath(root)
     return os.path.commonpath([path, root]) == root
+
+
+def _parent_made(path: str) -> str:
+    """The directory of the file `path`, created if missing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    return parent
 
 
 def _load_split(path: str, models, labels: bool | None, out: str | None):
@@ -168,14 +174,14 @@ def cmd_train(args) -> int:
     images, labels, manifest = _load_split(args.data, (), labels=True, out=args.out)
     # load_split has checked every label against the manifest's K.
     model, losses = adapt_mod.train_source(config, images, labels, K=int(manifest["K"]))
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    parent = _parent_made(args.out)
     ad.save_model(args.out, model)
     log_path = args.out + ".trainlog.csv"
     with open(log_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
         writer.writerows((i, f"{v:.8g}") for i, v in enumerate(losses))
-    echo_config(config, os.path.dirname(os.path.abspath(args.out)) or ".")
+    echo_config(config, parent)
     final = losses[-1] if losses else float("nan")
     print(f"checkpoint: {args.out} (steps={len(losses)}, final_loss={final:.6g})")
     return 0
@@ -183,9 +189,12 @@ def cmd_train(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = load_config(args.config, vars(args))
+    if _within(args.out, args.ckpt) or _within(args.out + ".meta", args.ckpt):
+        raise CliError(f"--out {args.out} would overwrite the checkpoint {args.ckpt}")
     model = ad.load_model(args.ckpt)
     images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
+    _parent_made(args.out)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(args.data), "tau_fit": config.tau_fit}
     write_keyvalue(args.out + ".meta", sidecar | format_values(vars(info)))
@@ -224,10 +233,8 @@ def cmd_adapt(args) -> int:
     diag, pseudo, pre_rows, post_rows = adapt_mod.compute_bound_diagnostics(
         gmm, model, adapted, images, config, info
     )
-    diag_map = diag.as_dict()
-    diag_map["kept_fraction"] = report.kept_fraction
-    diag_map["wall_clock"] = f"{report.wall_clock:.3f}"
-    write_keyvalue(os.path.join(args.out, "diagnostics.txt"), diag_map)
+    run = {"kept_fraction": report.kept_fraction, "wall_clock": f"{report.wall_clock:.3f}"}
+    write_keyvalue(os.path.join(args.out, "diagnostics.txt"), vars(diag) | run)
 
     # Fig.-3-style embedding exports (labels for target are unknown: -1).
     # The pseudo cloud was labelled by the source classifier, so its labels
@@ -246,6 +253,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out and _within(args.out, args.ckpt):
+        raise CliError(f"--out {args.out} would overwrite the checkpoint {args.ckpt}")
     model = ad.load_model(args.ckpt)
     images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
     iou, miou = adapt_mod.evaluate_miou(model, images, labels)
@@ -254,10 +263,8 @@ def cmd_eval(args) -> int:
         print(f"iou_class_{k}={shown}")
     print(f"miou={miou:.4f}")
     if args.out:
-        write_keyvalue(
-            args.out,
-            {f"iou_class_{k}": v for k, v in enumerate(iou)} | {"miou": miou},
-        )
+        _parent_made(args.out)
+        write_keyvalue(args.out, {f"iou_class_{k}": v for k, v in enumerate(iou)} | {"miou": miou})
     return 0
 
 

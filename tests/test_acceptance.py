@@ -327,11 +327,11 @@ def test_criterion_6_alignment_diagnostics(gain_arm):
     improved = sum(
         1
         for r in results
-        if r.report.diagnostics.w_tp_post_exact < r.report.diagnostics.w_tp_pre_exact
+        if r.diagnostics.w_tp_post_exact < r.diagnostics.w_tp_pre_exact
     )
     nonneg = True
     for r in results:
-        for key, value in r.report.diagnostics.as_dict().items():
+        for key, value in vars(r.diagnostics).items():
             value = float(value)
             if np.isfinite(value) and value < -1e-12:
                 nonneg = False

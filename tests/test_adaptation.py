@@ -280,6 +280,27 @@ class TestPixelEmbeddings:
         assert emb.shape == (64, 16, 16, 5)
         assert peak <= 7.0e6, peak / 1e6
 
+    def test_forward_embed_frees_feature_rows(self):
+        """32-channel images make the 3x3 feature rows (4.7 MB) the largest
+        array until the 256-wide decoder output (4.2 MB). Freed once layer 0
+        has read them, the rows are never held beside the decoder output, so
+        the peak (5.8 MB) stays below the rows plus the two hidden outputs
+        (6.8 MB). Rows kept alive through the stack peaked at 10.0 MB."""
+        model = ad.init_model(
+            32, 3, embed_dim=256, encoder_hidden=(64, 64), rng=Rng(0), neighborhood=True
+        )
+        images = np.random.default_rng(0).random((16, 16, 16, 32), dtype=np.float32)
+        pixels = images.size // 32
+        tracemalloc.start()
+        try:
+            emb = ad.forward_embed(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.shape == (16, 16, 16, 256)
+        rows, hidden = pixels * 9 * 32 * 4, 2 * pixels * 64 * 4
+        assert peak < rows + hidden, (peak, rows + hidden)
+
 
 class TestEstimateStage:
     def test_counts_and_distances(self):
@@ -344,7 +365,7 @@ class TestEstimateStage:
 class TestWassersteinEstimates:
     def test_identical_clouds_near_zero(self):
         a = np.random.default_rng(0).normal(size=(200, 3))
-        exact, sliced = wasserstein_estimates(a, a.copy(), Rng(1))
+        exact, sliced = wasserstein_estimates(a, a.copy(), Rng(1), 100)
         # subsample pairs differ, so this is small but nonzero; the cloud's
         # own spread (~3) sets the scale
         assert 0 <= exact < 1.5 and 0 <= sliced < 1.5
@@ -353,7 +374,7 @@ class TestWassersteinEstimates:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(200, 3))
         b = a + 5.0
-        exact, sliced = wasserstein_estimates(a, b, Rng(2))
+        exact, sliced = wasserstein_estimates(a, b, Rng(2), 100)
         assert exact > 50 and sliced > 10
 
     def test_sliced_resampling_consistency(self):
@@ -361,7 +382,7 @@ class TestWassersteinEstimates:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(500, 3))
         b = rng.normal(size=(500, 3)) + 1.0
-        vals = [wasserstein_estimates(a, b, Rng(10 + i))[1] for i in range(10)]
+        vals = [wasserstein_estimates(a, b, Rng(10 + i), 100)[1] for i in range(10)]
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(vals[0] - np.mean(vals)) < 5 * max(se, 1e-6) + 0.05 * np.mean(vals)
 
@@ -575,12 +596,12 @@ class TestRunExperiment:
         xs, ys, xt, xe, ye = blob_splits()
         res = run_experiment(cfg, xs, ys, xt, xe, ye)
         assert res.post_miou >= res.pre_miou - 0.02
-        d = res.report.diagnostics.as_dict()
+        d = vars(res.diagnostics)
         for key, value in d.items():
             if key.startswith("w_") and np.isfinite(value):
                 assert value >= 0.0, key
-        assert np.isfinite(res.report.diagnostics.w_tp_pre_sliced)
-        assert np.isfinite(res.report.diagnostics.w_tp_post_sliced)
+        assert np.isfinite(res.diagnostics.w_tp_pre_sliced)
+        assert np.isfinite(res.diagnostics.w_tp_post_sliced)
         assert res.report.kept_fraction > 0.0
 
     def test_source_target_identity_distance_consistency(self):
@@ -598,7 +619,7 @@ class TestRunExperiment:
             pseudo = generate_pseudo_dataset(
                 gmm, partial(ad.forward_classify, model), n_pseudo, cfg.tau_filter, Rng(50 + i)
             )
-            exact, _ = wasserstein_estimates(emb, pseudo.Z, Rng(80 + i))
+            exact, _ = wasserstein_estimates(emb, pseudo.Z, Rng(80 + i), 100)
             vals.append(exact)
         spread = np.std(vals)
         assert abs(info.w_sp_exact - np.mean(vals)) <= 4 * spread + 0.1 * np.mean(vals)

@@ -430,7 +430,7 @@ class TestAdapt:
         (diag, *_), info = self.library_call(workspace, out)
         written = read_keyvalue(out / "diagnostics.txt")
         del written["kept_fraction"], written["wall_clock"]
-        assert written == {key: str(value) for key, value in diag.as_dict().items()}
+        assert written == {key: str(value) for key, value in vars(diag).items()}
         assert float(written["w_sp_exact"]) == info.w_sp_exact >= 0.0
 
     def test_exports_are_library_rows(self, workspace, tmp_path):
@@ -1013,6 +1013,59 @@ class TestSplitReader:
         err = capsys.readouterr().err
         assert f"--out {split / 'out'} " in err and f"data split {split}" in err
         assert {p.relative_to(split): p.read_bytes() for p in split.rglob("*") if p.is_file()} == before
+
+
+class TestOutFile:
+    """`estimate` and `eval` write `--out` as a file. One that would land on
+    the checkpoint they read exits 2 before any work, naming both paths; a
+    missing parent directory is created, as `train` creates its own."""
+
+    @pytest.mark.parametrize("command,ckpt_name,out_name", [
+        ("eval", "model.mdl1", "model.mdl1"),
+        ("estimate", "model.mdl1", "model.mdl1"),
+        ("estimate", "model.gmm1.meta", "model.gmm1"),
+    ], ids=["eval", "estimate", "estimate-meta"])
+    def test_out_over_checkpoint_exit2_keeps_it(
+        self, workspace, tmp_path, capsys, monkeypatch, command, ckpt_name, out_name
+    ):
+        ckpt = tmp_path / ckpt_name
+        shutil.copy(workspace / "model.mdl1", ckpt)
+        before = ckpt.read_bytes()
+        out = tmp_path / "elsewhere" / ".." / out_name  # the same file, spelled otherwise
+        argv = split_argv(workspace, command, workspace / "data" / USUAL_SPLIT[command], out)
+        argv[argv.index("--ckpt") + 1] = str(ckpt)
+
+        def no_work(*args):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(ad, "load_model", no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out} " in err and str(ckpt) in err
+        assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["estimate", "eval"])
+    def test_missing_out_directory_is_made(self, workspace, tmp_path, command):
+        out = tmp_path / "new" / "deeper" / "out.txt"
+        assert main(split_argv(workspace, command, workspace / "data" / USUAL_SPLIT[command], out)) == 0
+        assert out.is_file()
+        if command == "estimate":
+            assert load_gmm(out).K == 3 and read_sidecar(f"{out}.meta")[1].n_pixels > 0
+
+
+def test_frozen_config_copies_agree(tmp_path):
+    """README's walkthrough config and `tests/same_bits.py`'s CONFIG both load
+    as the acceptance FROZEN config at tau 0.97 and seed 0."""
+    from same_bits import CONFIG as SAME_BITS_CONFIG
+    from test_acceptance import FROZEN
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    frozen = ExperimentConfig(**FROZEN, tau_fit=0.97, tau_filter=0.97, seed=0)
+    for name, text in (("readme", blocks[0]), ("same_bits", SAME_BITS_CONFIG)):
+        (tmp_path / name).write_text(text)
+        assert load_config(str(tmp_path / name), {}) == frozen, name
 
 
 @pytest.mark.parametrize(

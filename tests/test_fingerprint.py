@@ -166,7 +166,7 @@ def test_small_run_experiment(tmp_path, monkeypatch):
         "final_train_loss": train_losses[-1],
         "e_target_pre": result.e_target_pre,
         "e_target_post": result.e_target_post,
-        **result.report.diagnostics.as_dict(),
+        **vars(result.diagnostics),
         **{name: sha256((tmp_path / name).read_bytes()) for name in ("adapted.mdl1", "model.gmm1")},
     }
     # Values and artifact bytes are compared at once, so one run names

@@ -57,6 +57,18 @@ REFUSALS = [
         "expected [B,H,W,C] images, got (2, 4, 3)",
     ),
     (
+        "forward_embed not rank 4",
+        lambda: ad.forward_embed(ad.init_model(3, 4, rng=Rng(0)), np.zeros((2, 4, 3), np.float32)),
+        DimensionError,
+        "expected [B,H,W,C] images, got (2, 4, 3)",
+    ),
+    (
+        "forward_embed feature width",
+        lambda: ad.forward_embed(ad.init_model(3, 4, rng=Rng(0)), np.zeros((1, 2, 2, 4), np.float32)),
+        DimensionError,
+        "feature dim 4 != model input 3",
+    ),
+    (
         "embed_flat feature width",
         lambda: ad.embed_flat(ad.init_model(3, 4, rng=Rng(0)), np.zeros((2, 4), np.float32), None),
         DimensionError,
