@@ -34,6 +34,7 @@ from .errors import DimensionError, DivergenceError, FileFormatError, TapeError
 from .fileformats import (
     MDL1_MAGIC,
     check_finite,
+    open_output,
     read_framed,
     read_tns1,
     read_u32,
@@ -577,16 +578,14 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam for one parameter list: its moments as flat float64 vectors in
-    `params` order, and the step's float64 work buffers."""
+    `params` order."""
 
     def __init__(self, params: list):
         self.params = list(params)
-        self.sizes = [p.data.size for p in self.params]
-        n = sum(self.sizes)
+        n = sum(p.data.size for p in self.params)
         self.t = 0
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-        self.work = np.empty((3, n))
 
 
 def adam_step(state: AdamState, grads: dict, lr: float) -> None:
@@ -597,39 +596,21 @@ def adam_step(state: AdamState, grads: dict, lr: float) -> None:
     back to float32, as a view of one new float32 vector. A rejected step
     leaves parameters and state as they were.
     """
-    params, sizes = state.params, state.sizes
-    g, tmp, flat = state.work
-    np.concatenate(
-        [
-            np.zeros(n) if (gp := grads.get(p)) is None else gp.reshape(n)
-            for p, n in zip(params, sizes)
-        ],
-        out=g,
-    )
+    params = state.params
+    per_param = [np.zeros(p.data.size) if (gp := grads.get(p)) is None else gp for p in params]
+    g = np.concatenate(per_param, axis=None, dtype=np.float64)
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient; update rejected")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1**state.t
-    bias2 = 1.0 - b2**state.t
-    m, v = state.m, state.v
-    # m = b1 m + (1 - b1) g; v = b2 v + ((1 - b2) g) g;
-    # step = (lr (m / bias1)) / (sqrt(v / bias2) + eps), in `tmp` and `flat`.
-    m *= b1
-    m += np.multiply(g, 1 - b1, out=tmp)
-    v *= b2
-    np.multiply(g, 1 - b2, out=tmp)
-    v += np.multiply(tmp, g, out=tmp)
-    np.divide(m, bias1, out=g)
-    g *= lr
-    np.divide(v, bias2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    g /= tmp
-    np.concatenate([p.data.reshape(-1) for p in params], out=flat)
-    flat -= g
-    flat32, offset = flat.astype(np.float32), 0
-    for p, n in zip(params, sizes):
+    bias1, bias2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    state.m = state.m * b1 + g * (1 - b1)
+    state.v = state.v * b2 + (g * (1 - b2)) * g
+    step = (state.m / bias1) * lr / (np.sqrt(state.v / bias2) + ADAM_EPS)
+    flat = np.concatenate([p.data for p in params], axis=None, dtype=np.float64)
+    flat32, offset = (flat - step).astype(np.float32), 0
+    for p in params:
+        n = p.data.size
         p.data = flat32[offset : offset + n].reshape(p.data.shape)
         offset += n
 
@@ -644,8 +625,7 @@ def adam_step(state: AdamState, grads: dict, lr: float) -> None:
 
 def save_model(path, model: SegModel) -> None:
     params = model.parameters()
-    with open(path, "wb") as f:
-        f.write(MDL1_MAGIC)
+    with open_output(path, MDL1_MAGIC) as f:
         write_u32(f, len(params))
         for p in params:
             write_tns1(f, p.data)

@@ -25,7 +25,8 @@ from . import autodiff as ad
 from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
-from .fileformats import format_values, parse_values, read_keyvalue, save_embeddings, write_keyvalue
+from .fileformats import format_values, open_output, parse_values, read_keyvalue
+from .fileformats import save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
 from .rng import Rng, seed_in_range
 
@@ -108,13 +109,6 @@ def _within(path: str, root: str) -> bool:
     return os.path.commonpath([path, root]) == root
 
 
-def _parent_made(path: str) -> str:
-    """The directory of the file `path`, created if missing."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    return parent
-
-
 def _load_split(path: str, models, labels: bool | None, out: str | None):
     """(images, labels, manifest) of the split at `path`, for every command
     that reads one. Exit 2 naming `path` when the directory is missing, when
@@ -174,14 +168,12 @@ def cmd_train(args) -> int:
     images, labels, manifest = _load_split(args.data, (), labels=True, out=args.out)
     # load_split has checked every label against the manifest's K.
     model, losses = adapt_mod.train_source(config, images, labels, K=int(manifest["K"]))
-    parent = _parent_made(args.out)
     ad.save_model(args.out, model)
-    log_path = args.out + ".trainlog.csv"
-    with open(log_path, "w", newline="") as f:
+    with open_output(args.out + ".trainlog.csv", text=True) as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
         writer.writerows((i, f"{v:.8g}") for i, v in enumerate(losses))
-    echo_config(config, parent)
+    echo_config(config, os.path.dirname(os.path.abspath(args.out)))
     final = losses[-1] if losses else float("nan")
     print(f"checkpoint: {args.out} (steps={len(losses)}, final_loss={final:.6g})")
     return 0
@@ -194,7 +186,6 @@ def cmd_estimate(args) -> int:
     model = ad.load_model(args.ckpt)
     images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
-    _parent_made(args.out)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(args.data), "tau_fit": config.tau_fit}
     write_keyvalue(args.out + ".meta", sidecar | format_values(vars(info)))
@@ -221,9 +212,8 @@ def cmd_adapt(args) -> int:
     _check_sidecar_fits(args.gmm, gmm, info)
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
-    os.makedirs(args.out, exist_ok=True)
     ad.save_model(os.path.join(args.out, "adapted.mdl1"), adapted)
-    with open(os.path.join(args.out, "report.csv"), "w", newline="") as f:
+    with open_output(os.path.join(args.out, "report.csv"), text=True) as f:
         writer = csv.writer(f)
         writer.writerow(["step", "ce", "swd", "total"])
         writer.writerows(
@@ -263,7 +253,6 @@ def cmd_eval(args) -> int:
         print(f"iou_class_{k}={shown}")
     print(f"miou={miou:.4f}")
     if args.out:
-        _parent_made(args.out)
         write_keyvalue(args.out, {f"iou_class_{k}": v for k, v in enumerate(iou)} | {"miou": miou})
     return 0
 
@@ -290,7 +279,6 @@ def cmd_export_embeddings(args) -> int:
     if gmm is not None:
         adapt_mod.check_mixture_matches(model, gmm)
     true = -1 if labels is None else labels  # -1: unknown, on every row
-    os.makedirs(args.out, exist_ok=True)
     written = []
     for name, m in models:
         emb, pred, conf = adapt_mod.pixel_embeddings(m, images)

@@ -322,7 +322,6 @@ def _manifest(spec: DomainSpec, split: str, labeled: bool) -> dict:
 
 
 def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> None:
-    os.makedirs(directory, exist_ok=True)
     save_tensor(os.path.join(directory, "images.tns1"), images)
     if labels is not None:
         save_tensor(os.path.join(directory, "labels.tns1"), np.asarray(labels, np.float32))

@@ -12,8 +12,9 @@ EMB1 embedding export:
     Columns: d embedding coordinates, true label, predicted label.
 
 Every loader is one `read_framed` call: it checks the magic and rejects
-trailing bytes, and its errors name the file. The MDL1 and GMM1 layouts
-stay with their types, in the autodiff and gmm modules.
+trailing bytes, and its errors name the file. Every writer opens its file
+with `open_output`, which writes the magic. The MDL1 and GMM1 layouts stay
+with their types, in the autodiff and gmm modules.
 
 Text records (configs, sidecars, manifests, diagnostics) are key=value
 lines; `parse_values` and `format_values` map them to and from typed
@@ -129,8 +130,19 @@ def read_framed(path, magic: bytes, parse):
     return out
 
 
+def open_output(path, magic: bytes = b"", text: bool = False):
+    """`path` opened for writing, its directory created if missing: in text
+    mode for key=value and CSV records, else in binary mode after `magic`."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    if text:
+        return open(path, "w", newline="")
+    f = open(path, "wb")
+    f.write(magic)
+    return f
+
+
 def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with open_output(path) as f:
         write_tns1(f, arr)
 
 
@@ -153,8 +165,7 @@ def save_embeddings(path, embeddings: np.ndarray, true_labels, pred_labels) -> N
     if true.shape != (n,) or pred.shape != (n,):
         raise ValueError(f"{n} embedding rows but {true.size} true and {pred.size} predicted labels")
     block = np.empty((min(n, EMB1_BLOCK_ROWS), d + 2), "<f4")
-    with open(path, "wb") as f:
-        f.write(EMB1_MAGIC)
+    with open_output(path, EMB1_MAGIC) as f:
         write_tns1_header(f, (n, d + 2))
         for start in range(0, n, EMB1_BLOCK_ROWS):
             rows = block[: min(EMB1_BLOCK_ROWS, n - start)]
@@ -169,7 +180,7 @@ def load_embeddings(path) -> np.ndarray:
 
 def write_keyvalue(path, mapping: dict) -> None:
     """Plain key=value text file, one pair per line."""
-    with open(path, "w") as f:
+    with open_output(path, text=True) as f:
         for key, value in mapping.items():
             f.write(f"{key}={value}\n")
 

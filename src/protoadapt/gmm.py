@@ -23,6 +23,7 @@ from .errors import (
 from .fileformats import (
     GMM1_MAGIC,
     check_finite,
+    open_output,
     read_f32,
     read_framed,
     read_tns1,
@@ -220,8 +221,7 @@ def generate_pseudo_dataset(
 
 
 def save_gmm(path, gmm: PrototypicalGMM) -> None:
-    with open(path, "wb") as f:
-        f.write(GMM1_MAGIC)
+    with open_output(path, GMM1_MAGIC) as f:
         write_u32(f, gmm.K)
         write_u32(f, gmm.dim)
         write_f32(f, gmm.tau_fit)
