@@ -25,8 +25,8 @@ from . import autodiff as ad
 from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
-from .fileformats import format_values, open_output, parse_values, read_keyvalue
-from .fileformats import save_embeddings, write_keyvalue
+from .fileformats import GMM1_MAGIC, MDL1_MAGIC, format_values, open_output, parse_values
+from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
 from .rng import Rng, seed_in_range
 
@@ -109,6 +109,15 @@ def _within(path: str, root: str) -> bool:
     return os.path.commonpath([path, root]) == root
 
 
+def _refuse_other_kind(path: str, head: bytes) -> None:
+    """Exit 2 naming `path` when it is a non-empty file that does not begin
+    with `head`, as the command's own output does: another command wrote it."""
+    if os.path.isfile(path) and os.path.getsize(path):
+        with open(path, "rb") as f:
+            if f.read(len(head)) != head:
+                raise CliError(f"--out would replace {path}, which does not begin with {head!r}")
+
+
 def _load_split(path: str, models, labels: bool | None, out: str | None):
     """(images, labels, manifest) of the split at `path`, for every command
     that reads one. Exit 2 naming `path` when the directory is missing, when
@@ -166,6 +175,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, vars(args))
     images, labels, manifest = _load_split(args.data, (), labels=True, out=args.out)
+    _refuse_other_kind(args.out, MDL1_MAGIC)
     # load_split has checked every label against the manifest's K.
     model, losses = adapt_mod.train_source(config, images, labels, K=int(manifest["K"]))
     ad.save_model(args.out, model)
@@ -185,6 +195,8 @@ def cmd_estimate(args) -> int:
         raise CliError(f"--out {args.out} would overwrite the checkpoint {args.ckpt}")
     model = ad.load_model(args.ckpt)
     images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
+    _refuse_other_kind(args.out, GMM1_MAGIC)
+    _refuse_other_kind(args.out + ".meta", b"source_data=")
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(args.data), "tau_fit": config.tau_fit}
@@ -247,6 +259,8 @@ def cmd_eval(args) -> int:
         raise CliError(f"--out {args.out} would overwrite the checkpoint {args.ckpt}")
     model = ad.load_model(args.ckpt)
     images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
+    if args.out:
+        _refuse_other_kind(args.out, b"iou_class_0=")
     iou, miou = adapt_mod.evaluate_miou(model, images, labels)
     for k, value in enumerate(iou):
         shown = "undefined" if np.isnan(value) else f"{value:.4f}"

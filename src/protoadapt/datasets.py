@@ -26,6 +26,7 @@ from .fileformats import check_finite, format_values, load_tensor, read_keyvalue
 from .rng import Rng, box_muller, seed_in_range
 
 FORMAT_VERSION = "1"
+SHAPE_KEYS = ("n_images", "height", "width", "channels")  # the manifest's images shape
 
 # Both kinds write 3-channel images (RGB for grid-seg), one gain each.
 CHANNELS = 3
@@ -326,7 +327,7 @@ def save_split(directory, spec: DomainSpec, split: str, images, labels=None) -> 
     if labels is not None:
         save_tensor(os.path.join(directory, "labels.tns1"), np.asarray(labels, np.float32))
     # The manifest states the shape written: blobs images are 1x1.
-    shape = dict(zip(("n_images", "height", "width", "channels"), images.shape))
+    shape = dict(zip(SHAPE_KEYS, images.shape))
     write_keyvalue(
         os.path.join(directory, "manifest.txt"), _manifest(spec, split, labels is not None) | shape
     )
@@ -336,9 +337,10 @@ def load_split(directory):
     """Returns (images, labels-or-None, manifest dict).
 
     Rejects a manifest whose format_version is not FORMAT_VERSION, images
-    that are not [n, H, W, C], a split with no images, a NaN or +-inf image
-    value, labels whose shape is not the images' [n, H, W], and a label
-    that is not an integer in [0, K) for the manifest's K.
+    that are not [n, H, W, C] or not the shape the manifest states, a split
+    with no images, a NaN or +-inf image value, labels whose shape is not
+    the images' [n, H, W], and a label that is not an integer in [0, K) for
+    the manifest's K.
     """
     manifest = read_keyvalue(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -352,6 +354,10 @@ def load_split(directory):
         raise FileFormatError(f"{images_path}: images shape {images.shape} is not [n, H, W, C]")
     if images.size == 0:
         raise FileFormatError(f"{directory}: split has no images (shape {images.shape})")
+    stated = [manifest.get(key) for key in SHAPE_KEYS]
+    if stated != [str(n) for n in images.shape]:
+        shown = ", ".join(f"{key}={value}" for key, value in zip(SHAPE_KEYS, stated))
+        raise FileFormatError(f"{directory}: manifest {shown} differs from images {images.shape}")
     check_finite(images, f"{images_path}: image")
     labels_path = os.path.join(directory, "labels.tns1")
     labels = None

@@ -13,8 +13,8 @@ EMB1 embedding export:
 
 Every loader is one `read_framed` call: it checks the magic and rejects
 trailing bytes, and its errors name the file. Every writer opens its file
-with `open_output`, which writes the magic. The MDL1 and GMM1 layouts stay
-with their types, in the autodiff and gmm modules.
+with `open_output`, which makes its directory and writes its magic. The
+MDL1 and GMM1 layouts stay with their types, in the autodiff and gmm modules.
 
 Text records (configs, sidecars, manifests, diagnostics) are key=value
 lines; `parse_values` and `format_values` map them to and from typed

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protoadapt import adaptation as adapt_mod
 from protoadapt import autodiff as ad
 from protoadapt.adaptation import EstimateInfo, ExperimentConfig, compute_bound_diagnostics
 from protoadapt.cli import load_config, main, read_sidecar
@@ -981,6 +982,8 @@ SPLIT_REFUSALS = (
     + [("adapt", "labeled", ": target directory must not contain a labels file")]
     + [(c, "other-k", ": split K=4 does not match the model's K=3")
        for c in ("estimate", "adapt", "eval", "export-embeddings")]
+    + [(c, case, ", channels=3 differs from images (") for c in USUAL_SPLIT
+       for case in ("short-images", "edited-height")]
 )
 
 
@@ -995,8 +998,11 @@ class TestSplitReader:
         if case != "missing":
             name = {"unlabeled": "target_train", "labeled": "target_eval"}.get(case, USUAL_SPLIT[command])
             shutil.copytree(workspace / "data" / name, split)
-        if case == "other-k":
-            write_keyvalue(split / "manifest.txt", {**read_keyvalue(split / "manifest.txt"), "K": "4"})
+        if case == "short-images":
+            save_tensor(split / "images.tns1", load_tensor(split / "images.tns1")[:-1])
+        edit = {"other-k": {"K": "4"}, "edited-height": {"height": "2"}}.get(case)
+        if edit:
+            write_keyvalue(split / "manifest.txt", read_keyvalue(split / "manifest.txt") | edit)
         assert main(split_argv(workspace, command, split, tmp_path / "run" / "out")) == 2
         err = capsys.readouterr().err
         assert str(split) in err and message in err
@@ -1051,6 +1057,54 @@ class TestOutFile:
         assert out.is_file()
         if command == "estimate":
             assert load_gmm(out).K == 3 and read_sidecar(f"{out}.meta")[1].n_pixels > 0
+
+
+# (command, --out, another command's file placed there, its workspace
+# source): the command would replace it with a file of its own kind.
+OTHER_KIND = [
+    ("eval", "model.gmm1", "model.gmm1", "model.gmm1"),
+    ("eval", "resolved_config.txt", "resolved_config.txt", "resolved_config.txt"),
+    ("train", "model.gmm1", "model.gmm1", "model.gmm1"),
+    ("estimate", "adapted/adapted.mdl1", "adapted/adapted.mdl1", "model.mdl1"),
+    ("estimate", "new.gmm1", "new.gmm1.meta", "resolved_config.txt"),
+]
+
+
+class TestOutKind:
+    """An existing non-empty --out (and estimate's --out.meta) must begin as
+    the command's own output does: MDL1 for train, GMM1 and `source_data=`
+    for estimate, `iou_class_0=` for eval. Another command's file there
+    exits 2 before any work, naming it, and keeps its bytes."""
+
+    WORK = {"train": "train_source", "estimate": "estimate_stage", "eval": "evaluate_miou"}
+
+    @pytest.mark.parametrize("command,out,placed,source", OTHER_KIND,
+                             ids=[f"{c}-{placed}" for c, _, placed, _ in OTHER_KIND])
+    def test_other_commands_file_exit2_keeps_it(
+        self, workspace, tmp_path, capsys, monkeypatch, command, out, placed, source
+    ):
+        run = tmp_path / "run"
+        (run / placed).parent.mkdir(parents=True)
+        shutil.copy(workspace / source, run / placed)
+        before = (run / placed).read_bytes()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setattr(adapt_mod, self.WORK[command], no_work)
+        argv = split_argv(workspace, command, workspace / "data" / USUAL_SPLIT[command], run / out)
+        assert main(argv) == 2
+        assert f"--out would replace {run / placed}, " in capsys.readouterr().err
+        assert (run / placed).read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["train", "estimate", "eval"])
+    def test_rerun_onto_own_output(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        argv = split_argv(workspace, command, workspace / "data" / USUAL_SPLIT[command], out)
+        assert main(argv) == 0
+        first = out.read_bytes()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
 
 
 def test_frozen_config_copies_agree(tmp_path):

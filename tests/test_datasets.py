@@ -1,5 +1,6 @@
 """Synthetic domain generators, shift semantics, and on-disk splits."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from protoadapt.datasets import (
     write_dataset,
 )
 from protoadapt.errors import ConfigError, FileFormatError
-from protoadapt.fileformats import parse_values, read_keyvalue, save_tensor, write_keyvalue
+from protoadapt.fileformats import load_tensor, parse_values, read_keyvalue, save_tensor, write_keyvalue
 from protoadapt.rng import Rng
 
 
@@ -447,6 +448,29 @@ class TestSplitsOnDisk:
         with pytest.raises(FileFormatError, match="no images") as exc:
             load_split(tmp_path / "s")
         assert str(tmp_path / "s") in str(exc.value)
+
+    @pytest.mark.parametrize("case", ["short-images", "edited-height", "no-channels"])
+    def test_manifest_shape_checked(self, tmp_path, case):
+        """The manifest's n_images, height, width and channels must all be
+        the images' shape; the refusal names the split and both shapes."""
+        self.labeled_split(tmp_path / "s")
+        images = load_tensor(tmp_path / "s" / "images.tns1")
+        n, h, w, c = images.shape
+        manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
+        stated = f"n_images={n}, height={h}, width={w}, channels={c}"
+        if case == "short-images":
+            images = images[:-1]
+            save_tensor(tmp_path / "s" / "images.tns1", images)
+        elif case == "edited-height":
+            manifest["height"] = str(h + 1)
+            stated = stated.replace(f"height={h}", f"height={h + 1}")
+        else:
+            del manifest["channels"]
+            stated = stated.replace(f"channels={c}", "channels=None")
+        write_keyvalue(tmp_path / "s" / "manifest.txt", manifest)
+        message = f"{tmp_path / 's'}: manifest {stated} differs from images {images.shape}"
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            load_split(tmp_path / "s")
 
     def test_labels_shape_checked(self, tmp_path):
         labels = self.labeled_split(tmp_path / "s")

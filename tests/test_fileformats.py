@@ -1,9 +1,12 @@
-"""Binary formats: TNS1 framing, EMB1 exports, key=value sidecars."""
+"""Binary formats: TNS1 framing, EMB1 exports, key=value sidecars, and the
+one opener that writes every file."""
 
+import ast
 import io
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +304,48 @@ def test_keyvalue_malformed(tmp_path):
     path.write_text("not-a-pair\n")
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: malformed"):
         read_keyvalue(path)
+
+
+def test_every_writer_makes_its_missing_directory(tmp_path):
+    files = _tiny_files(tmp_path / "new" / "deeper")
+    write_keyvalue(tmp_path / "kv" / "c.txt", {"k": "v"})
+    for path, load in files.values():
+        load(path)
+    assert read_keyvalue(tmp_path / "kv" / "c.txt") == {"k": "v"}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "protoadapt"
+
+# Calls that make a directory or write a file other than through `open`.
+_WRITING_METHODS = {"makedirs", "mkdir", "write_text", "write_bytes", "tofile"}
+
+
+def _file_writes(source: str) -> list:
+    """`line: call` of each call in `source` that makes a directory or opens
+    a file for writing: `open` with any mode but a literal of r, b and t."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            writes = any(
+                not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes
+            )
+        else:
+            writes = isinstance(func, ast.Attribute) and func.attr in _WRITING_METHODS
+        if writes:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_fileformats_writes_files():
+    """Every file is written through `fileformats.open_output`, which makes
+    its directory: no other module opens a file for writing or makes a
+    directory."""
+    writes = {path.name: _file_writes(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert len(writes["fileformats.py"]) == 3  # open_output's makedirs and two opens
+    others = {name: found for name, found in writes.items() if found and name != "fileformats.py"}
+    assert not others, f"files written outside fileformats.open_output: {others}"
+

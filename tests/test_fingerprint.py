@@ -13,6 +13,16 @@ A constant changes only in a change that says why its results moved. The
 float64 arithmetic behind the data runs through numpy's SIMD loops, and the
 sgemm bits depend on the OpenBLAS kernel picked for this CPU, so the stack
 the constants were made on is stored next to them and named in any failure.
+
+The pins hold on OpenBLAS's SkylakeX core only. Under its Haswell core
+(`OPENBLAS_CORETYPE=Haswell`; both stacks numpy 2.4.6 with
+X86_V3,X86_V4,AVX512_ICL,AVX512_SPR and OpenBLAS 0.3.31.188.0) the first
+array of a one-step `train_source` (the acceptance FROZEN config, the
+standard source split, seed 0) whose bits differ is the first layer's
+forward sgemm, `feature_rows @ W0` of float32 [2048, 27] @ [27, 64]:
+12,643 of its 131,072 values, by at most 4.8e-7. The feature rows before it
+are equal, and every later array but the softmax-CE value differs; after
+the Adam update 5 of the 4,097 parameters do.
 """
 
 import ctypes
