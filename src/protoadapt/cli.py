@@ -24,22 +24,19 @@ from . import adaptation as adapt_mod
 from . import autodiff as ad
 from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
-from .errors import DivergenceError, EstimationError, GenerationError, ProtoAdaptError
+from .errors import ProtoAdaptError
 from .fileformats import GMM1_MAGIC, MDL1_MAGIC, format_values, open_output, parse_values
 from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
 from .rng import Rng, seed_in_range
 
-EXIT_USAGE = 2
-EXIT_ESTIMATION = 3
-EXIT_SOURCE_FREEDOM = 4
-EXIT_DIVERGENCE = 5
+
+class CliError(ProtoAdaptError):
+    """A command-line input that the command cannot honour."""
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class SourceFreedomError(CliError):
+    exit_code = 4  # source data offered to source-free adaptation
 
 
 # ---------------------------------------------------------------- config
@@ -212,7 +209,7 @@ def cmd_adapt(args) -> int:
     config = load_config(args.config, vars(args))
     source, info = read_sidecar(args.gmm + ".meta")
     if _within(args.target, source) or _within(source, args.target):
-        raise CliError("source data forbidden during adaptation", code=EXIT_SOURCE_FREEDOM)
+        raise SourceFreedomError("source data forbidden during adaptation")
     if os.path.realpath(args.out) == os.path.dirname(os.path.realpath(args.ckpt)):
         raise CliError(
             f"--out {args.out} is the directory of checkpoint {args.ckpt}; adapt's "
@@ -383,27 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.threads != 1:
             raise CliError(f"--threads {args.threads} is not supported; only 1 is accepted")
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except EstimationError as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except GenerationError as exc:
-        print(f"generation error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (ProtoAdaptError, OSError, ValueError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ProtoAdaptError, OSError) as exc:
+        kind = exc if isinstance(exc, ProtoAdaptError) else ProtoAdaptError
+        print(f"{kind.label}: {exc}", file=sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .fileformats import check_finite, format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
 from .rng import Rng, box_muller, seed_in_range
 
@@ -95,24 +95,24 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in ("blobs", "grid-seg"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.K < 2:
-            raise ValueError("K must be >= 2")
+            raise ConfigError("K must be >= 2")
         if not seed_in_range(self.seed):
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for key in ("n_images", "height", "width"):
             if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.shift.noise_sigma >= 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.shift.noise_sigma}")
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.shift.noise_sigma}")
         gains = self.shift.channel_gain
         if len(gains) != CHANNELS:
-            raise ValueError(f"a spec needs {CHANNELS} channel_gain values, got {gains}")
+            raise ConfigError(f"a spec needs {CHANNELS} channel_gain values, got {gains}")
         if not np.all(np.isfinite(gains)):
-            raise ValueError(f"channel_gain must be finite, got {gains}")
+            raise ConfigError(f"channel_gain must be finite, got {gains}")
         # A negative gain would paint a negative color intensity.
         if min(gains) < 0.0:
-            raise ValueError(f"channel_gain must be >= 0, got {gains}")
+            raise ConfigError(f"channel_gain must be >= 0, got {gains}")
 
 
 def standard_shift_spec(seed: int = 0) -> DomainSpec:
@@ -383,9 +383,9 @@ def load_split(directory):
 def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     """Write the three splits: labeled source, unlabeled target, labeled eval."""
     if n_eval < 1:
-        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
+        raise ConfigError(f"n_eval must be >= 1, got {n_eval}")
     if not seed_in_range(spec.seed + 2):
-        raise ValueError(
+        raise ConfigError(
             "seed must be below 2**64 - 2, as the target splits take seed+1 and seed+2, "
             f"got {spec.seed}"
         )

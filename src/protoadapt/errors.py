@@ -2,11 +2,14 @@
 
 
 class ProtoAdaptError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. Each class carries the CLI's exit
+    code for it and the label that `cli.main` prints before its message; a
+    subclass inherits both unless it sets them."""
+    exit_code, label = 2, "error"
 
 
-class ConfigError(ProtoAdaptError):
-    """A configuration value is outside its valid range."""
+class ConfigError(ProtoAdaptError, ValueError):
+    """A configuration value is outside its valid range (also a ValueError)."""
 
 
 class DimensionError(ProtoAdaptError):
@@ -19,10 +22,12 @@ class FactorizationError(ProtoAdaptError):
 
 class EstimationError(ProtoAdaptError):
     """A mixture component cannot be estimated (support set too small)."""
+    exit_code, label = 3, "estimation error"
 
 
 class GenerationError(ProtoAdaptError):
     """Pseudo-dataset rejection sampling retained too few samples."""
+    exit_code, label = 3, "generation error"
 
     def __init__(self, message, kept_fraction=None):
         super().__init__(message)
@@ -35,6 +40,7 @@ class TapeError(ProtoAdaptError):
 
 class DivergenceError(ProtoAdaptError):
     """Training produced a non-finite loss or gradient."""
+    exit_code, label = 5, "divergence"
 
     def __init__(self, message, step=None):
         super().__init__(message)

@@ -186,16 +186,20 @@ def write_keyvalue(path, mapping: dict) -> None:
 
 
 def read_keyvalue(path) -> dict:
+    try:
+        with open(path) as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not a key=value text file: {exc}") from None
     out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FileFormatError(f"{path}: malformed key=value line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FileFormatError(f"{path}: malformed key=value line: {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
