@@ -57,8 +57,8 @@ class ExperimentConfig:
         ):
             if getattr(self, key) < low:
                 raise ConfigError(f"config {key} must be >= {low}, got {getattr(self, key)}")
-        if any(width < 1 for width in self.encoder_hidden):
-            raise ConfigError(f"config encoder_hidden widths must be >= 1, got {self.encoder_hidden}")
+        if any(not 1 <= width < 2**32 for width in self.encoder_hidden):  # MDL1 dims are u32
+            raise ConfigError(f"config encoder_hidden widths must be in [1, 2**32), got {self.encoder_hidden}")
         for key in ("lr", "adapt_lr", "lambda_"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value < np.inf:

@@ -1,8 +1,9 @@
 """Command-line surface for the full workflow.
 
 Subcommands: gen-data, train, estimate, adapt, eval, diagnose,
-export-embeddings. Exit codes: 0 success, 2 usage/config error,
-3 estimation failure, 4 source-freeness violation, 5 numerical divergence.
+export-embeddings. Exit codes: 0 success, 1 internal error (a bug, with its
+traceback), 2 usage/config error, 3 estimation failure, 4 source-freeness
+violation, 5 numerical divergence; each is set on its error class.
 
 Config files are plain key=value lines (# comments); command-line flags
 override file values. `train` and `adapt` echo their fully-resolved config

@@ -96,8 +96,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("blobs", "grid-seg"):
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.K < 2:
-            raise ConfigError("K must be >= 2")
+        if not 2 <= self.K <= 2**24:  # labels are stored as float32
+            raise ConfigError(f"K must be in [2, 2**24], got {self.K}")
         if not seed_in_range(self.seed):
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for key in ("n_images", "height", "width"):
@@ -381,7 +381,8 @@ def load_split(directory):
 
 
 def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
-    """Write the three splits: labeled source, unlabeled target, labeled eval."""
+    """Write the three splits: labeled source, unlabeled target, labeled eval,
+    once no `n_images` or `n_eval` asks for images that cannot be allocated."""
     if n_eval < 1:
         raise ConfigError(f"n_eval must be >= 1, got {n_eval}")
     if not seed_in_range(spec.seed + 2):
@@ -389,6 +390,13 @@ def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
             "seed must be below 2**64 - 2, as the target splits take seed+1 and seed+2, "
             f"got {spec.seed}"
         )
+    side = (1, 1) if spec.kind == "blobs" else (spec.height, spec.width)
+    for key, n in (("n_images", spec.n_images), ("n_eval", n_eval)):
+        shape = (n, *side, CHANNELS)
+        try:
+            np.empty(shape, np.float32)  # a split's largest array, freed at once
+        except (ValueError, MemoryError):
+            raise ConfigError(f"{key}={n}: float32 images of shape {shape} cannot be allocated") from None
     source = replace(spec, seed=spec.seed)
     target_train = replace(spec, seed=spec.seed + 1)
     target_eval = replace(spec, seed=spec.seed + 2, n_images=n_eval)
@@ -397,11 +405,7 @@ def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     tgt_images, _ = generate(target_train, shifted=True)
     ev_images, ev_labels = generate(target_eval, shifted=True)
 
-    paths = {
-        "source": os.path.join(out_dir, "source"),
-        "target_train": os.path.join(out_dir, "target_train"),
-        "target_eval": os.path.join(out_dir, "target_eval"),
-    }
+    paths = {split: os.path.join(out_dir, split) for split in ("source", "target_train", "target_eval")}
     save_split(paths["source"], source, "source", src_images, src_labels)
     save_split(paths["target_train"], target_train, "target_train", tgt_images)
     save_split(paths["target_eval"], target_eval, "target_eval", ev_images, ev_labels)

@@ -273,7 +273,7 @@ class TestTrain:
         data, out = workspace / "data" / "source", tmp_path / "m.mdl1"
         code = main(["train", "--config", str(bad), "--data", str(data), "--out", str(out)])
         assert code == 5
-        assert "training loss non-finite at step 1" in capsys.readouterr().err
+        assert "divergence: training loss non-finite at step 1" in capsys.readouterr().err
 
     def test_negative_steps_flag_rejected(self, workspace, tmp_path, capsys):
         argv = ["train", "--data", str(workspace / "data" / "source"), "--steps", "-3"]
@@ -351,7 +351,7 @@ class TestEstimate:
             ]
         )
         assert code == 3
-        assert "class" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("estimation error: class ")
 
 
 def run_adapt(workspace, out, seed=None, target=None, extra=()):
@@ -542,7 +542,7 @@ class TestAdapt:
         bad = tmp_path / "huge_lr.txt"
         bad.write_text(CONFIG + "adapt_lr=1e30\n")
         assert run_adapt(workspace, tmp_path / "run", extra=["--config", str(bad)]) == 5
-        assert "adaptation loss non-finite at step 1" in capsys.readouterr().err
+        assert "divergence: adaptation loss non-finite at step 1" in capsys.readouterr().err
 
     def test_mismatched_model_and_mixture_exit2(self, workspace, tmp_path, capsys):
         wider = tmp_path / "k5.mdl1"
@@ -808,6 +808,19 @@ class TestEvalDiagnoseExport:
         )
         assert code == 2
 
+    def test_internal_error_is_not_a_usage_error(self, workspace, monkeypatch):
+        """An IndexError raised inside a command is a bug, not a bad input:
+        `main` lets it through, so the process exits 1 with its traceback.
+        It once printed `error: index 7 is out of bounds ...` and exited 2."""
+
+        def bug(*args):
+            raise IndexError("index 7 is out of bounds for axis 0 with size 3")
+
+        monkeypatch.setattr(adapt_mod, "evaluate_miou", bug)
+        argv = ["eval", "--ckpt", str(workspace / "model.mdl1")]
+        with pytest.raises(IndexError, match="index 7 is out of bounds"):
+            main([*argv, "--data", str(workspace / "data" / "target_eval")])
+
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("value", [7.0, -1.0, 1.5, float("nan")])
@@ -972,10 +985,39 @@ def split_argv(workspace, command, split, out):
 USUAL_SPLIT = {"train": "source", "estimate": "source", "adapt": "target_train",
                "eval": "target_eval", "export-embeddings": "target_train"}
 
-# (command, bad split, message): every refusal of the split reader that a
-# command can meet. Labels are required by train, estimate and eval,
-# forbidden by adapt and optional for export-embeddings; train has no model
-# whose K the split could contradict.
+# (command, bad input, message): every refusal of a bad input that a command
+# can meet, each exit 2 naming the file or the key. The split reader's rows
+# come first: labels are required by train, estimate and eval, forbidden by
+# adapt and optional for export-embeddings; train has no model whose K the
+# split could contradict. A damaged artifact (`<file>-<damage>`) is missing,
+# truncated by its last byte, padded by one byte or has another magic.
+DAMAGES = {
+    "missing": None,
+    "truncated": lambda data: data[:-1],
+    "padded": lambda data: data + b"\0",
+    "magic": lambda data: b"XXXX" + data[4:],
+}
+DAMAGE_MESSAGE = {"missing": "No such file or directory", "padded": "trailing bytes after payload",
+                  "magic": "magic b'XXXX'"}
+# MDL1 ends with u32 fields; TNS1 and GMM1 end with a tensor payload.
+TRUNCATED_MESSAGE = {"images": "bytes left", "ckpt": "truncated file: wanted 4 bytes", "gmm": "bytes left"}
+# A checkpoint handed over where a key=value text file belongs.
+NOT_TEXT = "not a key=value text file: 'utf-8' codec can't decode"
+# gen-data specs (after kind=) too large to allocate: (lines, what the
+# refusal names, the rest of its message).
+E17 = "0" * 17
+OVERSIZED = {
+    "grid-seg-n_images=10**11": ("grid-seg\nn_images=100000000000\nn_eval=2", "n_images=100000000000", "cannot be"),
+    "grid-seg-n_images=10**18": (f"grid-seg\nn_images=10{E17}\nn_eval=2", f"n_images=10{E17}", "cannot be"),
+    "blobs-n_images=10**18": (f"blobs\nn_images=10{E17}\nn_eval=2", f"n_images=10{E17}", "cannot be"),
+    "blobs-n_eval=10**18": (f"blobs\nn_images=10\nn_eval=10{E17}", f"n_eval=10{E17}", "cannot be"),
+    "blobs-K=10**18": (f"blobs\nK=10{E17}\nn_images=2\nn_eval=2", "K must be in [2, 2**24]", f"got 10{E17}"),
+}
+# Config lines out of range, for commands whose other tests do not try them.
+CONFIG_LINES = {
+    "estimate": ["tau_fit=1.5", f"seed={2**64}"],
+    "train": [f"encoder_hidden=32,{10**18}"],
+}
 SPLIT_REFUSALS = (
     [(c, "missing", "directory not found: ") for c in USUAL_SPLIT]
     + [(c, "unlabeled", "labels missing in ") for c in ("train", "estimate", "eval")]
@@ -984,28 +1026,98 @@ SPLIT_REFUSALS = (
        for c in ("estimate", "adapt", "eval", "export-embeddings")]
     + [(c, case, ", channels=3 differs from images (") for c in USUAL_SPLIT
        for case in ("short-images", "edited-height")]
+    + [(c, f"images-{d}", DAMAGE_MESSAGE.get(d, TRUNCATED_MESSAGE["images"]))
+       for c in USUAL_SPLIT for d in DAMAGES]
+    + [(c, "manifest-not-text", NOT_TEXT) for c in USUAL_SPLIT]
+    + [(c, f"ckpt-{d}", DAMAGE_MESSAGE.get(d, TRUNCATED_MESSAGE["ckpt"]))
+       for c in ("estimate", "adapt", "eval", "export-embeddings") for d in DAMAGES]
+    + [(c, f"gmm-{d}", DAMAGE_MESSAGE.get(d, TRUNCATED_MESSAGE["gmm"]))
+       for c in ("adapt", "export-embeddings") for d in DAMAGES]
+    + [("adapt", "meta-not-text", NOT_TEXT)]
+    + [(c, "config-not-text", NOT_TEXT) for c in ("train", "estimate", "adapt")]
+    + [(c, f"config-{line}", line.split("=")[0]) for c, lines in CONFIG_LINES.items() for line in lines]
+    + [("gen-data", "spec-not-text", NOT_TEXT)]
+    + [("gen-data", f"spec-{case}", message) for case, (_, _, message) in OVERSIZED.items()]
+    + [("diagnose", "report-missing", "no diagnostics.txt under "), ("diagnose", "diagnostics-not-text", NOT_TEXT)]
 )
 
 
+def bad_input_argv(workspace, tmp_path, command, case):
+    """(argv, what its refusal must name) for `command` meeting the bad input
+    `case`. Inputs are copies under `tmp_path`; outputs go under its `run`."""
+    out, not_text = tmp_path / "run" / "out", (workspace / "model.mdl1").read_bytes()
+    if command == "gen-data":
+        spec = tmp_path / "spec.txt"
+        if case == "spec-not-text":
+            spec.write_bytes(not_text)
+            return ["gen-data", "--spec", str(spec), "--out", str(out)], spec
+        text, named, _ = OVERSIZED[case[len("spec-"):]]
+        spec.write_text(f"kind={text}\n")
+        return ["gen-data", "--spec", str(spec), "--out", str(out)], named
+    if command == "diagnose":
+        report = tmp_path / "report"
+        report.mkdir()
+        if case == "diagnostics-not-text":
+            (report / "diagnostics.txt").write_bytes(not_text)
+            return ["diagnose", "--report", str(report)], report / "diagnostics.txt"
+        return ["diagnose", "--report", str(report)], report
+    split = tmp_path / "split"
+    argv = split_argv(workspace, command, split, out)
+    if case != "missing":
+        name = {"unlabeled": "target_train", "labeled": "target_eval"}.get(case, USUAL_SPLIT[command])
+        shutil.copytree(workspace / "data" / name, split)
+    if case == "short-images":
+        save_tensor(split / "images.tns1", load_tensor(split / "images.tns1")[:-1])
+    edit = {"other-k": {"K": "4"}, "edited-height": {"height": "2"}}.get(case)
+    if edit:
+        write_keyvalue(split / "manifest.txt", read_keyvalue(split / "manifest.txt") | edit)
+    kind, _, how = case.partition("-")
+    if kind == "config":
+        config = tmp_path / "config.txt"
+        argv[argv.index("--config") + 1] = str(config)
+        if how == "not-text":
+            config.write_bytes(not_text)
+            return argv, config
+        config.write_text(CONFIG + how + "\n")
+        return argv, how.split("=")[0]
+    named = {"images": split / "images.tns1", "manifest": split / "manifest.txt"}.get(kind, split)
+    if kind in ("ckpt", "gmm", "meta"):  # a copy to damage takes the workspace file's place
+        flag = "--ckpt" if kind == "ckpt" else "--gmm"
+        if kind == "ckpt":
+            named = tmp_path / "model.mdl1"
+            shutil.copy(workspace / "model.mdl1", named)
+        else:
+            named = copy_mixture(workspace, tmp_path)
+        if flag not in argv:  # export-embeddings reads a mixture only when given one
+            argv += [flag, ""]
+        argv[argv.index(flag) + 1] = str(named)
+        if kind == "meta":
+            named = tmp_path / "model.gmm1.meta"
+    if how == "not-text":
+        named.write_bytes(not_text)
+    elif how in DAMAGES:
+        data = named.read_bytes()
+        named.unlink()
+        if DAMAGES[how]:
+            named.write_bytes(DAMAGES[how](data))
+    return argv, named
+
+
 class TestSplitReader:
-    """Every command that reads a split refuses a bad one, exit 2 naming it,
-    before it writes anything."""
+    """Every command refuses a bad input, exit 2 naming the file or the key,
+    before it writes anything: the split reader's refusals, a damaged
+    artifact, a key=value file that is not text, a config value out of
+    range and a spec too large to allocate. None relies on `main` mapping a
+    bare ValueError, KeyError or IndexError to exit 2, which it no longer
+    does."""
 
     @pytest.mark.parametrize("command,case,message", SPLIT_REFUSALS,
                              ids=[f"{c}-{case}" for c, case, _ in SPLIT_REFUSALS])
     def test_bad_split_exit2_names_it(self, workspace, tmp_path, capsys, command, case, message):
-        split = tmp_path / "split"
-        if case != "missing":
-            name = {"unlabeled": "target_train", "labeled": "target_eval"}.get(case, USUAL_SPLIT[command])
-            shutil.copytree(workspace / "data" / name, split)
-        if case == "short-images":
-            save_tensor(split / "images.tns1", load_tensor(split / "images.tns1")[:-1])
-        edit = {"other-k": {"K": "4"}, "edited-height": {"height": "2"}}.get(case)
-        if edit:
-            write_keyvalue(split / "manifest.txt", read_keyvalue(split / "manifest.txt") | edit)
-        assert main(split_argv(workspace, command, split, tmp_path / "run" / "out")) == 2
+        argv, named = bad_input_argv(workspace, tmp_path, command, case)
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(split) in err and message in err
+        assert err.startswith("error: ") and str(named) in err and message in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "estimate", "eval", "export-embeddings"])
