@@ -57,11 +57,10 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def echo_config(config: ExperimentConfig, out_dir: str) -> None:
-    """Write resolved_config.txt into `out_dir` for `--config` to read back as `config`."""
+def echo_config(config: ExperimentConfig, path: str) -> None:
+    """Write `config` to `path`, a resolved_config.txt for `--config` to read back."""
     keys = {f: key for key, f in _CONFIG_KEYS.items()}
-    payload = {keys[f]: v for f, v in format_values(vars(config)).items()}
-    write_keyvalue(os.path.join(out_dir, "resolved_config.txt"), payload)
+    write_keyvalue(path, {keys[f]: v for f, v in format_values(vars(config)).items()})
 
 
 _INFO_TYPES = typing.get_type_hints(EstimateInfo)
@@ -101,33 +100,44 @@ def _check_sidecar_fits(gmm_path: str, gmm, info: EstimateInfo) -> None:
         )
 
 
-def _within(path: str, root: str) -> bool:
-    """Whether `path` resolves to `root` or to anything under it."""
-    path, root = os.path.realpath(path), os.path.realpath(root)
-    return os.path.commonpath([path, root]) == root
+def _overlap(a: str, b: str) -> bool:
+    """Whether `a` and `b` resolve to the same path or one lies under the other."""
+    a, b = os.path.realpath(a), os.path.realpath(b)
+    return os.path.commonpath([a, b]) in (a, b)
 
 
-def _refuse_other_kind(path: str, head: bytes) -> None:
-    """Exit 2 naming `path` when it is a non-empty file that does not begin
-    with `head`, as the command's own output does: another command wrote it."""
-    if os.path.isfile(path) and os.path.getsize(path):
-        with open(path, "rb") as f:
-            if f.read(len(head)) != head:
-                raise CliError(f"--out would replace {path}, which does not begin with {head!r}")
+def _claim_outputs(out: str, reads: dict, files: dict | None = None) -> None:
+    """Exit 2 naming the path, before any work, unless the command may write
+    `files` (path -> the bytes its own output begins with, or None), or into
+    the directory `out` when `files` is None: nothing written may overlap a
+    path of `reads` (path -> what it is), stand where a directory is, go into
+    a file, or replace a non-empty file that begins otherwise."""
+    for path, head in ({out: None} if files is None else files).items():
+        for read, what in reads.items():
+            if read and _overlap(path, read):
+                raise CliError(f"--out {out} would write {path}, which is, holds or lies in the {what} {read}")
+        if files is not None and os.path.isdir(path):
+            raise CliError(f"--out {out} would write the file {path}, which is a directory")
+        above = os.path.abspath(path if files is None else os.path.join(path, os.pardir))
+        while not os.path.exists(above):  # the nearest directory written into that exists
+            above = os.path.dirname(above)
+        if not os.path.isdir(above):
+            raise CliError(f"--out {out} would write into {above}, which is a file")
+        if head and os.path.isfile(path) and os.path.getsize(path):
+            with open(path, "rb") as f:
+                if f.read(len(head)) != head:
+                    raise CliError(f"--out would replace {path}, which does not begin with {head!r}")
 
 
-def _load_split(path: str, models, labels: bool | None, out: str | None):
+def _load_split(path: str, models, labels: bool | None):
     """(images, labels, manifest) of the split at `path`, for every command
     that reads one. Exit 2 naming `path` when the directory is missing, when
-    `out` (the command's --out) resolves into it, when `ds.load_split`
-    refuses it, when labels are absent and `labels` is True or present and
-    it is False (None: optional), or when its K is not each of `models`'.
-    Only `adapt` forbids labels: its split is the target."""
+    `ds.load_split` refuses it, when labels are absent and `labels` is True
+    or present and it is False (None: optional), or when its K is not each
+    of `models`'. Only `adapt` forbids labels: its split is the target."""
     what = "target" if labels is False else "data"
     if not os.path.isdir(path):
         raise CliError(f"{what} directory not found: {path}")
-    if out is not None and _within(out, path):
-        raise CliError(f"--out {out} would write into the {what} split {path}")
     images, found, manifest = ds.load_split(path)
     if labels and found is None:
         raise CliError(f"labels missing in {path}")
@@ -145,11 +155,9 @@ def _load_split(path: str, models, labels: bool | None, out: str | None):
 
 
 def cmd_gen_data(args) -> int:
-    values = parse_values(
-        ds.SPEC_TYPES | {"n_eval": int, "preset": str},
-        read_keyvalue(args.spec) if args.spec else {},
-        "spec",
-    )
+    _claim_outputs(args.out, {})
+    types = ds.SPEC_TYPES | {"n_eval": int, "preset": str}
+    values = parse_values(types, read_keyvalue(args.spec) if args.spec else {}, "spec")
     n_eval = values.pop("n_eval", 500)
     if values.pop("preset", "") == "standard" or args.preset == "standard":
         # The preset fixes every field but the seed: any other key would be
@@ -171,34 +179,35 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    log = args.out + ".trainlog.csv"
+    record = os.path.join(os.path.dirname(os.path.abspath(args.out)), "resolved_config.txt")
+    _claim_outputs(args.out, {args.data: "data split"}, {args.out: MDL1_MAGIC, log: None, record: None})
     config = load_config(args.config, vars(args))
-    images, labels, manifest = _load_split(args.data, (), labels=True, out=args.out)
-    _refuse_other_kind(args.out, MDL1_MAGIC)
+    images, labels, manifest = _load_split(args.data, (), labels=True)
     # load_split has checked every label against the manifest's K.
     model, losses = adapt_mod.train_source(config, images, labels, K=int(manifest["K"]))
     ad.save_model(args.out, model)
-    with open_output(args.out + ".trainlog.csv", text=True) as f:
+    with open_output(log, text=True) as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
         writer.writerows((i, f"{v:.8g}") for i, v in enumerate(losses))
-    echo_config(config, os.path.dirname(os.path.abspath(args.out)))
+    echo_config(config, record)
     final = losses[-1] if losses else float("nan")
     print(f"checkpoint: {args.out} (steps={len(losses)}, final_loss={final:.6g})")
     return 0
 
 
 def cmd_estimate(args) -> int:
+    meta = args.out + ".meta"
+    reads = {args.ckpt: "checkpoint", args.data: "data split"}
+    _claim_outputs(args.out, reads, {args.out: GMM1_MAGIC, meta: b"source_data="})
     config = load_config(args.config, vars(args))
-    if _within(args.out, args.ckpt) or _within(args.out + ".meta", args.ckpt):
-        raise CliError(f"--out {args.out} would overwrite the checkpoint {args.ckpt}")
     model = ad.load_model(args.ckpt)
-    images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
-    _refuse_other_kind(args.out, GMM1_MAGIC)
-    _refuse_other_kind(args.out + ".meta", b"source_data=")
+    images, labels, _ = _load_split(args.data, [model], labels=True)
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(args.data), "tau_fit": config.tau_fit}
-    write_keyvalue(args.out + ".meta", sidecar | format_values(vars(info)))
+    write_keyvalue(meta, sidecar | format_values(vars(info)))
     print(
         f"gmm: {args.out} K={gmm.K} d={gmm.dim} tau_fit={gmm.tau_fit} "
         f"w_sp_exact={info.w_sp_exact:.6g} w_sp_sliced={info.w_sp_sliced:.6g}"
@@ -207,17 +216,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    reads = {args.ckpt: "checkpoint", args.gmm: "mixture", args.gmm + ".meta": "mixture sidecar"}
+    _claim_outputs(args.out, reads | {args.target: "target split"})
     config = load_config(args.config, vars(args))
     source, info = read_sidecar(args.gmm + ".meta")
-    if _within(args.target, source) or _within(source, args.target):
+    if _overlap(args.target, source):
         raise SourceFreedomError("source data forbidden during adaptation")
-    if os.path.realpath(args.out) == os.path.dirname(os.path.realpath(args.ckpt)):
-        raise CliError(
-            f"--out {args.out} is the directory of checkpoint {args.ckpt}; adapt's "
-            "resolved_config.txt would replace train's"
-        )
     model = ad.load_model(args.ckpt)
-    images, _, _ = _load_split(args.target, [model], labels=False, out=args.out)
+    images, _, _ = _load_split(args.target, [model], labels=False)
     gmm = load_gmm(args.gmm)
     _check_sidecar_fits(args.gmm, gmm, info)
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
@@ -226,9 +232,7 @@ def cmd_adapt(args) -> int:
     with open_output(os.path.join(args.out, "report.csv"), text=True) as f:
         writer = csv.writer(f)
         writer.writerow(["step", "ce", "swd", "total"])
-        writer.writerows(
-            (s, f"{ce:.8g}", f"{sw:.8g}", f"{t:.8g}") for s, ce, sw, t in report.steps
-        )
+        writer.writerows((s, f"{ce:.8g}", f"{sw:.8g}", f"{t:.8g}") for s, ce, sw, t in report.steps)
 
     diag, pseudo, pre_rows, post_rows = adapt_mod.compute_bound_diagnostics(
         gmm, model, adapted, images, config, info
@@ -243,7 +247,7 @@ def cmd_adapt(args) -> int:
     for name, m, rows in (("target_pre", model, pre_rows), ("target_post", adapted, post_rows)):
         pred, _ = ad.top_class(ad.forward_classify(m, rows))
         save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -1, pred)
-    echo_config(config, args.out)
+    echo_config(config, os.path.join(args.out, "resolved_config.txt"))
     print(
         f"adapted: {args.out} steps={len(report.steps)} "
         f"kept_fraction={report.kept_fraction:.4f} "
@@ -253,12 +257,11 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out and _within(args.out, args.ckpt):
-        raise CliError(f"--out {args.out} would overwrite the checkpoint {args.ckpt}")
-    model = ad.load_model(args.ckpt)
-    images, labels, _ = _load_split(args.data, [model], labels=True, out=args.out)
     if args.out:
-        _refuse_other_kind(args.out, b"iou_class_0=")
+        reads = {args.ckpt: "checkpoint", args.data: "data split"}
+        _claim_outputs(args.out, reads, {args.out: b"iou_class_0="})
+    model = ad.load_model(args.ckpt)
+    images, labels, _ = _load_split(args.data, [model], labels=True)
     iou, miou = adapt_mod.evaluate_miou(model, images, labels)
     for k, value in enumerate(iou):
         shown = "undefined" if np.isnan(value) else f"{value:.4f}"
@@ -282,11 +285,13 @@ def cmd_diagnose(args) -> int:
 def cmd_export_embeddings(args) -> int:
     if args.seed is not None and not seed_in_range(args.seed):
         raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
+    reads = {args.ckpt: "checkpoint", args.ckpt_pre: "checkpoint", args.gmm: "mixture"}
+    _claim_outputs(args.out, reads | {args.data: "data split"})
     model = ad.load_model(args.ckpt)
     models = [("data.emb1", model)]
     if args.ckpt_pre:
         models.append(("data_pre.emb1", ad.load_model(args.ckpt_pre)))
-    images, labels, _ = _load_split(args.data, [m for _, m in models], labels=None, out=args.out)
+    images, labels, _ = _load_split(args.data, [m for _, m in models], labels=None)
     gmm = load_gmm(args.gmm) if args.gmm else None
     if gmm is not None:
         adapt_mod.check_mixture_matches(model, gmm)

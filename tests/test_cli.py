@@ -12,6 +12,8 @@ import pytest
 
 from protoadapt import adaptation as adapt_mod
 from protoadapt import autodiff as ad
+from protoadapt import cli
+from protoadapt import datasets as ds
 from protoadapt.adaptation import EstimateInfo, ExperimentConfig, compute_bound_diagnostics
 from protoadapt.cli import load_config, main, read_sidecar
 from protoadapt.datasets import DomainSpec, gen_grid_seg, load_split, save_split
@@ -607,9 +609,12 @@ class TestAdapt:
         assert f"error: {bad}: " in err and message in err
         assert not out.exists()
 
-    def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys):
-        code = run_adapt(workspace, tmp_path / "x", target=workspace / "data" / "source")
-        assert code == 4
+    @pytest.mark.parametrize("where", ["split", "under-split", "above-split"])
+    def test_source_path_as_target_exit4(self, workspace, tmp_path, capsys, where):
+        """The recorded source split, a directory under it or one that holds it."""
+        source = workspace / "data" / "source"
+        target = {"split": source, "under-split": source / "sub", "above-split": source.parent}[where]
+        assert run_adapt(workspace, tmp_path / "x", target=target) == 4
         assert "source data forbidden" in capsys.readouterr().err
 
     def test_out_in_checkpoint_dir_exit2_keeps_train_record(self, workspace, tmp_path, capsys):
@@ -1217,6 +1222,79 @@ class TestOutKind:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+
+# (command, paths made under the run directory first, a trailing / making a
+# directory, --out, the path the refusal names): a path in the way of what the
+# command writes, or an input that its --out directory holds.
+IN_THE_WAY = {
+    "train-trainlog-is-dir": ("train", ["m.mdl1.trainlog.csv/"], "m.mdl1", "m.mdl1.trainlog.csv"),
+    "eval-out-is-dir": ("eval", ["ev/"], "ev", "ev"),
+    "estimate-meta-is-dir": ("estimate", ["g2.gmm1.meta/"], "g2.gmm1", "g2.gmm1.meta"),
+    "adapt-out-is-file": ("adapt", ["afile"], "afile", "afile"),
+    "export-out-under-file": ("export-embeddings", ["afile"], "afile/sub", "afile"),
+    "gen-data-out-is-file": ("gen-data", ["afile"], "afile", "afile"),
+    "export-out-holds-ckpt": ("export-embeddings", ["adapted/adapted.mdl1"], "adapted", "adapted/adapted.mdl1"),
+}
+# Every function that loads an input or does a command's work.
+WORK = [(adapt_mod, "train_source"), (adapt_mod, "estimate_stage"), (adapt_mod, "adapt_source_free"),
+        (adapt_mod, "evaluate_miou"), (adapt_mod, "pixel_embeddings"), (ds, "write_dataset")]
+LOADS = [(ad, "load_model"), (ds, "load_split"), (cli, "load_gmm"), (ds, "write_dataset")]
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("work began before --out was checked")
+
+
+def claim_argv(workspace, command, out):
+    """argv of `command` writing `out`, with every input of the walkthrough."""
+    if command == "gen-data":
+        return ["gen-data", "--spec", str(workspace / "spec.txt"), "--out", str(out)]
+    argv = split_argv(workspace, command, workspace / "data" / USUAL_SPLIT[command], out)
+    return argv + (["--gmm", str(workspace / "model.gmm1")] if command == "export-embeddings" else [])
+
+
+class TestOutClaim:
+    """One rule for where a command may write, checked before any work: no
+    path written overlaps an input, no directory stands where a file goes,
+    nothing goes into a file, and no non-empty file of another kind is
+    replaced (TestOutKind)."""
+
+    @pytest.mark.parametrize("case", IN_THE_WAY)
+    def test_in_the_way_exit2_before_any_work(self, workspace, tmp_path, capsys, monkeypatch, case):
+        command, made, out, named = IN_THE_WAY[case]
+        run = tmp_path / "run"
+        for rel in made:
+            (run / rel).parent.mkdir(parents=True, exist_ok=True)
+            if rel.endswith("/"):
+                (run / rel).mkdir()
+                (run / rel / "kept.txt").write_text("kept\n")
+            else:
+                shutil.copy(workspace / "model.mdl1", run / rel)
+        before = {p: p.is_dir() or p.read_bytes() for p in run.rglob("*")}
+        for module, name in WORK:
+            monkeypatch.setattr(module, name, _fail)
+        argv = claim_argv(workspace, command, run / out)
+        if case == "export-out-holds-ckpt":
+            argv[argv.index("--ckpt") + 1] = str(run / named)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--out {run / out} " in err and f" {run / named}" in err
+        assert {p: p.is_dir() or p.read_bytes() for p in run.rglob("*")} == before
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "estimate", "adapt", "eval", "export-embeddings"])
+    def test_claim_comes_before_any_load(self, workspace, tmp_path, monkeypatch, command):
+        class Claimed(Exception):
+            pass
+
+        def claim(*args, **kwargs):
+            raise Claimed
+
+        monkeypatch.setattr(cli, "_claim_outputs", claim)
+        for module, name in LOADS:
+            monkeypatch.setattr(module, name, _fail)
+        with pytest.raises(Claimed):
+            main(claim_argv(workspace, command, tmp_path / "out"))
 
 
 def test_frozen_config_copies_agree(tmp_path):
