@@ -24,6 +24,7 @@ from .gmm import (
     estimate_gmm,
     generate_pseudo_dataset,
 )
+from .linalg import check_allocatable
 from .rng import Rng, seed_in_range
 from .swd import SlicedConfig, exact_wasserstein_sq_small, sliced_wasserstein_grad, sliced_wasserstein_sq
 
@@ -126,6 +127,7 @@ def train_source(
     top = int(np.max(labels))
     if K is not None and top >= K:
         raise ValueError(f"source label {top} is not below the class count K={K}")
+    _check_sizes(config, batch_source=(config.batch_source, *images.shape[1:]))
     model = ad.init_model(
         images.shape[-1],
         top + 1 if K is None else K,
@@ -144,6 +146,13 @@ def train_source(
     return model, _descend(
         model, images, config.batch_source, config.source_steps, config.lr, rng, loss_fn, "training"
     )
+
+
+def _check_sizes(config: ExperimentConfig, **shapes) -> None:
+    """Refuse, naming the key, a config size whose first array cannot be
+    allocated, before any work: `shapes` maps each key to that shape."""
+    for key, shape in shapes.items():
+        check_allocatable(f"config {key}={getattr(config, key)}", shape)
 
 
 def _descend(model, images, batch, steps, lr, rng, loss_fn, what):
@@ -300,6 +309,7 @@ def estimate_stage(model: SegModel, images: np.ndarray, labels: np.ndarray, conf
     pixels and its cloud, drawn from Rng(config.seed ^ ESTIMATE_SALT) after
     the mixture is fit; `n_pixels` is N, every source pixel.
     """
+    _check_sizes(config, num_projections=(config.num_projections, model.embed_dim))
     rng = Rng(config.seed ^ ESTIMATE_SALT)
     emb, pred, conf = pixel_embeddings(model, images)
     flat = _flat_labels(labels)
@@ -375,6 +385,13 @@ def adapt_source_free(
     target_images = np.asarray(target_images, dtype=np.float32)
     if target_images.shape[0] < 1:
         raise ValueError("target dataset is empty")
+    d = model.embed_dim  # the width of pseudo points and of SWD directions
+    _check_sizes(
+        config,
+        batch_target=(config.batch_target, *target_images.shape[1:]),
+        pseudo_batch=(config.pseudo_batch, d),
+        num_projections=(config.num_projections, d),
+    )
     rng = Rng(config.seed ^ ADAPT_SALT)
     start_time = time.perf_counter()
 

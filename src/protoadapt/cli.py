@@ -159,7 +159,10 @@ def cmd_gen_data(args) -> int:
     types = ds.SPEC_TYPES | {"n_eval": int, "preset": str}
     values = parse_values(types, read_keyvalue(args.spec) if args.spec else {}, "spec")
     n_eval = values.pop("n_eval", 500)
-    if values.pop("preset", "") == "standard" or args.preset == "standard":
+    preset = values.pop("preset", None)
+    if preset not in (None, "standard"):
+        raise CliError(f"spec preset must be standard, got preset={preset!r}")
+    if preset or args.preset:
         # The preset fixes every field but the seed: any other key would be
         # silently ignored.
         for key in values:

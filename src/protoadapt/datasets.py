@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, FileFormatError
 from .fileformats import check_finite, format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
+from .linalg import check_allocatable
 from .rng import Rng, box_muller, seed_in_range
 
 FORMAT_VERSION = "1"
@@ -392,11 +393,7 @@ def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
         )
     side = (1, 1) if spec.kind == "blobs" else (spec.height, spec.width)
     for key, n in (("n_images", spec.n_images), ("n_eval", n_eval)):
-        shape = (n, *side, CHANNELS)
-        try:
-            np.empty(shape, np.float32)  # a split's largest array, freed at once
-        except (ValueError, MemoryError):
-            raise ConfigError(f"{key}={n}: float32 images of shape {shape} cannot be allocated") from None
+        check_allocatable(f"{key}={n}", (n, *side, CHANNELS))  # a split's largest array
     source = replace(spec, seed=spec.seed)
     target_train = replace(spec, seed=spec.seed + 1)
     target_eval = replace(spec, seed=spec.seed + 2, n_images=n_eval)

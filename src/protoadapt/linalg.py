@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, FactorizationError
+from .errors import ConfigError, DimensionError, FactorizationError
 from .rng import Rng
 
 # Rows per group when `apply_rows` applies a vector to every row.
 TILE_ROWS = 64
+
+
+def check_allocatable(what: str, shape: tuple) -> None:
+    """Raise ConfigError naming `what`, the size as key=value, when numpy
+    cannot allocate a float32 array of `shape`; the probe is freed at once.
+    A size the allocator grants lazily but the machine cannot fill passes."""
+    try:
+        np.empty(shape, np.float32)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"{what}: a float32 array of shape {shape} cannot be allocated") from None
 
 
 def column_sum(g: np.ndarray) -> np.ndarray:

@@ -160,6 +160,8 @@ class TestGenData:
             ("blobs", "rotation=inf"),
             ("blobs", "channel_gain=1,nan,1"),
             ("grid-seg", "channel_gain=1.4,-0.7,1"),
+            ("grid-seg", "preset=standrad"),
+            ("blobs", "preset="),
         ],
     )
     def test_spec_that_cannot_mean_what_it_says_names_field(self, tmp_path, capsys, kind, line):
@@ -1020,8 +1022,9 @@ OVERSIZED = {
 }
 # Config lines out of range, for commands whose other tests do not try them.
 CONFIG_LINES = {
-    "estimate": ["tau_fit=1.5", f"seed={2**64}"],
-    "train": [f"encoder_hidden=32,{10**18}"],
+    "estimate": ["tau_fit=1.5", f"seed={2**64}", f"num_projections={10**18}"],
+    "train": [f"encoder_hidden=32,{10**18}", f"batch_source={10**18}"],
+    "adapt": [f"num_projections={10**18}", f"pseudo_batch={10**18}", f"batch_target={10**18}"],
 }
 SPLIT_REFUSALS = (
     [(c, "missing", "directory not found: ") for c in USUAL_SPLIT]
