@@ -119,7 +119,7 @@ def _claim_outputs(out: str, reads: dict, files: dict | None = None) -> None:
         if files is not None and os.path.isdir(path):
             raise CliError(f"--out {out} would write the file {path}, which is a directory")
         above = os.path.abspath(path if files is None else os.path.join(path, os.pardir))
-        while not os.path.exists(above):  # the nearest directory written into that exists
+        while not os.path.exists(above):  # up to the nearest path that exists
             above = os.path.dirname(above)
         if not os.path.isdir(above):
             raise CliError(f"--out {out} would write into {above}, which is a file")
@@ -183,8 +183,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     log = args.out + ".trainlog.csv"
-    record = os.path.join(os.path.dirname(os.path.abspath(args.out)), "resolved_config.txt")
-    _claim_outputs(args.out, {args.data: "data split"}, {args.out: MDL1_MAGIC, log: None, record: None})
+    resolved = os.path.join(os.path.dirname(os.path.abspath(args.out)), "resolved_config.txt")
+    _claim_outputs(args.out, {args.data: "data split"}, {args.out: MDL1_MAGIC, log: None, resolved: None})
     config = load_config(args.config, vars(args))
     images, labels, manifest = _load_split(args.data, (), labels=True)
     # load_split has checked every label against the manifest's K.
@@ -194,7 +194,7 @@ def cmd_train(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
         writer.writerows((i, f"{v:.8g}") for i, v in enumerate(losses))
-    echo_config(config, record)
+    echo_config(config, resolved)
     final = losses[-1] if losses else float("nan")
     print(f"checkpoint: {args.out} (steps={len(losses)}, final_loss={final:.6g})")
     return 0

@@ -1239,7 +1239,8 @@ IN_THE_WAY = {
     "gen-data-out-is-file": ("gen-data", ["afile"], "afile", "afile"),
     "export-out-holds-ckpt": ("export-embeddings", ["adapted/adapted.mdl1"], "adapted", "adapted/adapted.mdl1"),
 }
-# Every function that loads an input or does a command's work.
+# The functions that do each command's work, and those that load its
+# inputs or generate gen-data's splits.
 WORK = [(adapt_mod, "train_source"), (adapt_mod, "estimate_stage"), (adapt_mod, "adapt_source_free"),
         (adapt_mod, "evaluate_miou"), (adapt_mod, "pixel_embeddings"), (ds, "write_dataset")]
 LOADS = [(ad, "load_model"), (ds, "load_split"), (cli, "load_gmm"), (ds, "write_dataset")]
