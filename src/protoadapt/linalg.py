@@ -1,4 +1,5 @@
-"""Dense float32 tensor helpers: Cholesky, Gaussian and unit-sphere sampling.
+"""Dense float32 tensor helpers: Cholesky, Gaussian and unit-sphere sampling,
+and the allocation probe for sizes that specs and configs ask for.
 
 Tensors are plain numpy float32 arrays (row-major). Arithmetic runs in
 float64 and rounds back to float32 so storage stays small without the
