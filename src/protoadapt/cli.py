@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import ProtoAdaptError
-from .fileformats import GMM1_MAGIC, MDL1_MAGIC, format_values, open_output, parse_values
+from .fileformats import EMB1_MAGIC, GMM1_MAGIC, MDL1_MAGIC, TNS1_MAGIC, format_values, open_output, parse_values
 from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
 from .rng import Rng, seed_in_range
@@ -106,19 +106,20 @@ def _overlap(a: str, b: str) -> bool:
     return os.path.commonpath([a, b]) in (a, b)
 
 
-def _claim_outputs(out: str, reads: dict, files: dict | None = None) -> None:
+def _claim_outputs(out: str, reads: dict, files: dict) -> None:
     """Exit 2 naming the path, before any work, unless the command may write
-    `files` (path -> the bytes its own output begins with, or None), or into
-    the directory `out` when `files` is None: nothing written may overlap a
-    path of `reads` (path -> what it is), stand where a directory is, go into
-    a file, or replace a non-empty file that begins otherwise."""
-    for path, head in ({out: None} if files is None else files).items():
+    `files` (path -> the bytes its writer begins with, or None for text):
+    neither `out` nor a file may overlap a path of `reads` (path -> what it
+    is), and no file may stand where a directory is, go into a file, or
+    replace a non-empty file that begins otherwise."""
+    for path in (out, *files):
         for read, what in reads.items():
             if read and _overlap(path, read):
                 raise CliError(f"--out {out} would write {path}, which is, holds or lies in the {what} {read}")
-        if files is not None and os.path.isdir(path):
+    for path, head in files.items():
+        if os.path.isdir(path):
             raise CliError(f"--out {out} would write the file {path}, which is a directory")
-        above = os.path.abspath(path if files is None else os.path.join(path, os.pardir))
+        above = os.path.abspath(os.path.join(path, os.pardir))
         while not os.path.exists(above):  # up to the nearest path that exists
             above = os.path.dirname(above)
         if not os.path.isdir(above):
@@ -155,7 +156,9 @@ def _load_split(path: str, models, labels: bool | None):
 
 
 def cmd_gen_data(args) -> int:
-    _claim_outputs(args.out, {})
+    files = {os.path.join(args.out, split, name): TNS1_MAGIC if name.endswith(".tns1") else None
+             for split, names in ds.SPLIT_FILES.items() for name in names}
+    _claim_outputs(args.out, {}, files)
     types = ds.SPEC_TYPES | {"n_eval": int, "preset": str}
     values = parse_values(types, read_keyvalue(args.spec) if args.spec else {}, "spec")
     n_eval = values.pop("n_eval", 500)
@@ -220,7 +223,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_adapt(args) -> int:
     reads = {args.ckpt: "checkpoint", args.gmm: "mixture", args.gmm + ".meta": "mixture sidecar"}
-    _claim_outputs(args.out, reads | {args.target: "target split"})
+    heads = {"adapted.mdl1": MDL1_MAGIC, "report.csv": None, "diagnostics.txt": None, "gmm_samples.emb1": EMB1_MAGIC,
+             "target_pre.emb1": EMB1_MAGIC, "target_post.emb1": EMB1_MAGIC, "resolved_config.txt": None}
+    out = {name: os.path.join(args.out, name) for name in heads}
+    _claim_outputs(args.out, reads | {args.target: "target split"}, {out[n]: h for n, h in heads.items()})
     config = load_config(args.config, vars(args))
     source, info = read_sidecar(args.gmm + ".meta")
     if _overlap(args.target, source):
@@ -231,8 +237,8 @@ def cmd_adapt(args) -> int:
     _check_sidecar_fits(args.gmm, gmm, info)
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
-    ad.save_model(os.path.join(args.out, "adapted.mdl1"), adapted)
-    with open_output(os.path.join(args.out, "report.csv"), text=True) as f:
+    ad.save_model(out["adapted.mdl1"], adapted)
+    with open_output(out["report.csv"], text=True) as f:
         writer = csv.writer(f)
         writer.writerow(["step", "ce", "swd", "total"])
         writer.writerows((s, f"{ce:.8g}", f"{sw:.8g}", f"{t:.8g}") for s, ce, sw, t in report.steps)
@@ -241,16 +247,16 @@ def cmd_adapt(args) -> int:
         gmm, model, adapted, images, config, info
     )
     run = {"kept_fraction": report.kept_fraction, "wall_clock": f"{report.wall_clock:.3f}"}
-    write_keyvalue(os.path.join(args.out, "diagnostics.txt"), vars(diag) | run)
+    write_keyvalue(out["diagnostics.txt"], vars(diag) | run)
 
     # Fig.-3-style embedding exports (labels for target are unknown: -1).
     # The pseudo cloud was labelled by the source classifier, so its labels
     # are also that classifier's predictions.
-    save_embeddings(os.path.join(args.out, "gmm_samples.emb1"), pseudo.Z, pseudo.Y, pseudo.Y)
+    save_embeddings(out["gmm_samples.emb1"], pseudo.Z, pseudo.Y, pseudo.Y)
     for name, m, rows in (("target_pre", model, pre_rows), ("target_post", adapted, post_rows)):
         pred, _ = ad.top_class(ad.forward_classify(m, rows))
-        save_embeddings(os.path.join(args.out, f"{name}.emb1"), rows, -1, pred)
-    echo_config(config, os.path.join(args.out, "resolved_config.txt"))
+        save_embeddings(out[f"{name}.emb1"], rows, -1, pred)
+    echo_config(config, out["resolved_config.txt"])
     print(
         f"adapted: {args.out} steps={len(report.steps)} "
         f"kept_fraction={report.kept_fraction:.4f} "
@@ -289,27 +295,24 @@ def cmd_export_embeddings(args) -> int:
     if args.seed is not None and not seed_in_range(args.seed):
         raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
     reads = {args.ckpt: "checkpoint", args.ckpt_pre: "checkpoint", args.gmm: "mixture"}
-    _claim_outputs(args.out, reads | {args.data: "data split"})
+    given = {"data.emb1": True, "data_pre.emb1": args.ckpt_pre, "gmm_samples.emb1": args.gmm}
+    written = [os.path.join(args.out, name) for name, flag in given.items() if flag]
+    _claim_outputs(args.out, reads | {args.data: "data split"}, dict.fromkeys(written, EMB1_MAGIC))
     model = ad.load_model(args.ckpt)
-    models = [("data.emb1", model)]
-    if args.ckpt_pre:
-        models.append(("data_pre.emb1", ad.load_model(args.ckpt_pre)))
-    images, labels, _ = _load_split(args.data, [m for _, m in models], labels=None)
+    models = [model] + ([ad.load_model(args.ckpt_pre)] if args.ckpt_pre else [])
+    images, labels, _ = _load_split(args.data, models, labels=None)
     gmm = load_gmm(args.gmm) if args.gmm else None
     if gmm is not None:
         adapt_mod.check_mixture_matches(model, gmm)
     true = -1 if labels is None else labels  # -1: unknown, on every row
-    written = []
-    for name, m in models:
+    for path, m in zip(written, models):
         emb, pred, conf = adapt_mod.pixel_embeddings(m, images)
-        written.append(os.path.join(args.out, name))
-        save_embeddings(written[-1], emb, true, pred)
+        save_embeddings(path, emb, true, pred)
         del emb, pred, conf  # one model's pass held at a time
     if gmm is not None:
         rng = Rng(args.seed or 0)
         probs_fn = partial(ad.forward_classify, model)
         pseudo = generate_pseudo_dataset(gmm, probs_fn, PSEUDO_CLOUD, 0.0, rng)
-        written.append(os.path.join(args.out, "gmm_samples.emb1"))
         # Labels come from this model's classifier, so they are its predictions.
         save_embeddings(written[-1], pseudo.Z, pseudo.Y, pseudo.Y)
     for path in written:

@@ -28,6 +28,9 @@ from .rng import Rng, box_muller, seed_in_range
 
 FORMAT_VERSION = "1"
 SHAPE_KEYS = ("n_images", "height", "width", "channels")  # the manifest's images shape
+# The files write_dataset writes under each split's directory; target_train is unlabeled.
+SPLIT_FILES = {"source": ("images.tns1", "labels.tns1", "manifest.txt"), "target_train": ("images.tns1", "manifest.txt"),
+               "target_eval": ("images.tns1", "labels.tns1", "manifest.txt")}
 
 # Both kinds write 3-channel images (RGB for grid-seg), one gain each.
 CHANNELS = 3
@@ -402,7 +405,7 @@ def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     tgt_images, _ = generate(target_train, shifted=True)
     ev_images, ev_labels = generate(target_eval, shifted=True)
 
-    paths = {split: os.path.join(out_dir, split) for split in ("source", "target_train", "target_eval")}
+    paths = {split: os.path.join(out_dir, split) for split in SPLIT_FILES}
     save_split(paths["source"], source, "source", src_images, src_labels)
     save_split(paths["target_train"], target_train, "target_train", tgt_images)
     save_split(paths["target_eval"], target_eval, "target_eval", ev_images, ev_labels)

@@ -71,27 +71,19 @@ def default_jitter(sigma: np.ndarray) -> float:
 
 
 def cholesky(sigma: np.ndarray, class_index=None) -> np.ndarray:
-    """Lower Cholesky factor of sigma.
-
-    When sigma is not positive definite, retries with jitter*I added,
-    starting from `default_jitter` (at least 1e-12) and growing tenfold,
-    up to 3 times; `class_index` only labels the error message.
-    """
+    """Lower Cholesky factor of sigma, factored once with no jitter (the fit
+    adds its own, in `gmm.estimate_gmm`). A sigma that is not positive
+    definite raises FactorizationError; `class_index` only labels it."""
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"cholesky expects a square matrix, got {s.shape}")
     if np.max(np.abs(s - s.T)) > 1e-5:
         raise DimensionError("matrix not symmetric within 1e-5")
-    d = s.shape[0]
-    eps = 0.0
-    for attempt in range(4):
-        try:
-            L = np.linalg.cholesky(s + eps * np.eye(d))
-            return L.astype(np.float32)
-        except np.linalg.LinAlgError:
-            eps = eps * 10.0 if eps > 0.0 else max(default_jitter(s), 1e-12)
-    label = "" if class_index is None else f" (class {class_index})"
-    raise FactorizationError(f"matrix not positive definite after jitter retries{label}")
+    try:
+        return np.linalg.cholesky(s).astype(np.float32)
+    except np.linalg.LinAlgError:
+        label = "" if class_index is None else f" (class {class_index})"
+        raise FactorizationError(f"matrix not positive definite{label}") from None
 
 
 def sample_gaussian(mu: np.ndarray, chol: np.ndarray, n: int, rng: Rng) -> np.ndarray:

@@ -14,6 +14,8 @@ from protoadapt import adaptation as adapt_mod
 from protoadapt import autodiff as ad
 from protoadapt import cli
 from protoadapt import datasets as ds
+from protoadapt import fileformats
+from protoadapt import gmm as gmm_mod
 from protoadapt.adaptation import EstimateInfo, ExperimentConfig, compute_bound_diagnostics
 from protoadapt.cli import load_config, main, read_sidecar
 from protoadapt.datasets import DomainSpec, gen_grid_seg, load_split, save_split
@@ -997,7 +999,10 @@ USUAL_SPLIT = {"train": "source", "estimate": "source", "adapt": "target_train",
 # come first: labels are required by train, estimate and eval, forbidden by
 # adapt and optional for export-embeddings; train has no model whose K the
 # split could contradict. A damaged artifact (`<file>-<damage>`) is missing,
-# truncated by its last byte, padded by one byte or has another magic.
+# truncated by its last byte, padded by one byte or has another magic. An
+# indefinite mixture has class 1's first variance set to -1e-7 and that
+# dimension's covariances to 0: indefinite by 1e-7 only, less than one jitter
+# of `default_jitter`, so a loader that retried with jitter would accept it.
 DAMAGES = {
     "missing": None,
     "truncated": lambda data: data[:-1],
@@ -1041,6 +1046,8 @@ SPLIT_REFUSALS = (
        for c in ("estimate", "adapt", "eval", "export-embeddings") for d in DAMAGES]
     + [(c, f"gmm-{d}", DAMAGE_MESSAGE.get(d, TRUNCATED_MESSAGE["gmm"]))
        for c in ("adapt", "export-embeddings") for d in DAMAGES]
+    + [(c, "gmm-indefinite", "invalid sigma: matrix not positive definite (class 1)")
+       for c in ("adapt", "export-embeddings")]
     + [("adapt", "meta-not-text", NOT_TEXT)]
     + [(c, "config-not-text", NOT_TEXT) for c in ("train", "estimate", "adapt")]
     + [(c, f"config-{line}", line.split("=")[0]) for c, lines in CONFIG_LINES.items() for line in lines]
@@ -1103,6 +1110,13 @@ def bad_input_argv(workspace, tmp_path, command, case):
             named = tmp_path / "model.gmm1.meta"
     if how == "not-text":
         named.write_bytes(not_text)
+    elif how == "indefinite":  # in sigma's payload, which ends the file
+        shape, data = load_gmm(named).sigma.shape, named.read_bytes()
+        at = len(data) - 4 * int(np.prod(shape))
+        sigma = np.frombuffer(data[at:], "<f4").reshape(shape).copy()
+        sigma[1, 0, 1:] = sigma[1, 1:, 0] = 0.0
+        sigma[1, 0, 0] = -1e-7
+        named.write_bytes(data[:at] + sigma.tobytes())
     elif how in DAMAGES:
         data = named.read_bytes()
         named.unlink()
@@ -1238,6 +1252,9 @@ IN_THE_WAY = {
     "export-out-under-file": ("export-embeddings", ["afile"], "afile/sub", "afile"),
     "gen-data-out-is-file": ("gen-data", ["afile"], "afile", "afile"),
     "export-out-holds-ckpt": ("export-embeddings", ["adapted/adapted.mdl1"], "adapted", "adapted/adapted.mdl1"),
+    "adapt-report-is-dir": ("adapt", ["ad/report.csv/"], "ad", "ad/report.csv"),
+    "export-data-is-dir": ("export-embeddings", ["emb/data.emb1/"], "emb", "emb/data.emb1"),
+    "gen-data-force-images-is-dir": ("gen-data", ["g/source/images.tns1/"], "g", "g/source/images.tns1"),
 }
 # The functions that do each command's work, and those that load its
 # inputs or generate gen-data's splits.
@@ -1281,6 +1298,8 @@ class TestOutClaim:
         argv = claim_argv(workspace, command, run / out)
         if case == "export-out-holds-ckpt":
             argv[argv.index("--ckpt") + 1] = str(run / named)
+        if case == "gen-data-force-images-is-dir":  # past the refusal of a non-empty --out
+            argv.append("--force")
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"--out {run / out} " in err and f" {run / named}" in err
@@ -1299,6 +1318,31 @@ class TestOutClaim:
             monkeypatch.setattr(module, name, _fail)
         with pytest.raises(Claimed):
             main(claim_argv(workspace, command, tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "estimate", "adapt", "eval", "export-embeddings"])
+    def test_writes_only_what_it_claimed(self, workspace, tmp_path, monkeypatch, command):
+        """Every path a command hands to `open_output` is a file it claimed,
+        and a binary file's claimed head is the magic its writer begins with."""
+        claimed, written = {}, {}
+        claim, opener = cli._claim_outputs, fileformats.open_output
+
+        def record_claim(out, reads, files=None):  # a call naming no files claims none
+            claimed.update((os.path.abspath(p), head) for p, head in (files or {}).items())
+            return claim(out, reads, files)
+
+        def record_write(path, magic=b"", text=False):
+            written[os.path.abspath(path)] = None if text else magic
+            return opener(path, magic, text)
+
+        monkeypatch.setattr(cli, "_claim_outputs", record_claim)
+        for module in (fileformats, ad, gmm_mod, cli):
+            monkeypatch.setattr(module, "open_output", record_write)
+        argv = claim_argv(workspace, command, tmp_path / "out")
+        if command == "export-embeddings":
+            argv += ["--ckpt-pre", str(workspace / "model.mdl1")]
+        assert main(argv) == 0
+        assert written and [p for p in written if p not in claimed] == []
+        assert {p: claimed[p] for p, magic in written.items() if magic} == {p: m for p, m in written.items() if m}
 
 
 def test_frozen_config_copies_agree(tmp_path):

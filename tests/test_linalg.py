@@ -26,13 +26,12 @@ class TestCholesky:
             err = np.linalg.norm(L @ L.T - sigma)
             assert err <= 1e-4
 
-    def test_jitter_added_to_diagonal(self):
-        # singular, so the first attempt fails and default_jitter is added
+    def test_singular_matrix_refused(self):
+        # one jitter of default_jitter(sigma) would factor it; none is added
         sigma = np.ones((2, 2))
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(sigma)
-        expected = np.linalg.cholesky(sigma + default_jitter(sigma) * np.eye(2))
-        np.testing.assert_array_equal(cholesky(sigma), expected.astype(np.float32))
+        np.linalg.cholesky(sigma + default_jitter(sigma) * np.eye(2))
+        with pytest.raises(FactorizationError, match=r"^matrix not positive definite \(class 0\)$"):
+            cholesky(sigma, class_index=0)
 
     def test_retries_then_fails_on_negative_definite(self):
         with pytest.raises(FactorizationError):
