@@ -23,8 +23,8 @@ Every file the commands write, and each command's exit code and stdout,
 is compared byte for byte. Only the `wall_clock` line of `diagnostics.txt`
 and the `source_data` line of a `.meta` sidecar are masked: one is a time,
 the other an absolute path. It prints one line per file, the verdict, and
-each tree's `src/` line count (`wc -l src/protoadapt/*.py`), and exits 1
-on any difference. pytest does not collect this file.
+each tree's `src/` line counts (`wc -l src/protoadapt/*.py`), in total and
+per file, and exits 1 on any difference. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ def compare(a: Path, b: Path) -> int:
     return differ
 
 
-def src_lines(tree: Path) -> int:
-    """The total of `wc -l src/protoadapt/*.py` in `tree`."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "protoadapt").glob("*.py"))
+def src_lines(tree: Path) -> dict:
+    """`wc -l src/protoadapt/*.py` in `tree`: file name -> line count."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (tree / "src" / "protoadapt").glob("*.py")}
 
 
 def main(argv=None) -> int:
@@ -161,7 +161,10 @@ def main(argv=None) -> int:
             print(f"{label}: {tree}{shown}")
             run_walkthrough(tree, run, extra_env)
         differ = compare(*runs)
-        print("src/ lines: " + ", ".join(f"{label} {src_lines(tree)}" for label, tree in zip("AB", trees)))
+        counts = [src_lines(tree) for tree in trees]
+        print("src/ lines: " + ", ".join(f"{label} {sum(c.values())}" for label, c in zip("AB", counts)))
+        for name in sorted(counts[0].keys() | counts[1].keys()):  # "-": no such file in that tree
+            print(f"  {name:<16}" + "".join(f" {label} {c.get(name, '-'):>4}" for label, c in zip("AB", counts)))
         return 1 if differ else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
