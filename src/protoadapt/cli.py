@@ -27,7 +27,7 @@ from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
 from .errors import ProtoAdaptError
 from .fileformats import EMB1_MAGIC, GMM1_MAGIC, MDL1_MAGIC, TNS1_MAGIC, format_values, open_output, parse_values
-from .fileformats import read_keyvalue, save_embeddings, write_keyvalue
+from .fileformats import file_sha256, read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
 from .rng import Rng, seed_in_range
 
@@ -66,38 +66,29 @@ def echo_config(config: ExperimentConfig, path: str) -> None:
 _INFO_TYPES = typing.get_type_hints(EstimateInfo)
 
 
-def read_sidecar(path: str) -> tuple[str, EstimateInfo]:
-    """(source data path, EstimateInfo) from a mixture's `.meta` sidecar.
+def read_sidecar(path: str) -> tuple[str, str, EstimateInfo]:
+    """(source data path, mixture SHA-256, EstimateInfo) from a mixture's
+    `.meta` sidecar.
 
-    One that is missing, or lacks `source_data` or any EstimateInfo field,
-    is refused: the source-free check needs the path, and a field has no
-    stand-in value. `tau_fit` is skipped: the mixture file holds it.
+    One that is missing, or lacks `source_data`, `gmm_sha256` or any
+    EstimateInfo field, is refused: the source-free check needs the path,
+    the pairing check the digest, and a field has no stand-in value. So are
+    support_counts that no fit gives. `tau_fit` is skipped: the mixture
+    file holds it.
     """
     if not os.path.isfile(path):
         raise CliError(f"mixture sidecar not found: {path}")
     meta = read_keyvalue(path)
-    for key in ("source_data", *_INFO_TYPES):
+    for key in ("source_data", "gmm_sha256", *_INFO_TYPES):
         if not meta.get(key):
             raise CliError(f"{path}: no {key} line")
-    source = meta.pop("source_data")
+    source, digest = meta.pop("source_data"), meta.pop("gmm_sha256")
     meta.pop("tau_fit", None)
-    return source, EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
-
-
-def _check_sidecar_fits(gmm_path: str, gmm, info: EstimateInfo) -> None:
-    """Refuse a `.meta` sidecar written by another `estimate` than the
-    mixture: `estimate_gmm` sets alpha to support_counts / their sum, which
-    GMM1 stores as float32, so the counts must give alpha bit for bit. The
-    ratios are of Python ints: rounded once to float64, as the fit's are,
-    and within [0, 1] once no count is negative, however large."""
-    counts, total = info.support_counts, sum(info.support_counts)
-    if total <= 0 or min(counts) < 0 or (
-        np.array([c / total for c in counts], np.float32).tobytes() != gmm.alpha.tobytes()
-    ):
-        raise CliError(
-            f"{gmm_path}.meta was written by another estimate than {gmm_path}: "
-            "its support_counts do not give the mixture's alpha"
-        )
+    info = EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
+    counts = info.support_counts
+    if min(counts, default=-1) < 0 or not 1 <= sum(counts) <= info.n_pixels:
+        raise CliError(f"{path}: support_counts must be counts >= 0 whose sum is in [1, n_pixels]")
+    return source, digest, info
 
 
 def _overlap(a: str, b: str) -> bool:
@@ -213,7 +204,7 @@ def cmd_estimate(args) -> int:
     gmm, info = adapt_mod.estimate_stage(model, images, labels, config)
     save_gmm(args.out, gmm)
     sidecar = {"source_data": os.path.realpath(args.data), "tau_fit": config.tau_fit}
-    write_keyvalue(meta, sidecar | format_values(vars(info)))
+    write_keyvalue(meta, sidecar | {"gmm_sha256": file_sha256(args.out)} | format_values(vars(info)))
     print(
         f"gmm: {args.out} K={gmm.K} d={gmm.dim} tau_fit={gmm.tau_fit} "
         f"w_sp_exact={info.w_sp_exact:.6g} w_sp_sliced={info.w_sp_sliced:.6g}"
@@ -228,13 +219,15 @@ def cmd_adapt(args) -> int:
     out = {name: os.path.join(args.out, name) for name in heads}
     _claim_outputs(args.out, reads | {args.target: "target split"}, {out[n]: h for n, h in heads.items()})
     config = load_config(args.config, vars(args))
-    source, info = read_sidecar(args.gmm + ".meta")
+    source, digest, info = read_sidecar(args.gmm + ".meta")
     if _overlap(args.target, source):
         raise SourceFreedomError("source data forbidden during adaptation")
     model = ad.load_model(args.ckpt)
     images, _, _ = _load_split(args.target, [model], labels=False)
     gmm = load_gmm(args.gmm)
-    _check_sidecar_fits(args.gmm, gmm, info)
+    if file_sha256(args.gmm) != digest:
+        raise CliError(f"{args.gmm}.meta was written by another estimate than {args.gmm}: "
+                       "its gmm_sha256 is not the mixture's SHA-256")
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
     ad.save_model(out["adapted.mdl1"], adapted)

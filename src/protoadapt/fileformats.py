@@ -23,6 +23,7 @@ dataclass fields.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -176,6 +177,12 @@ def save_embeddings(path, embeddings: np.ndarray, true_labels, pred_labels) -> N
 
 def load_embeddings(path) -> np.ndarray:
     return read_framed(path, EMB1_MAGIC, read_tns1)
+
+
+def file_sha256(path) -> str:
+    """The hex SHA-256 of the bytes of the file at `path`."""
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def write_keyvalue(path, mapping: dict) -> None:

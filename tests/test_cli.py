@@ -420,7 +420,7 @@ class TestAdapt:
         """compute_bound_diagnostics on the inputs `adapt` had for `out`."""
         config = load_config(str(workspace / "config.txt"), {})
         images, _, _ = load_split(str(workspace / "data" / "target_train"))
-        _, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
+        _, _, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
         result = compute_bound_diagnostics(
             load_gmm(workspace / "model.gmm1"),
             ad.load_model(workspace / "model.mdl1"),
@@ -453,10 +453,10 @@ class TestAdapt:
 
     def test_sidecar_is_estimate_info(self, workspace):
         meta = read_keyvalue(str(workspace / "model.gmm1") + ".meta")
-        source, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
+        source, _, info = read_sidecar(str(workspace / "model.gmm1") + ".meta")
         assert source == meta["source_data"]
         fields = [f.name for f in dataclasses.fields(EstimateInfo)]
-        assert list(meta) == ["source_data", "tau_fit", *fields]
+        assert list(meta) == ["source_data", "tau_fit", "gmm_sha256", *fields]
         assert len(info.support_counts) == 3 and all(type(c) is int for c in info.support_counts)
 
     @pytest.mark.parametrize(
@@ -476,7 +476,7 @@ class TestAdapt:
 
     @pytest.mark.parametrize(
         "damage",
-        ["deleted", "no-source-data", *(f"no-{f.name}" for f in dataclasses.fields(EstimateInfo))],
+        ["deleted", "no-source-data", "no-gmm-sha256", *(f"no-{f.name}" for f in dataclasses.fields(EstimateInfo))],
     )
     def test_missing_sidecar_exit2(self, workspace, tmp_path, capsys, damage):
         # Without the recorded source path the source-free check cannot run,
@@ -507,7 +507,7 @@ class TestAdapt:
         assert main(["train", *config, "--data", data, "--out", ckpt]) == 0
         for tau, out in (("0.6", gmm), ("0", other)):
             assert main(["estimate", *config, "--ckpt", ckpt, "--data", data, "--tau", tau, "--out", out]) == 0
-        counts = [read_sidecar(path + ".meta")[1].support_counts for path in (gmm, other)]
+        counts = [read_sidecar(path + ".meta")[2].support_counts for path in (gmm, other)]
         assert counts[0] != counts[1]
         shutil.copy(other + ".meta", gmm + ".meta")
         capsys.readouterr()
@@ -515,6 +515,46 @@ class TestAdapt:
         assert main([*argv, "--out", str(tmp_path / "run")]) == 2
         assert f"error: {gmm}.meta was written by another estimate than {gmm}:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_sidecar_of_another_model_exit2_names_both(self, workspace, tmp_path, capsys):
+        """On blobs every source pixel is supported at any tau a fit reaches,
+        so a model trained at another seed gives the same support_counts.
+        Its sidecar still names its own mixture, not the workspace's."""
+        config, data = ["--config", str(workspace / "config.txt")], str(workspace / "data" / "source")
+        ckpt, other = str(tmp_path / "seed2.mdl1"), str(tmp_path / "seed2.gmm1")
+        assert main(["train", *config, "--data", data, "--seed", "2", "--out", ckpt]) == 0
+        assert main(["estimate", *config, "--ckpt", ckpt, "--data", data, "--out", other]) == 0
+        gmm = copy_mixture(workspace, tmp_path)
+        infos = [read_sidecar(path)[2] for path in (other + ".meta", f"{gmm}.meta")]
+        assert infos[0].support_counts == infos[1].support_counts and infos[0] != infos[1]
+        shutil.copy(other + ".meta", f"{gmm}.meta")
+        capsys.readouterr()
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
+        assert f"error: {gmm}.meta was written by another estimate than {gmm}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_mu_bit_flip_exit2_names_both(self, workspace, tmp_path, capsys):
+        """One flipped `mu` bit leaves a mixture that loads; only the
+        sidecar's gmm_sha256 tells it from the one `estimate` wrote."""
+        gmm = copy_mixture(workspace, tmp_path)
+        fit, data = load_gmm(gmm), bytearray(gmm.read_bytes())
+        # mu's payload ends where sigma's 20-byte TNS1 header begins.
+        data[len(data) - 4 * fit.sigma.size - 20 - 4 * fit.mu.size] ^= 1  # low bit of mu[0, 0]
+        gmm.write_bytes(bytes(data))
+        assert load_gmm(gmm).mu[0, 0] != fit.mu[0, 0]
+        assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
+        assert f"error: {gmm}.meta was written by another estimate than {gmm}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("counts", ["-1,41,80", "0,0,0", "41,40,40"])
+    def test_sidecar_counts_no_fit_gives_names_key(self, workspace, tmp_path, counts):
+        """Support counts count source pixels: none is negative, and their
+        sum lies in [1, n_pixels] (120 on the blobs workspace)."""
+        meta = read_keyvalue(str(workspace / "model.gmm1") + ".meta")
+        assert meta["n_pixels"] == "120"
+        write_keyvalue(tmp_path / "m.meta", {**meta, "support_counts": counts})
+        with pytest.raises(cli.CliError, match=re.escape(f"{tmp_path / 'm.meta'}: support_counts")):
+            read_sidecar(str(tmp_path / "m.meta"))
 
     def test_truncated_mixture_exit2_names_file(self, workspace, tmp_path, capsys):
         gmm = copy_mixture(workspace, tmp_path)
@@ -1190,7 +1230,7 @@ class TestOutFile:
         assert main(split_argv(workspace, command, workspace / "data" / USUAL_SPLIT[command], out)) == 0
         assert out.is_file()
         if command == "estimate":
-            assert load_gmm(out).K == 3 and read_sidecar(f"{out}.meta")[1].n_pixels > 0
+            assert load_gmm(out).K == 3 and read_sidecar(f"{out}.meta")[2].n_pixels > 0
 
 
 # (command, --out, another command's file placed there, its workspace

@@ -82,7 +82,7 @@ PINNED_CLI_SHA256 = {
     "model.mdl1": "55d1242b28e3364c5e51150b6d8ba3de435fbb96c79da3642c6727e9712a6d2e",
     "model.mdl1.trainlog.csv": "ecbb13abda95a7d0645bc30ad0d0c721687b663d50529c4dc6d61eaf8be2600c",
     "model.gmm1": "fa8539c7962d61e85275c461b4bac6c78e75904882f06ba5650d62041076a2a4",
-    "model.gmm1.meta": "9e42ac8788afee33ab3a7574d9a6342d0e9f337c75e13c56f42c85e639223bb7",
+    "model.gmm1.meta": "7e9b7e40a7470e49f80dddf0506b15705311f9422291ec256e923781a430b196",
     "adapted/adapted.mdl1": "ec074a46a7c5d080214592e30010f2c32bfc6e3bcac424e95e79c94791c41377",
     "adapted/report.csv": "28a37667f1fd78dc6812e690ce238ed8256d152ba134fa813eb93ac32881b3c5",
     "adapted/diagnostics.txt": "587f5c42f70f50d980587d28dea7f9a8d794681bff8be5f16bebc38d1ed80f40",
