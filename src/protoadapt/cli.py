@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import typing
@@ -72,9 +73,9 @@ def read_sidecar(path: str) -> tuple[str, str, EstimateInfo]:
 
     One that is missing, or lacks `source_data`, `gmm_sha256` or any
     EstimateInfo field, is refused: the source-free check needs the path,
-    the pairing check the digest, and a field has no stand-in value. So are
-    support_counts that no fit gives. `tau_fit` is skipped: the mixture
-    file holds it.
+    the pairing check the digest, and a field has no stand-in value. So is
+    a value that no `estimate` writes, naming the key. `tau_fit` is
+    skipped: the mixture file holds it.
     """
     if not os.path.isfile(path):
         raise CliError(f"mixture sidecar not found: {path}")
@@ -85,9 +86,16 @@ def read_sidecar(path: str) -> tuple[str, str, EstimateInfo]:
     source, digest = meta.pop("source_data"), meta.pop("gmm_sha256")
     meta.pop("tau_fit", None)
     info = EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
-    counts = info.support_counts
-    if min(counts, default=-1) < 0 or not 1 <= sum(counts) <= info.n_pixels:
-        raise CliError(f"{path}: support_counts must be counts >= 0 whose sum is in [1, n_pixels]")
+    for key, fits, want in (
+        ("w_sp_exact", 0 <= info.w_sp_exact < math.inf, "finite and >= 0"),
+        ("w_sp_sliced", 0 <= info.w_sp_sliced < math.inf, "finite and >= 0"),
+        ("e_source", 0 <= info.e_source <= 1, "in [0, 1]"),
+        ("n_pixels", info.n_pixels >= 1, ">= 1"),
+        ("support_counts", min(info.support_counts, default=-1) >= 0 and 1 <= sum(info.support_counts) <= info.n_pixels,
+         "counts >= 0 whose sum is in [1, n_pixels]"),
+    ):
+        if not fits:
+            raise CliError(f"{path}: {key} must be {want}, got {meta[key]}")
     return source, digest, info
 
 
@@ -285,6 +293,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    if args.seed is not None and not args.gmm:
+        raise CliError("--seed sets only the pseudo draw of --gmm, and no --gmm was given")
     if args.seed is not None and not seed_in_range(args.seed):
         raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
     reads = {args.ckpt: "checkpoint", args.ckpt_pre: "checkpoint", args.gmm: "mixture"}

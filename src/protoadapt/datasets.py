@@ -140,7 +140,11 @@ del SPEC_TYPES["shift"]
 
 def spec_from_values(values: dict) -> DomainSpec:
     """The DomainSpec whose flat form (parsed SPEC_TYPES values) is `values`;
-    absent keys keep their defaults."""
+    absent keys keep their defaults. A blobs spec, like its manifests, has
+    1x1 images: it may set `height` and `width` only to 1."""
+    for key in ("height", "width") if values.get("kind") == "blobs" else ():
+        if values.get(key, 1) != 1:
+            raise ConfigError(f"a blobs image is 1x1, so {key} must be 1, got {values[key]}")
     shift = {k: values[k] for k in typing.get_type_hints(Shift) if k in values}
     rest = {k: v for k, v in values.items() if k not in shift}
     return DomainSpec(shift=Shift(**shift), **rest)

@@ -17,7 +17,7 @@ class DimensionError(ProtoAdaptError):
 
 
 class FactorizationError(ProtoAdaptError):
-    """Cholesky factorization failed even after jitter retries."""
+    """A matrix is not positive definite, so Cholesky factorization failed."""
 
 
 class EstimationError(ProtoAdaptError):

@@ -24,7 +24,11 @@ is compared byte for byte. Only the `wall_clock` line of `diagnostics.txt`
 and the `source_data` line of a `.meta` sidecar are masked: one is a time,
 the other an absolute path. It prints one line per file, the verdict, and
 each tree's `src/` line counts (`wc -l src/protoadapt/*.py`), in total and
-per file, and exits 1 on any difference. pytest does not collect this file.
+per file, and exits 1 on any difference. Under each file that differs it
+says where: for a text file, the first line that differs (numbered in the
+masked text), from each tree; for a binary file (one that holds a NUL byte
+or is not UTF-8), the first byte offset that differs. pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -99,6 +103,28 @@ def masked_bytes(path: Path) -> bytes:
     return data
 
 
+def text_lines(data: bytes) -> list[str] | None:
+    """The lines of `data`, or None when it is binary: holds a NUL byte or is not UTF-8."""
+    try:
+        return None if b"\0" in data else data.decode().splitlines()
+    except UnicodeDecodeError:
+        return None
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """Where the unequal contents `a` and `b` first part, as a short line."""
+    lines = [text_lines(a), text_lines(b)]
+    if None not in lines and lines[0] != lines[1]:
+        at = next((i for i, (x, y) in enumerate(zip(*lines)) if x != y), min(map(len, lines)))
+        shown = [repr(rows[at]) if at < len(rows) else "(no such line)" for rows in lines]
+        return f"line {at + 1}: A {shown[0]}, B {shown[1]}"
+    # Binary, or text whose lines agree (a line ending differs): the first byte.
+    n, block = min(len(a), len(b)), 4096
+    at = next((i for i in range(0, n, block) if a[i:i + block] != b[i:i + block]), n)
+    at = next((i for i in range(at, min(at + block, n)) if a[i] != b[i]), n)
+    return f"first differing byte at offset {at} (sizes A {len(a)}, B {len(b)})"
+
+
 def compare(a: Path, b: Path) -> int:
     """Print one line per file under either directory; the count that differ."""
     names = sorted(
@@ -107,14 +133,17 @@ def compare(a: Path, b: Path) -> int:
     differ = 0
     for name in names:
         pa, pb = a / name, b / name
+        account = None  # where a file in both trees differs
         if not (pa.is_file() and pb.is_file()):
             verdict = "only in " + ("A" if pa.is_file() else "B")
-        elif masked_bytes(pa) == masked_bytes(pb):
+        elif (ma := masked_bytes(pa)) == (mb := masked_bytes(pb)):
             verdict = "equal"
         else:
-            verdict = "DIFFER"
+            verdict, account = "DIFFER", first_difference(ma, mb)
         differ += verdict != "equal"
         print(f"{verdict:<9} {name}")
+        if account:
+            print(f"{'':<9} {account}")
     print(f"{len(names) - differ} of {len(names)} files equal")
     return differ
 

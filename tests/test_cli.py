@@ -164,6 +164,10 @@ class TestGenData:
             ("grid-seg", "channel_gain=1.4,-0.7,1"),
             ("grid-seg", "preset=standrad"),
             ("blobs", "preset="),
+            # a blobs image is 1x1
+            ("blobs", "height=99"),
+            ("blobs", "width=7"),
+            ("blobs", "width=16\nheight=1"),
         ],
     )
     def test_spec_that_cannot_mean_what_it_says_names_field(self, tmp_path, capsys, kind, line):
@@ -462,7 +466,10 @@ class TestAdapt:
     @pytest.mark.parametrize(
         "line",
         ["w_sp_exact=abc", "n_pixels=1.5", "support_counts=3,x", "wibble=1",
-         pytest.param("support_counts=1" + "0" * 400 + ",1,1", id="support_counts=10**400,1,1")],
+         pytest.param("support_counts=1" + "0" * 400 + ",1,1", id="support_counts=10**400,1,1"),
+         # values no estimate writes
+         "w_sp_exact=-inf", "w_sp_exact=-0.5", "w_sp_sliced=nan", "w_sp_sliced=inf",
+         "e_source=nan", "e_source=1.5", "e_source=-0.25", "n_pixels=-5", "n_pixels=0"],
     )
     def test_bad_sidecar_line_names_key(self, workspace, tmp_path, capsys, line):
         gmm = tmp_path / "model.gmm1"
@@ -783,6 +790,17 @@ class TestEvalDiagnoseExport:
 
     def test_diagnose_missing_report(self, tmp_path):
         assert main(["diagnose", "--report", str(tmp_path)]) == 2
+
+    def test_export_seed_without_gmm_exit2(self, workspace, tmp_path, capsys):
+        """The seed drives only the pseudo draw of --gmm; without one it
+        would be ignored."""
+        out = tmp_path / "emb"
+        argv = ["export-embeddings", "--ckpt", str(workspace / "model.mdl1"),
+                "--data", str(workspace / "data" / "source"), "--seed", "3", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--gmm" in err
+        assert not out.exists()
 
     def test_export_embeddings(self, workspace, tmp_path):
         out = tmp_path / "emb"

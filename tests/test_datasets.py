@@ -511,6 +511,14 @@ class TestSplitsOnDisk:
         assert (manifest["n_images"], manifest["height"], manifest["width"]) == ("7", "1", "1")
         assert manifest["channels"] == "3"
 
+    def test_blobs_manifest_reads_back_as_its_spec(self, tmp_path):
+        # A blobs spec may set height and width, but only to the 1 its manifests state.
+        spec = DomainSpec(kind="blobs", K=3, n_images=7, height=1, width=1)
+        save_split(tmp_path / "s", spec, "source", *gen_blobs(spec))
+        manifest = read_keyvalue(tmp_path / "s" / "manifest.txt")
+        values = {k: v for k, v in manifest.items() if k in SPEC_TYPES}
+        assert spec_from_values(parse_values(SPEC_TYPES, values, "spec")) == spec
+
     def test_manifest_with_retired_spec_lines_loads(self, tmp_path):
         # Earlier versions also wrote the spec keys mean_shift and rotation.
         labels = self.labeled_split(tmp_path / "s")
