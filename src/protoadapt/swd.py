@@ -24,10 +24,13 @@ an oracle and would catch a build that does, with FMA or NEON).
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError
 from .linalg import sample_unit_sphere
@@ -215,6 +218,24 @@ def _packed_order(p: np.ndarray) -> np.ndarray:
     return keys
 
 
+@functools.cache
+def _assignment_solver():
+    """scipy.optimize.linear_sum_assignment (Crouse 2016, shortest augmenting
+    path), loaded on first use from its own extension file, so that no process
+    imports scipy.optimize; find_spec does not run scipy's __init__ either."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = os.path.join(spec.submodule_search_locations[0], "optimize", "_lsap" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no assignment solver at {path}")
+    loader = ExtensionFileLoader("scipy.optimize._lsap", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 def exact_wasserstein_sq_small(x: np.ndarray, y: np.ndarray) -> float:
     """Exact squared transport for m = n <= 64 via optimal assignment."""
     x = np.asarray(x, dtype=np.float64)
@@ -227,5 +248,5 @@ def exact_wasserstein_sq_small(x: np.ndarray, y: np.ndarray) -> float:
     if m > 64:
         raise DimensionError(f"exact matcher limited to m <= 64, got {m}")
     cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment_solver()(cost)
     return float(cost[rows, cols].sum() / m)

@@ -1,11 +1,19 @@
 """Sliced Wasserstein: 1-D transport, sliced estimator, gradient, oracle."""
 
+import importlib.machinery
+import importlib.metadata
+import importlib.util
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from protoadapt import swd
 from protoadapt.errors import DimensionError
 from protoadapt.linalg import sample_unit_sphere
 from protoadapt.rng import Rng
@@ -122,6 +130,68 @@ class TestExactSmall:
         empty = np.zeros((0, 2))
         with pytest.raises(DimensionError, match="empty point set"):
             exact_wasserstein_sq_small(empty, empty)
+
+
+SOLVER_CHILD = """
+import sys
+import numpy as np
+from protoadapt import swd
+
+solve = swd._assignment_solver()
+assert "scipy.optimize" not in sys.modules, sorted(sys.modules)
+from scipy.optimize import linear_sum_assignment
+
+def sq_cost(x, y):
+    return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+
+def costs(rng):
+    for _ in range(1000):
+        d = int(rng.integers(1, 9))
+        yield "random", sq_cost(rng.normal(size=(64, d)), rng.normal(size=(64, d)))
+    x = rng.normal(size=(64, 3))
+    grid = rng.integers(0, 3, size=(64, 2)).astype(np.float64)
+    yield "all-zero", np.zeros((64, 64))
+    yield "duplicated points", sq_cost(np.repeat(x[:8], 8, axis=0), x)
+    yield "identical sets", sq_cost(x, x)
+    yield "1x1", sq_cost(x[:1], x[1:2])
+    yield "1x1 zero", np.zeros((1, 1))
+    yield "ties on a grid", sq_cost(grid, grid[::-1])
+    yield "all equal", np.full((64, 64), 2.5)
+
+checked = 0
+for name, cost in costs(np.random.default_rng(0)):
+    got, want = solve(cost), linear_sum_assignment(cost)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+    checked += 1
+assert solve is linear_sum_assignment
+print(checked)
+"""
+
+
+class TestAssignmentSolver:
+    """swd loads scipy's compiled assignment solver alone, from its file."""
+
+    def test_matches_scipy_optimize(self):
+        """Loaded before scipy.optimize is imported, the solver gives
+        scipy.optimize.linear_sum_assignment's (rows, cols) on 1,000 random
+        64x64 squared-distance costs and on degenerate ones, and it is that
+        very function."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(swd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-c", SOLVER_CHILD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+        assert run.stdout.split() == ["1007"]
+
+    def test_missing_extension_names_the_file(self, tmp_path, monkeypatch):
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+        path = tmp_path / "optimize" / ("_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        version = importlib.metadata.version("scipy")
+        with pytest.raises(ImportError, match=re.escape(f"scipy {version} has no assignment solver at {path}")):
+            swd._assignment_solver.__wrapped__()
 
 
 class TestSliced:
