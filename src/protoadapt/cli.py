@@ -99,6 +99,17 @@ def read_sidecar(path: str) -> tuple[str, str, EstimateInfo]:
     return source, digest, info
 
 
+def _paired_sidecar(gmm_path: str) -> tuple[str, EstimateInfo]:
+    """(source data path, EstimateInfo) from the sidecar of the mixture at
+    `gmm_path`, refused unless it names that mixture by SHA-256. Called after
+    load_gmm, so that a damaged mixture keeps load_gmm's message."""
+    source, digest, info = read_sidecar(gmm_path + ".meta")
+    if file_sha256(gmm_path) != digest:
+        raise CliError(f"{gmm_path}.meta was written by another estimate than {gmm_path}: "
+                       "its gmm_sha256 is not the mixture's SHA-256")
+    return source, info
+
+
 def _overlap(a: str, b: str) -> bool:
     """Whether `a` and `b` resolve to the same path or one lies under the other."""
     a, b = os.path.realpath(a), os.path.realpath(b)
@@ -227,15 +238,12 @@ def cmd_adapt(args) -> int:
     out = {name: os.path.join(args.out, name) for name in heads}
     _claim_outputs(args.out, reads | {args.target: "target split"}, {out[n]: h for n, h in heads.items()})
     config = load_config(args.config, vars(args))
-    source, digest, info = read_sidecar(args.gmm + ".meta")
+    gmm = load_gmm(args.gmm)
+    source, info = _paired_sidecar(args.gmm)
     if _overlap(args.target, source):
         raise SourceFreedomError("source data forbidden during adaptation")
     model = ad.load_model(args.ckpt)
     images, _, _ = _load_split(args.target, [model], labels=False)
-    gmm = load_gmm(args.gmm)
-    if file_sha256(args.gmm) != digest:
-        raise CliError(f"{args.gmm}.meta was written by another estimate than {args.gmm}: "
-                       "its gmm_sha256 is not the mixture's SHA-256")
     adapted, report = adapt_mod.adapt_source_free(model, gmm, images, config)
 
     ad.save_model(out["adapted.mdl1"], adapted)
@@ -297,7 +305,8 @@ def cmd_export_embeddings(args) -> int:
         raise CliError("--seed sets only the pseudo draw of --gmm, and no --gmm was given")
     if args.seed is not None and not seed_in_range(args.seed):
         raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
-    reads = {args.ckpt: "checkpoint", args.ckpt_pre: "checkpoint", args.gmm: "mixture"}
+    reads = {args.ckpt: "checkpoint", args.ckpt_pre: "checkpoint", args.gmm: "mixture",
+             args.gmm and args.gmm + ".meta": "mixture sidecar"}
     given = {"data.emb1": True, "data_pre.emb1": args.ckpt_pre, "gmm_samples.emb1": args.gmm}
     written = [os.path.join(args.out, name) for name, flag in given.items() if flag]
     _claim_outputs(args.out, reads | {args.data: "data split"}, dict.fromkeys(written, EMB1_MAGIC))
@@ -307,6 +316,7 @@ def cmd_export_embeddings(args) -> int:
     gmm = load_gmm(args.gmm) if args.gmm else None
     if gmm is not None:
         adapt_mod.check_mixture_matches(model, gmm)
+        _paired_sidecar(args.gmm)
     true = -1 if labels is None else labels  # -1: unknown, on every row
     for path, m in zip(written, models):
         emb, pred, conf = adapt_mod.pixel_embeddings(m, images)

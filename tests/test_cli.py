@@ -1,9 +1,12 @@
 """End-to-end command-line workflow and exit-code contract."""
 
 import dataclasses
+import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -392,6 +395,15 @@ def copy_mixture(workspace, tmp_path):
     return gmm
 
 
+def flip_low_mu_bit(gmm):
+    """Flip the low bit of mu[0, 0] in the GMM1 file `gmm`, which still loads."""
+    fit, data = load_gmm(gmm), bytearray(gmm.read_bytes())
+    # mu's payload ends where sigma's 20-byte TNS1 header begins.
+    data[len(data) - 4 * fit.sigma.size - 20 - 4 * fit.mu.size] ^= 1
+    gmm.write_bytes(bytes(data))
+    assert load_gmm(gmm).mu[0, 0] != fit.mu[0, 0]
+
+
 class TestAdapt:
     def test_artifacts(self, workspace, tmp_path):
         out = tmp_path / "run"
@@ -544,11 +556,7 @@ class TestAdapt:
         """One flipped `mu` bit leaves a mixture that loads; only the
         sidecar's gmm_sha256 tells it from the one `estimate` wrote."""
         gmm = copy_mixture(workspace, tmp_path)
-        fit, data = load_gmm(gmm), bytearray(gmm.read_bytes())
-        # mu's payload ends where sigma's 20-byte TNS1 header begins.
-        data[len(data) - 4 * fit.sigma.size - 20 - 4 * fit.mu.size] ^= 1  # low bit of mu[0, 0]
-        gmm.write_bytes(bytes(data))
-        assert load_gmm(gmm).mu[0, 0] != fit.mu[0, 0]
+        flip_low_mu_bit(gmm)
         assert run_adapt(workspace, tmp_path / "run", extra=["--gmm", str(gmm)]) == 2
         assert f"error: {gmm}.meta was written by another estimate than {gmm}:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -841,6 +849,29 @@ class TestEvalDiagnoseExport:
         err = capsys.readouterr().err
         assert f"mixture K={K}, dim={dim} does not match model K=3, embed_dim=3" in err
         assert not out.exists()
+
+    def test_export_mu_bit_flip_exit2_names_both(self, workspace, tmp_path, capsys):
+        """`export-embeddings --gmm` pairs the mixture with its sidecar by
+        SHA-256, as `adapt` does: one flipped `mu` bit is refused."""
+        gmm = copy_mixture(workspace, tmp_path)
+        flip_low_mu_bit(gmm)
+        out = tmp_path / "emb"
+        code = main(["export-embeddings", "--ckpt", str(workspace / "model.mdl1"), "--gmm", str(gmm),
+                     "--data", str(workspace / "data" / "source"), "--out", str(out)])
+        assert code == 2
+        assert f"error: {gmm}.meta was written by another estimate than {gmm}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_export_out_over_sidecar_exit2_names_it(self, workspace, tmp_path, capsys):
+        """The sidecar of `--gmm` is one of export-embeddings' reads."""
+        gmm = copy_mixture(workspace, tmp_path)
+        meta = Path(f"{gmm}.meta")
+        before = meta.read_bytes()
+        code = main(["export-embeddings", "--ckpt", str(workspace / "model.mdl1"), "--gmm", str(gmm),
+                     "--data", str(workspace / "data" / "source"), "--out", str(meta)])
+        assert code == 2
+        assert f"lies in the mixture sidecar {meta}" in capsys.readouterr().err
+        assert meta.read_bytes() == before
 
     def test_export_embeddings_holds_one_pass(self, tmp_path):
         """Two models over one unlabeled split of 47 chunks: one model's
@@ -1509,3 +1540,50 @@ class TestSeedRange:
         assert main(argv + ["--out", str(out), "--seed", str(seed)]) == 2
         assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not out.exists()
+
+
+FOOTPRINT_CHILD = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+from protoadapt.cli import main
+
+seen = {"import protoadapt.cli": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen[argv[0]] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_what_they_run(workspace, tmp_path):
+    """Each command is its own process. Importing the CLI, and the commands
+    that compute no exact transport term, load no scipy module; `estimate`
+    and `adapt` load scipy's assignment solver alone, not scipy.optimize."""
+    report = tmp_path / "report"
+    assert run_adapt(workspace, report) == 0
+    ws, config, ckpt = str(workspace), str(workspace / "config.txt"), str(workspace / "model.mdl1")
+    commands = [
+        ["gen-data", "--spec", f"{ws}/spec.txt", "--out", str(tmp_path / "data")],
+        ["train", "--config", config, "--data", f"{ws}/data/source", "--steps", "2", "--out", str(tmp_path / "m.mdl1")],
+        ["eval", "--ckpt", ckpt, "--data", f"{ws}/data/target_eval"],
+        ["diagnose", "--report", str(report)],
+        ["export-embeddings", "--ckpt", ckpt, "--data", f"{ws}/data/source", "--out", str(tmp_path / "emb")],
+        ["estimate", "--config", config, "--ckpt", ckpt, "--data", f"{ws}/data/source",
+         "--out", str(tmp_path / "g.gmm1")],
+        ["adapt", "--config", config, "--ckpt", ckpt, "--gmm", str(tmp_path / "g.gmm1"),
+         "--target", f"{ws}/data/target_train", "--out", str(tmp_path / "run")],
+    ]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    seen = json.loads(run.stdout.strip().splitlines()[-1])
+    assert seen == {
+        "import protoadapt.cli": [], "gen-data": [], "train": [], "eval": [], "diagnose": [],
+        "export-embeddings": [], "estimate": ["scipy.optimize._lsap"], "adapt": ["scipy.optimize._lsap"],
+    }
