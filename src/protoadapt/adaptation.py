@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import partial
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, SegModel, adam_step, backward, Tape
 from .errors import ConfigError, DimensionError, DivergenceError
+from .fileformats import bounded, check_ranges
 from .gmm import (
     PrototypicalGMM,
     PseudoDataset,
@@ -25,54 +26,34 @@ from .gmm import (
     generate_pseudo_dataset,
 )
 from .linalg import check_allocatable
-from .rng import Rng, seed_in_range
+from .rng import SEED_LIMIT, Rng
 from .swd import SlicedConfig, exact_wasserstein_sq_small, sliced_wasserstein_grad, sliced_wasserstein_sq
 
 
 @dataclass
 class ExperimentConfig:
-    tau_fit: float = 0.97
-    tau_filter: float = 0.97
-    lambda_: float = 0.5
-    num_projections: int = 100
-    source_steps: int = 2000
-    adapt_steps: int = 400
-    batch_source: int = 8
-    batch_target: int = 8
-    pseudo_batch: int = 256
-    lr: float = 1e-4
-    adapt_lr: float | None = None  # None -> same as lr
-    seed: int = 0
-    encoder_hidden: tuple[int, ...] = (64, 32)
+    tau_fit: float = bounded(0.97, 0.0, 1.0)
+    tau_filter: float = bounded(0.97, 0.0, 1.0)
+    lambda_: float = bounded(0.5, 0.0)
+    num_projections: int = bounded(100, 1)
+    source_steps: int = bounded(2000, 0)
+    adapt_steps: int = bounded(400, 0)
+    batch_source: int = bounded(8, 1)
+    batch_target: int = bounded(8, 1)
+    pseudo_batch: int = bounded(256, 1)
+    lr: float = bounded(1e-4, 0.0)
+    adapt_lr: float | None = bounded(None, 0.0)  # None -> same as lr
+    seed: int = bounded(0, 0, SEED_LIMIT)
+    encoder_hidden: tuple[int, ...] = bounded((64, 32), 1, 2**32)  # MDL1 dims are u32
     neighborhood: bool = True
 
     def __post_init__(self):
         """Reject out-of-range values at construction, before any work."""
-        for key, low in (
-            ("source_steps", 0),
-            ("adapt_steps", 0),
-            ("batch_source", 1),
-            ("batch_target", 1),
-            ("pseudo_batch", 1),
-            ("num_projections", 1),
-        ):
-            if getattr(self, key) < low:
-                raise ConfigError(f"config {key} must be >= {low}, got {getattr(self, key)}")
-        if any(not 1 <= width < 2**32 for width in self.encoder_hidden):  # MDL1 dims are u32
-            raise ConfigError(f"config encoder_hidden widths must be in [1, 2**32), got {self.encoder_hidden}")
-        for key in ("lr", "adapt_lr", "lambda_"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 <= value < np.inf:
-                raise ConfigError(f"config {key} must be finite and >= 0, got {value}")
-        for key in ("tau_fit", "tau_filter"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"config {key} must be in [0, 1), got {getattr(self, key)}")
+        check_ranges(self, "config")
         # GMM1 stores tau_fit as float32, and a mixture whose tau_fit rounds
         # up to 1 there could not be loaded back.
         if np.float32(self.tau_fit) >= 1.0:
             raise ConfigError(f"config tau_fit must stay below 1 as float32, got {self.tau_fit}")
-        if not seed_in_range(self.seed):
-            raise ConfigError(f"config seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -259,11 +240,17 @@ class EstimateInfo:
     """Source-phase facts persisted in the GMM `.meta` sidecar; the only
     numbers about the source domain that survive into the adaptation phase."""
 
-    w_sp_exact: float
-    w_sp_sliced: float
-    e_source: float
-    n_pixels: int
-    support_counts: tuple[int, ...]
+    w_sp_exact: float = bounded(MISSING, 0.0)
+    w_sp_sliced: float = bounded(MISSING, 0.0)
+    e_source: float = bounded(MISSING, 0.0, 1.0, closed=True)
+    n_pixels: int = bounded(MISSING, 1)
+    support_counts: tuple[int, ...] = bounded(MISSING, 0)
+
+    def __post_init__(self):
+        """Reject values that no `estimate` writes: the counts count source pixels."""
+        check_ranges(self, "sidecar")
+        if not 1 <= sum(self.support_counts) <= self.n_pixels:
+            raise ConfigError(f"sidecar support_counts sum must be in [1, n_pixels], got {self.support_counts}")
 
 
 def wasserstein_estimates(a: np.ndarray, b: np.ndarray, rng: Rng, num_projections: int):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import typing
@@ -26,7 +25,7 @@ from . import adaptation as adapt_mod
 from . import autodiff as ad
 from . import datasets as ds
 from .adaptation import PSEUDO_CLOUD, EstimateInfo, ExperimentConfig
-from .errors import ProtoAdaptError
+from .errors import ConfigError, ProtoAdaptError
 from .fileformats import EMB1_MAGIC, GMM1_MAGIC, MDL1_MAGIC, TNS1_MAGIC, format_values, open_output, parse_values
 from .fileformats import file_sha256, read_keyvalue, save_embeddings, write_keyvalue
 from .gmm import generate_pseudo_dataset, load_gmm, save_gmm
@@ -74,8 +73,8 @@ def read_sidecar(path: str) -> tuple[str, str, EstimateInfo]:
     One that is missing, or lacks `source_data`, `gmm_sha256` or any
     EstimateInfo field, is refused: the source-free check needs the path,
     the pairing check the digest, and a field has no stand-in value. So is
-    a value that no `estimate` writes, naming the key. `tau_fit` is
-    skipped: the mixture file holds it.
+    a value that does not parse or that EstimateInfo refuses, naming the
+    file and the key. `tau_fit` is skipped: the mixture file holds it.
     """
     if not os.path.isfile(path):
         raise CliError(f"mixture sidecar not found: {path}")
@@ -85,17 +84,10 @@ def read_sidecar(path: str) -> tuple[str, str, EstimateInfo]:
             raise CliError(f"{path}: no {key} line")
     source, digest = meta.pop("source_data"), meta.pop("gmm_sha256")
     meta.pop("tau_fit", None)
-    info = EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
-    for key, fits, want in (
-        ("w_sp_exact", 0 <= info.w_sp_exact < math.inf, "finite and >= 0"),
-        ("w_sp_sliced", 0 <= info.w_sp_sliced < math.inf, "finite and >= 0"),
-        ("e_source", 0 <= info.e_source <= 1, "in [0, 1]"),
-        ("n_pixels", info.n_pixels >= 1, ">= 1"),
-        ("support_counts", min(info.support_counts, default=-1) >= 0 and 1 <= sum(info.support_counts) <= info.n_pixels,
-         "counts >= 0 whose sum is in [1, n_pixels]"),
-    ):
-        if not fits:
-            raise CliError(f"{path}: {key} must be {want}, got {meta[key]}")
+    try:
+        info = EstimateInfo(**parse_values(_INFO_TYPES, meta, "sidecar"))
+    except ConfigError as exc:
+        raise CliError(f"{path}: {exc}") from None
     return source, digest, info
 
 

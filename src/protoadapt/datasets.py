@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, FileFormatError
-from .fileformats import check_finite, format_values, load_tensor, read_keyvalue, save_tensor, write_keyvalue
+from .fileformats import bounded, check_finite, check_ranges, format_values, load_tensor, read_keyvalue, save_tensor
+from .fileformats import write_keyvalue
 from .linalg import check_allocatable
-from .rng import Rng, box_muller, seed_in_range
+from .rng import SEED_LIMIT, Rng, box_muller, seed_in_range
 
 FORMAT_VERSION = "1"
 SHAPE_KEYS = ("n_images", "height", "width", "channels")  # the manifest's images shape
@@ -80,8 +81,11 @@ CLASS_COLORS = np.array(
 
 @dataclass
 class Shift:
-    channel_gain: tuple[float, ...] = (1.0, 1.0, 1.0)
-    noise_sigma: float = 0.0
+    """A target split's shift; the DomainSpec that holds it checks its ranges."""
+
+    # A negative gain would paint a negative color intensity.
+    channel_gain: tuple[float, ...] = bounded((1.0, 1.0, 1.0), 0.0)
+    noise_sigma: float = bounded(0.0, 0.0)
 
     def is_zero(self) -> bool:
         return all(g == 1.0 for g in self.channel_gain) and self.noise_sigma == 0.0
@@ -90,33 +94,20 @@ class Shift:
 @dataclass
 class DomainSpec:
     kind: str = "grid-seg"  # or "blobs"
-    K: int = 5
-    n_images: int = 2000
-    height: int = 16
-    width: int = 16
+    K: int = bounded(5, 2, 2**24, closed=True)  # labels are stored as float32
+    n_images: int = bounded(2000, 1)
+    height: int = bounded(16, 1)
+    width: int = bounded(16, 1)
     shift: Shift = field(default_factory=Shift)
-    seed: int = 0
+    seed: int = bounded(0, 0, SEED_LIMIT)
 
     def __post_init__(self):
         if self.kind not in ("blobs", "grid-seg"):
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if not 2 <= self.K <= 2**24:  # labels are stored as float32
-            raise ConfigError(f"K must be in [2, 2**24], got {self.K}")
-        if not seed_in_range(self.seed):
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        for key in ("n_images", "height", "width"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.shift.noise_sigma >= 0.0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.shift.noise_sigma}")
-        gains = self.shift.channel_gain
-        if len(gains) != CHANNELS:
-            raise ConfigError(f"a spec needs {CHANNELS} channel_gain values, got {gains}")
-        if not np.all(np.isfinite(gains)):
-            raise ConfigError(f"channel_gain must be finite, got {gains}")
-        # A negative gain would paint a negative color intensity.
-        if min(gains) < 0.0:
-            raise ConfigError(f"channel_gain must be >= 0, got {gains}")
+            raise ConfigError(f"spec kind must be blobs or grid-seg, got {self.kind!r}")
+        check_ranges(self, "spec")
+        check_ranges(self.shift, "spec")
+        if len(self.shift.channel_gain) != CHANNELS:
+            raise ConfigError(f"a spec needs {CHANNELS} channel_gain values, got {self.shift.channel_gain}")
 
 
 def standard_shift_spec(seed: int = 0) -> DomainSpec:
@@ -390,7 +381,8 @@ def load_split(directory):
 
 def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     """Write the three splits: labeled source, unlabeled target, labeled eval,
-    once no `n_images` or `n_eval` asks for images that cannot be allocated."""
+    once no `n_images` or `n_eval` asks for images that cannot be allocated
+    and every generated image value is finite."""
     if n_eval < 1:
         raise ConfigError(f"n_eval must be >= 1, got {n_eval}")
     if not seed_in_range(spec.seed + 2):
@@ -405,9 +397,14 @@ def write_dataset(out_dir, spec: DomainSpec, n_eval: int = 500) -> dict:
     target_train = replace(spec, seed=spec.seed + 1)
     target_eval = replace(spec, seed=spec.seed + 2, n_images=n_eval)
 
-    src_images, src_labels = generate(source, shifted=False)
-    tgt_images, _ = generate(target_train, shifted=True)
-    ev_images, ev_labels = generate(target_eval, shifted=True)
+    # A shift in range can still overflow float32, and load_split refuses a
+    # non-finite image: the check below, not a numpy warning, reports it.
+    with np.errstate(over="ignore"):
+        src_images, src_labels = generate(source, shifted=False)
+        tgt_images, _ = generate(target_train, shifted=True)
+        ev_images, ev_labels = generate(target_eval, shifted=True)
+    if not all(np.isfinite(images).all() for images in (src_images, tgt_images, ev_images)):
+        raise ConfigError(f"spec {spec.shift} makes image values that are not finite in float32")
 
     paths = {split: os.path.join(out_dir, split) for split in SPLIT_FILES}
     save_split(paths["source"], source, "source", src_images, src_labels)

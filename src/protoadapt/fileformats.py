@@ -18,11 +18,13 @@ MDL1 and GMM1 layouts stay with their types, in the autodiff and gmm modules.
 
 Text records (configs, sidecars, manifests, diagnostics) are key=value
 lines; `parse_values` and `format_values` map them to and from typed
-dataclass fields.
+dataclass fields. A field declared with `bounded` carries its value range,
+which its record's constructor checks with `check_ranges`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -249,3 +251,32 @@ def format_values(values: dict) -> dict:
         for k, v in values.items()
         if v is not None
     }
+
+
+def bounded(default, low, high=math.inf, closed=False):
+    """A dataclass field (with no default at dataclasses.MISSING) whose value,
+    or each element of a tuple, lies in [low, high), or [low, high] if
+    `closed`. A float `low` marks a float field, which must also be finite."""
+    return dataclasses.field(default=default, metadata={"range": (low, high, closed)})
+
+
+def _spell(end) -> str:
+    """A range end as messages spell it: an int power of two from 2**16 as 2**n."""
+    return f"2**{end.bit_length() - 1}" if isinstance(end, int) and end >= 2**16 and end.bit_count() == 1 else f"{end:g}"
+
+
+def check_ranges(record, what: str) -> None:
+    """Raise ConfigError naming the record `what`, the key and the value at
+    the first `bounded` field of `record` outside its range. NaN is outside
+    every range, a tuple is checked element by element, and None is skipped."""
+    for f in (f for f in dataclasses.fields(record) if "range" in f.metadata):
+        low, high, closed = f.metadata["range"]
+        value = getattr(record, f.name)
+        values = () if value is None else value if isinstance(value, tuple) else (value,)
+        if all(low <= x < high or (closed and x == high) for x in values):
+            continue
+        if high < math.inf:
+            want = f"in [{_spell(low)}, {_spell(high)}{']' if closed else ')'}"
+        else:
+            want = f"{'finite and ' if isinstance(low, float) else ''}>= {_spell(low)}"
+        raise ConfigError(f"{what} {f.name} must be {want}, got {value}")

@@ -33,17 +33,17 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .errors import DimensionError
+from .fileformats import bounded, check_ranges
 from .linalg import sample_unit_sphere
 from .rng import Rng
 
 
 @dataclass
 class SlicedConfig:
-    num_projections: int = 100
+    num_projections: int = bounded(100, 1)
 
     def __post_init__(self):
-        if self.num_projections < 1:
-            raise ValueError("num_projections must be >= 1")
+        check_ranges(self, "sliced config")
 
 
 def wasserstein1d_sq(a, b) -> float:

@@ -1,5 +1,6 @@
 """Pipeline pieces: metric, source training, estimation, adaptation loop."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -12,6 +13,7 @@ from protoadapt import autodiff as ad
 from protoadapt.adaptation import (
     DIAG_SUBSAMPLE,
     PSEUDO_CLOUD,
+    EstimateInfo,
     ExperimentConfig,
     adapt_source_free,
     adaptation_loss,
@@ -314,6 +316,16 @@ class TestEstimateStage:
         assert sum(info.support_counts) > 0.8 * xs.shape[0]
         assert info.w_sp_exact >= 0 and info.w_sp_sliced >= 0
         assert 0.0 <= info.e_source <= 0.05
+
+    @pytest.mark.parametrize("key,value", [("w_sp_exact", -1.0), ("e_source", 1.5), ("support_counts", (-1, 41, 80))])
+    def test_info_checks_itself(self, key, value):
+        """A library caller gets the check that `adapt` makes on a sidecar;
+        the info `estimate_stage` returns is built by the same constructor."""
+        info = {"w_sp_exact": 0.5, "w_sp_sliced": 0.5, "e_source": 0.1, "n_pixels": 120, "support_counts": (40, 40, 40)}
+        EstimateInfo(**info)
+        with pytest.raises(ConfigError, match=re.escape(f"sidecar {key} must be")) as refused:
+            EstimateInfo(**info | {key: value})
+        assert str(refused.value).endswith(f"got {value}")
 
     def test_gmm_means_near_class_means(self):
         xs, ys, *_ = blob_splits()

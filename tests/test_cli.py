@@ -171,6 +171,10 @@ class TestGenData:
             ("blobs", "height=99"),
             ("blobs", "width=7"),
             ("blobs", "width=16\nheight=1"),
+            # images that overflow float32, which no command reads back
+            ("blobs", "noise_sigma=inf"),
+            ("blobs", "channel_gain=1e39,1,1"),
+            ("grid-seg", "noise_sigma=1e39"),
         ],
     )
     def test_spec_that_cannot_mean_what_it_says_names_field(self, tmp_path, capsys, kind, line):
@@ -568,8 +572,9 @@ class TestAdapt:
         meta = read_keyvalue(str(workspace / "model.gmm1") + ".meta")
         assert meta["n_pixels"] == "120"
         write_keyvalue(tmp_path / "m.meta", {**meta, "support_counts": counts})
-        with pytest.raises(cli.CliError, match=re.escape(f"{tmp_path / 'm.meta'}: support_counts")):
+        with pytest.raises(cli.CliError, match=re.escape(f"{tmp_path / 'm.meta'}: sidecar support_counts")) as refused:
             read_sidecar(str(tmp_path / "m.meta"))
+        assert str(refused.value).endswith(f"got ({counts.replace(',', ', ')})")
 
     def test_truncated_mixture_exit2_names_file(self, workspace, tmp_path, capsys):
         gmm = copy_mixture(workspace, tmp_path)

@@ -75,7 +75,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
     @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan")])
     def test_negative_noise_sigma_rejected(self, kind, sigma):
-        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape(f"noise_sigma must be finite and >= 0, got {sigma}")):
             DomainSpec(kind=kind, shift=Shift(noise_sigma=sigma))
 
     @pytest.mark.parametrize("kind", ["grid-seg", "blobs"])
@@ -93,7 +93,8 @@ class TestSpecValidation:
 
     def test_grid_seg_rejects_negative_gain(self):
         for kind in ("grid-seg", "blobs"):
-            with pytest.raises(ValueError, match="channel_gain must be >= 0"):
+            refused = re.escape("channel_gain must be finite and >= 0, got (1.4, -0.7, 1.0)")
+            with pytest.raises(ValueError, match=refused):
                 DomainSpec(kind=kind, shift=Shift(channel_gain=(1.4, -0.7, 1.0)))
             DomainSpec(kind=kind, shift=Shift(channel_gain=(1.4, 0.0, 1.0)))
 
@@ -107,6 +108,17 @@ class TestSpecValidation:
         for value in (0, -2):
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
                 DomainSpec(kind=kind, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kind,shift", [("blobs", Shift(channel_gain=(1e39, 1.0, 1.0))), ("grid-seg", Shift(noise_sigma=1e39))]
+    )
+    def test_write_dataset_refuses_non_finite_images(self, tmp_path, kind, shift):
+        """A shift in range whose images overflow float32 writes no split."""
+        spec = DomainSpec(kind=kind, n_images=2, height=1, width=1, shift=shift)
+        refused = f"channel_gain={shift.channel_gain}, noise_sigma={shift.noise_sigma}"
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            write_dataset(tmp_path / "d", spec, n_eval=2)
+        assert not (tmp_path / "d").exists()
 
     def test_write_dataset_rejects_empty_eval_split(self, tmp_path):
         with pytest.raises(ValueError, match="n_eval must be >= 1"):

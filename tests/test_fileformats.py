@@ -1,18 +1,26 @@
-"""Binary formats: TNS1 framing, EMB1 exports, key=value sidecars, and the
-one opener that writes every file."""
+"""Binary formats: TNS1 framing, EMB1 exports, key=value sidecars, the
+value ranges that key=value records declare, and the one opener that
+writes every file."""
 
 import ast
+import dataclasses
 import io
+import math
 import re
 import struct
+import sys
 import tracemalloc
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from protoadapt.adaptation import EstimateInfo, ExperimentConfig
 from protoadapt.autodiff import init_model, load_model, save_model
-from protoadapt.errors import FileFormatError
+from protoadapt.datasets import DomainSpec, Shift
+from protoadapt.errors import ConfigError, FileFormatError
 from protoadapt.fileformats import (
     EMB1_BLOCK_ROWS,
     EMB1_MAGIC,
@@ -27,6 +35,7 @@ from protoadapt.fileformats import (
 )
 from protoadapt.gmm import PrototypicalGMM, load_gmm, save_gmm
 from protoadapt.rng import Rng
+from protoadapt.swd import SlicedConfig
 
 
 def test_tns1_roundtrip(tmp_path):
@@ -304,6 +313,104 @@ def test_keyvalue_malformed(tmp_path):
     path.write_text("not-a-pair\n")
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: malformed"):
         read_keyvalue(path)
+
+
+# Each record whose constructor checks its declared ranges, the name its
+# messages give it, and values for its other fields that construct. A Shift
+# is checked by the DomainSpec that holds it.
+RECORDS = {
+    ExperimentConfig: ("config", {}),
+    DomainSpec: ("spec", {}),
+    Shift: ("spec", {}),
+    EstimateInfo: ("sidecar", {"w_sp_exact": 0.5, "w_sp_sliced": 0.5, "e_source": 0.5, "n_pixels": 1,
+                               "support_counts": (1, 0, 0)}),
+    SlicedConfig: ("sliced config", {}),
+}
+# "Record.field" names of int or float fields that may declare no range:
+# none so far.
+RANGE_EXEMPT = set()
+# In-range ends that a cross-field rule refuses, and the largest value it
+# accepts there: GMM1 stores tau_fit as float32.
+ACCEPTED_TOP = {"ExperimentConfig.tau_fit": float(np.nextafter(np.float32(1), np.float32(0)))}
+# Some in-range ends by value, so that a declaration cannot move with the
+# table built from it.
+PINNED_INSIDE = {
+    "ExperimentConfig.batch_target": [1],
+    "ExperimentConfig.pseudo_batch": [1],
+    "ExperimentConfig.seed": [0, 2**64 - 1],
+    "DomainSpec.K": [2, 2**24],
+    "DomainSpec.seed": [0, 2**64 - 1],
+    "EstimateInfo.e_source": [0.0, 1.0],
+}
+
+
+def _scalar(hint):
+    """int or float for a field of that type, of an optional one or of a
+    tuple of them; None for any other field."""
+    if typing.get_origin(hint) in (tuple, types.UnionType):
+        args = [a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)]
+        hint = args[0] if len(args) == 1 else None
+    return hint if hint in (int, float) else None
+
+
+NUMERIC_FIELDS = [
+    (cls, key, kind)
+    for cls in RECORDS
+    for key, hint in typing.get_type_hints(cls).items()
+    if (kind := _scalar(hint)) and f"{cls.__name__}.{key}" not in RANGE_EXEMPT
+]
+
+
+def _field_value(cls, key, end):
+    """Field `key` of `cls` at `end`; a tuple field has its last element there."""
+    values = RECORDS[cls][1]
+    base = values[key] if key in values else next(f.default for f in dataclasses.fields(cls) if f.name == key)
+    return base[:-1] + (end,) if isinstance(base, tuple) else end
+
+
+def _build(cls, key, value):
+    """`cls` with field `key` at `value`; a Shift inside a DomainSpec."""
+    if cls is Shift:
+        return DomainSpec(shift=Shift(**{key: value}))
+    return cls(**RECORDS[cls][1] | {key: value})
+
+
+def _past(x, kind, up: bool):
+    """The next int or float after `x`, upwards or downwards."""
+    if kind is int:
+        return x + 1 if up else x - 1
+    return math.nextafter(x, math.inf if up else -math.inf)
+
+
+@pytest.mark.parametrize("cls,key,kind", NUMERIC_FIELDS, ids=[f"{c.__name__}.{k}" for c, k, _ in NUMERIC_FIELDS])
+def test_declared_range_ends(cls, key, kind):
+    """Every int or float field (or tuple of them) of a checked record
+    declares its range, with a float `low` for a float field. Each in-range
+    end constructs; the first value past each end, and NaN in a float field,
+    is refused with a message naming the record, the key and the value."""
+    name = f"{cls.__name__}.{key}"
+    field = next(f for f in dataclasses.fields(cls) if f.name == key)
+    assert "range" in field.metadata, f"{name} declares no range"
+    low, high, closed = field.metadata["range"]
+    assert isinstance(low, float) == (kind is float), name
+    inside, outside = [low], [_past(low, kind, up=False)]
+    if high < math.inf:
+        inside.append(ACCEPTED_TOP.get(name, high if closed else _past(high, kind, up=False)))
+        outside.append(_past(high, kind, up=True) if closed else high)
+    elif kind is float:
+        inside.append(sys.float_info.max)
+        outside.append(math.inf)
+    if kind is float:
+        outside.append(math.nan)
+    assert inside == PINNED_INSIDE.get(name, inside)
+    for end in inside:
+        _build(cls, key, _field_value(cls, key, end))
+    for end in outside:
+        value = _field_value(cls, key, end)
+        with pytest.raises(ConfigError) as refused:
+            _build(cls, key, value)
+        message = str(refused.value)
+        assert message.startswith(f"{RECORDS[cls][0]} {key} must be ") and message.endswith(f", got {value}"), message
 
 
 def test_every_writer_makes_its_missing_directory(tmp_path):
