@@ -892,7 +892,8 @@ class TestShortAxisKernels:
 
 
 # Stacks the oracles above (and the mixture fit's row-order sums in
-# tests/test_gmm.py) must also hold on, each forced for one child
+# tests/test_gmm.py and the grid-seg generator's per-image reference in
+# tests/test_datasets.py) must also hold on, each forced for one child
 # process: numpy's AVX2 loops in place of the AVX-512 ones this CPU runs
 # (float64 rows reduce in 4 lanes, not 8), OpenBLAS's Haswell kernels, and
 # the AVX2 loops with OpenBLAS's Sandybridge kernels.
@@ -940,6 +941,7 @@ def test_bitwise_oracles_hold_on_forced_stack(forced):
          "-q", "-p", "no:cacheprovider", "-o", "addopts=",
          f"{__file__}::TestShortAxisKernels", f"{__file__}::TestBitwiseOracle",
          f"{tests / 'test_swd.py'}::TestBitwiseOracle",
+         f"{tests / 'test_datasets.py'}::TestGridSegMatchesPerImageLoop",
          f"{tests / 'test_gmm.py'}::TestEstimate::test_per_class_gathers_match_float64_upfront_bitwise"],
         env=env, capture_output=True, text=True, timeout=120,
     )

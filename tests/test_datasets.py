@@ -14,6 +14,7 @@ from protoadapt.datasets import (
     EDGE_DARKEN_MIN,
     GEN_CHUNK,
     INTRA_CLASS_JITTER,
+    MAX_SHAPES,
     DomainSpec,
     Shift,
     blob_centers,
@@ -26,6 +27,7 @@ from protoadapt.datasets import (
     spec_from_values,
     standard_shift_spec,
     write_dataset,
+    _paint,
 )
 from protoadapt.errors import ConfigError, FileFormatError
 from protoadapt.fileformats import load_tensor, parse_values, read_keyvalue, save_tensor, write_keyvalue
@@ -398,6 +400,69 @@ class TestGridSegMatchesPerImageLoop:
     def test_same_bytes_one_image_and_across_chunks(self, n, shifted):
         spec = DomainSpec(K=5, n_images=n, height=7, width=9, shift=self.SHIFT, seed=4)
         _assert_same_bytes(gen_grid_seg(spec, shifted), _ref_gen_grid_seg(spec, shifted))
+
+
+def _ref_paint(scenes, h, w):
+    """`_paint` as it was before its shape tests were made separable: both
+    tests on the full [b,h,w] grid, kept as the oracle for its bits."""
+    table = np.zeros((len(scenes), MAX_SHAPES, 6))
+    table[:, :, 4:] = 1.0
+    for j, shapes in enumerate(scenes):
+        table[j, : len(shapes)] = shapes
+    yy, xx = np.mgrid[0:h, 0:w]
+    label = np.zeros((len(scenes), h, w), dtype=np.int64)
+    for cls, kind, cy, cx, ry, rx in table.transpose(1, 2, 0)[..., None, None]:
+        rect = (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
+        ellipse = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        painted = np.where(kind == 0, rect, ellipse) & (cls > 0)
+        label = np.where(painted, cls.astype(np.int64), label)
+    return label
+
+
+class TestPaintBoundaries:
+    """Hand-built scenes of (cls, kind, cy, cx, ry, rx) shapes on a 9x10
+    grid, each at a case where a test's operation order or its `<=` shows."""
+
+    H, W = 9, 10
+    SCENES = {
+        # |y - cy| == ry at rows 2 and 7, |x - cx| == rx at columns 3 and 8.
+        "rect-edge-on-pixels": [(1, 0, 4.75, 5.5, 2.75, 2.5)],
+        # (3/5)**2 + (4/5)**2 is exactly 1.0 at (3, 4) and (4, 3).
+        "ellipse-sum-exactly-one": [(2, 1, 0.0, 0.0, 5.0, 5.0)],
+        "partly-outside": [(3, 0, -1.5, 8.5, 3.0, 2.0), (1, 1, 10.0, -2.0, 4.0, 5.0)],
+        "wholly-outside": [(2, 0, -5.0, 4.0, 2.0, 2.0), (4, 1, 4.0, 30.0, 3.0, 3.0)],
+        # Three unused slots follow; as rectangles they would cover (0, 0).
+        "unused-class-0-slots": [(1, 0, 0.0, 0.0, 2.0, 2.0), (2, 1, 8.0, 9.0, 2.5, 2.5)],
+        # Five shapes over one centre: each later slot paints over the earlier.
+        "overlap-in-slot-order": [(1, 0, 4.0, 5.0, 3.0, 3.0), (2, 1, 4.0, 5.0, 2.0, 2.0),
+                                  (3, 0, 4.0, 5.0, 0.5, 0.5), (4, 1, 2.0, 3.0, 1.5, 1.5),
+                                  (1, 0, 7.0, 2.0, 1.0, 1.0)],
+    }
+    # Pixels whose labels the cases above fix: (case, y, x, label).
+    PIXELS = [
+        ("rect-edge-on-pixels", 2, 3, 1), ("rect-edge-on-pixels", 7, 8, 1),
+        ("rect-edge-on-pixels", 1, 5, 0), ("rect-edge-on-pixels", 4, 9, 0),
+        ("ellipse-sum-exactly-one", 3, 4, 2), ("ellipse-sum-exactly-one", 4, 3, 2),
+        ("ellipse-sum-exactly-one", 4, 4, 0), ("ellipse-sum-exactly-one", 5, 0, 2),
+        ("partly-outside", 0, 9, 3), ("partly-outside", 1, 7, 3),
+        ("partly-outside", 1, 6, 0), ("partly-outside", 8, 0, 1),
+        ("unused-class-0-slots", 0, 0, 1), ("unused-class-0-slots", 1, 1, 1),
+        ("overlap-in-slot-order", 4, 5, 3), ("overlap-in-slot-order", 6, 5, 2),
+        ("overlap-in-slot-order", 4, 2, 1), ("overlap-in-slot-order", 2, 3, 4),
+        ("overlap-in-slot-order", 7, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("case", [*SCENES, "all-in-one-batch"])
+    def test_matches_full_grid_form(self, case):
+        scenes = list(self.SCENES.values()) if case == "all-in-one-batch" else [self.SCENES[case]]
+        _assert_same_bytes([_paint(scenes, self.H, self.W)], [_ref_paint(scenes, self.H, self.W)])
+
+    @pytest.mark.parametrize("case,y,x,label", PIXELS)
+    def test_pixel_label(self, case, y, x, label):
+        assert _paint([self.SCENES[case]], self.H, self.W)[0, y, x] == label
+
+    def test_wholly_outside_paints_nothing(self):
+        assert not _paint([self.SCENES["wholly-outside"]], self.H, self.W).any()
 
 
 class TestSplitsOnDisk:

@@ -37,6 +37,21 @@ def test_integers_range():
     assert set(np.unique(x)) == {2, 3, 4, 5, 6}
 
 
+def test_uniform_block_takes_the_draws_of_scalar_calls():
+    """One uniform(4) gives the bits of four scalar uniform() calls, with
+    integers() drawn before and between the blocks as a grid-seg scene
+    draws them; an odd count of those leaves half a 64-bit word buffered."""
+    block, scalar = Rng(21), Rng(21)
+    assert block.integers(2, 6) == scalar.integers(2, 6)
+    for K in (5, 3, 9):
+        assert block.integers(1, K) == scalar.integers(1, K)
+        assert block.integers(0, 2) == scalar.integers(0, 2)
+        want = np.array([scalar.uniform() for _ in range(4)])
+        assert block.uniform(4).tobytes() == want.tobytes()
+    assert block.integers(0, 2**40, 3).tobytes() == scalar.integers(0, 2**40, 3).tobytes()
+    assert block.uniform(5).tobytes() == scalar.uniform(5).tobytes()
+
+
 def test_subsample_no_replacement():
     s = Rng(8).subsample(100, 30)
     assert len(s) == 30
