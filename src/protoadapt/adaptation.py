@@ -341,10 +341,16 @@ def adaptation_loss(tape, model, batch, gmm, probs_fn, config, rng):
     swd_value, swd_grad = sliced_wasserstein_grad(emb.data, pseudo.Z, swd_cfg, rng)
     # CE + lambda * SWD^2 as one node. The SWD value is a float64 0-d array,
     # not a Python float, so that the float32 CE is promoted to a float64
-    # total. The embedding gradient is `(g * lam) * swd_grad`, in that order.
+    # total and report.csv's totals stay exact. A node's gradient has the
+    # node's dtype, and this is the one place that rounds one: the embedding
+    # gradient `(g * lam) * swd_grad`, in float64 in that order, is rounded
+    # once to the embedding's dtype, so the layers below run their backward
+    # in float32, as in training. Under a float64 gradient check it is a no-op.
     lam = config.lambda_
     total = tape.op(
-        ce.data + np.asarray(swd_value) * lam, (ce, emb), lambda g: (g, g * lam * swd_grad)
+        ce.data + np.asarray(swd_value) * lam,
+        (ce, emb),
+        lambda g: (g, (g * lam * swd_grad).astype(emb.data.dtype, copy=False)),
     )
     return total, (float(ce.data), float(swd_value), float(total.data), pseudo.kept_fraction)
 

@@ -2,7 +2,12 @@
 
 The tape records every op of one forward pass in creation order; backward
 walks the list once in reverse. Arrays flow through in whatever dtype the
-leaves carry: float32 in production, float64 when gradient-checking.
+leaves carry: float32 in production, float64 when gradient-checking. A
+node's gradient has the node's dtype, so each backward matmul runs in the
+forward's precision. One node mixes dtypes: adaptation's float64 CE +
+lambda * SWD^2 total (`adaptation.adaptation_loss`), which rounds the
+embedding gradient it sends to the embedding's dtype; the 0-d gradient it
+sends to the float32 CE is rounded in `vsoftmax_cross_entropy`'s backward.
 
 Which nodes receive a gradient: every op node on a path to the loss, and
 every parameter leaf (`Tape.watch`), whose gradient `backward` returns.

@@ -153,12 +153,20 @@ def src_lines(tree: Path) -> dict:
     return {p.name: p.read_bytes().count(b"\n") for p in (tree / "src" / "protoadapt").glob("*.py")}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def tree_parser(description: str) -> argparse.ArgumentParser:
+    """The command line shared with tests/acceptance_shift.py: two trees, or
+    --rev REV and at most one tree, and --env for the B run."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("trees", nargs="*", type=Path, help="TREE_A TREE_B, or the worktree with --rev")
     parser.add_argument("--rev", help="git revision of this checkout to compare against the worktree")
     parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
                         help="set an environment variable for the B run only (repeatable)")
+    return parser
+
+
+def parse_trees(parser: argparse.ArgumentParser, argv, work: Path) -> tuple[list[Path], dict]:
+    """([tree A, tree B], the B run's extra environment) from `argv`. With
+    --rev, tree A is that revision's `src` extracted under `work`."""
     args = parser.parse_args(argv)
     env_b = {}
     for item in args.env:
@@ -170,20 +178,23 @@ def main(argv=None) -> int:
         parser.error("give two trees, or --rev REV and at most one tree")
     if args.rev is not None and len(args.trees) > 1:
         parser.error("--rev takes at most one worktree")
+    if args.rev is None:
+        return [t.resolve() for t in args.trees], env_b
+    rev_tree = work / "rev-tree"
+    rev_tree.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(CHECKOUT), "archive", args.rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive, check=True)
+    return [rev_tree, (args.trees[0] if args.trees else CHECKOUT).resolve()], env_b
 
+
+def main(argv=None) -> int:
+    parser = tree_parser(__doc__.split("\n\n")[0])
     work = Path(tempfile.mkdtemp(prefix="same_bits-"))
     try:
-        if args.rev is None:
-            trees = [t.resolve() for t in args.trees]
-        else:
-            rev_tree = work / "rev-tree"
-            rev_tree.mkdir()
-            archive = subprocess.run(
-                ["git", "-C", str(CHECKOUT), "archive", args.rev, "src"],
-                capture_output=True, check=True,
-            ).stdout
-            subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive, check=True)
-            trees = [rev_tree, (args.trees[0] if args.trees else CHECKOUT).resolve()]
+        trees, env_b = parse_trees(parser, argv, work)
         runs = [work / "A", work / "B"]
         for label, tree, run, extra_env in zip("AB", trees, runs, ({}, env_b)):
             shown = "".join(f" {k}={v}" for k, v in extra_env.items())

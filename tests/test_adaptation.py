@@ -566,7 +566,9 @@ class TestAdaptationLoss:
         """CE + lambda * SWD^2 is one tape node over (CE, embedded rows). Its
         value and the gradients it sends equal, bit for bit, those of the
         chain it replaced: an SWD node, a scale by lambda, and a sum whose
-        backward hands `g` to both parents."""
+        backward hands `g` to both parents. The chain's float64 embedding
+        gradient is rounded once to float32, the embedding's dtype, where it
+        enters the embedding leaf."""
         _, model, gmm, _, _, xt = trained_blobs
         cfg = blob_config(lambda_=0.3)
         batch = ad.pad_images(xt, model.neighborhood)
@@ -588,7 +590,7 @@ class TestAdaptationLoss:
         lam = cfg.lambda_
         t = ad.Tape()
         ce_leaf, emb_leaf = t.leaf(ce.data), t.leaf(emb.data)
-        swd = t.op(np.asarray(value), (emb_leaf,), lambda g: (g * swd_grad,))
+        swd = t.op(np.asarray(value), (emb_leaf,), lambda g: ((g * swd_grad).astype(np.float32),))
         scaled = t.op(swd.data * lam, (swd,), lambda g: (g * lam,))
         chain = t.op(ce_leaf.data + scaled.data, (ce_leaf, scaled), lambda g: (g, g))
         ad.backward(t, chain)
@@ -600,6 +602,23 @@ class TestAdaptationLoss:
             assert new.tobytes() == old.tobytes()
         assert np.asarray(total.data).dtype == np.float64
         assert record[1:3] == (value, float(chain.data))
+
+    def test_gradients_keep_their_node_dtype(self, trained_blobs):
+        """The float64 total hands the float32 embedding node a float32
+        gradient, so the layers below it run their backward in float32 and
+        every parameter, the encoder's and decoder's too, gets a gradient of
+        its own dtype."""
+        cfg, model, gmm, _, _, xt = trained_blobs
+        tape = ad.Tape()
+        batch = ad.pad_images(xt, model.neighborhood)
+        probs_fn = partial(ad.forward_classify, model)
+        total, _ = adaptation_loss(tape, model, batch, gmm, probs_fn, cfg, Rng(5))
+        grads = ad.backward(tape, total)
+        _, emb = total.parents
+        assert emb.data.dtype == emb.grad.dtype == np.float32
+        assert set(grads) == set(model.parameters())
+        for param, grad in grads.items():
+            assert grad.dtype == param.data.dtype == np.float32
 
 
 class TestRunExperiment:

@@ -62,8 +62,8 @@ PINNED_RUN = {
     "w_sp_sliced": 0.05962888434748922,
     "w_tp_pre_exact": 44.703871473078564,
     "w_tp_pre_sliced": 9.249456105359235,
-    "w_tp_post_exact": 9.826011301604856,
-    "w_tp_post_sliced": 0.5887008553775529,
+    "w_tp_post_exact": 9.826011637612,
+    "w_tp_post_sliced": 0.5887008912667068,
     "one_minus_tau": 0.5,
     "e_source": 0.0294921875,
     "e_target_pre": 0.6734375,
@@ -74,7 +74,7 @@ PINNED_RUN = {
 }
 
 PINNED_RUN_SHA256 = {
-    "adapted.mdl1": "79a2b59f87879c6fdcbb0b53d44051db8b2e96777873eea58382e57dbfd0439f",
+    "adapted.mdl1": "ea47fe6a524c3b293a17d2dbee20fa2e8eb57fbbab8f632f23a3b7492e1df1c4",
     "model.gmm1": "adf19541dde87db8d313c1a891d60f48bb854cbe4b0893122b6da6ffe98514e5",
 }
 
@@ -83,13 +83,13 @@ PINNED_CLI_SHA256 = {
     "model.mdl1.trainlog.csv": "ecbb13abda95a7d0645bc30ad0d0c721687b663d50529c4dc6d61eaf8be2600c",
     "model.gmm1": "fa8539c7962d61e85275c461b4bac6c78e75904882f06ba5650d62041076a2a4",
     "model.gmm1.meta": "7e9b7e40a7470e49f80dddf0506b15705311f9422291ec256e923781a430b196",
-    "adapted/adapted.mdl1": "ec074a46a7c5d080214592e30010f2c32bfc6e3bcac424e95e79c94791c41377",
-    "adapted/report.csv": "28a37667f1fd78dc6812e690ce238ed8256d152ba134fa813eb93ac32881b3c5",
-    "adapted/diagnostics.txt": "587f5c42f70f50d980587d28dea7f9a8d794681bff8be5f16bebc38d1ed80f40",
+    "adapted/adapted.mdl1": "4aca9d3e9609172c34e1a6d174b1938d4fd085d7d1aa3d03ba560d522a05833d",
+    "adapted/report.csv": "496bee56dbc228853ac7f47c6a53186a2ab781b11cb1630f7aa98160c631b635",
+    "adapted/diagnostics.txt": "a25c5cf467c2592c126fbad8d450546f9fddb211dd56f71f138e1c55a5e883ea",
     "adapted/gmm_samples.emb1": "8573ea381aea313673bde73d3b2e274f1e259306ea643635388489957986ddc6",
-    "adapted/target_post.emb1": "b68808c9cb956ad0a927c941e8c394385f3df49a24ad43d13937d1db5bf83279",
+    "adapted/target_post.emb1": "07297c0308ce003bbfca01ba2fa5945186af5e4eb1aa6c0c15b83b0f01e68a07",
     "adapted/target_pre.emb1": "cb19af251eed76690ca0950d109db05da53e3c96e9b4203e70ac81b474974967",
-    "emb/data.emb1": "b90b779e04837032a7eb238785f3563266ef641a6a4e6626e6be11a0f995a02f",
+    "emb/data.emb1": "3ef2bff60e16970d5927b325a0aa2b7377998d4f573e34a4b8f3baa00ec95b70",
     "emb/data_pre.emb1": "98a3c8f33f56bfed6da259471a5cf145ea50deb99872b047834e7479099654ed",
     "emb/gmm_samples.emb1": "c1427936127e1fd5e2ec11e38109b3b2d8897bd368f836c9d1d93541da00c560",
 }
